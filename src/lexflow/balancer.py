@@ -223,8 +223,11 @@ def verify_certificate(
     if any(a < b for a, b in zip(ratios, ratios[1:])):
         return reject("monotonicity", "level ratios increase")
 
-    # Replay each level against its reduced stage.
-    stages: list[tuple[Problem, Fraction]] = []
+    # Replay each level against its reduced stage, and probe that the level
+    # ratio is the stage's exact minmax ratio while the stage is at hand, so
+    # only one stage is alive at a time. A replay failure at any level
+    # outranks an optimality failure, which is kept until the replay is done.
+    suboptimal: VerificationResult | None = None
     current = problem
     for k, level in enumerate(certificate.levels):
         where = f"level {k}"
@@ -253,7 +256,14 @@ def verify_certificate(
             if flow.values[arc_id] != 0:
                 return reject("level_replay", f"{where}: reverse arc {arc_id!r} carries flow")
 
-        stages.append((current, level.ratio))
+        if suboptimal is None:
+            if not is_feasible(current, level.ratio).feasible:
+                suboptimal = reject("stage_optimality", f"{where}: ratio is not sufficient")
+            else:
+                lam = total_integer_capacity(current)
+                below = level.ratio * (1 - Fraction(1, 2 * lam * lam))
+                if is_feasible(current, below).feasible:
+                    suboptimal = reject("stage_optimality", f"{where}: ratio is not minimal")
         balances = dict(current.balances)
         for arc_id, value in level.fixed_forward:
             arc = forward[arc_id]
@@ -266,14 +276,8 @@ def verify_certificate(
             tuple(a for a in current.arcs if a.arc_id not in dropped),
         )
 
-    # Each level ratio is its stage's exact minmax ratio.
-    for k, (stage, ratio) in enumerate(stages):
-        if not is_feasible(stage, ratio).feasible:
-            return reject("stage_optimality", f"level {k}: ratio is not sufficient")
-        lam = total_integer_capacity(stage)
-        below = ratio * (1 - Fraction(1, 2 * lam * lam))
-        if is_feasible(stage, below).feasible:
-            return reject("stage_optimality", f"level {k}: ratio is not minimal")
+    if suboptimal is not None:
+        return suboptimal
 
     # The levels plus the zero tail partition the arcs; the tail is idle.
     assigned = [arc_id for level in certificate.levels for arc_id, _ in level.fixed_forward]

@@ -10,7 +10,6 @@ violated cut as a witness.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
@@ -29,8 +28,10 @@ class TwoPole:
     sink n+1. Producer u gets arc (s, u) with capacity d_u, consumer w gets
     (w, t) with capacity -d_w, and every original arc keeps z times its
     capacity. All capacities are multiplied by one integerizing `scale` so
-    the flow engine can stay integer-only. For any cut (V', V'') of the
-    problem, the matching two-pole cut has capacity
+    the flow engine can stay integer-only. For z = p/q in lowest terms the
+    scale is q*L, L being the denominator of the problem's integer view; it
+    need not be the least common denominator of the capacities. For any cut
+    (V', V'') of the problem, the matching two-pole cut has capacity
     scale * (D + z*capacity - deficiency), D being the total supply.
     """
 
@@ -74,29 +75,24 @@ def build_two_pole(problem: Problem, z: Fraction) -> TwoPole:
     n = len(problem.node_ids)
     s, t = n, n + 1
     position = problem.node_position
+    denominator, balances, capacities = problem.integer_view
+    p, q = z.numerator, z.denominator
 
-    ends: list[tuple[int, int]] = []
-    caps: list[Fraction] = []
-    for v in problem.node_ids:
-        d = problem.balances[v]
+    arcs: list[tuple[int, int, int]] = []
+    for i, d in enumerate(balances):
         if d > 0:
-            ends.append((s, position[v]))
-            caps.append(d)
+            arcs.append((s, i, q * d))
         elif d < 0:
-            ends.append((position[v], t))
-            caps.append(-d)
+            arcs.append((i, t, -q * d))
     arc_position: dict[str, int] = {}
-    for arc in problem.arcs:
-        arc_position[arc.arc_id] = len(ends)
-        ends.append((position[arc.tail], position[arc.head]))
-        caps.append(z * arc.capacity)
+    for arc, c in zip(problem.arcs, capacities):
+        arc_position[arc.arc_id] = len(arcs)
+        arcs.append((position[arc.tail], position[arc.head], p * c))
 
-    scale = math.lcm(*(c.denominator for c in caps)) if caps else 1
-    arcs = tuple(
-        (tail, head, int(c * scale)) for (tail, head), c in zip(ends, caps)
+    network = FlowNetwork(n + 2, tuple(arcs), s, t)
+    return TwoPole(
+        problem, z, network, arc_position, problem.total_supply, q * denominator
     )
-    network = FlowNetwork(n + 2, arcs, s, t)
-    return TwoPole(problem, z, network, arc_position, problem.total_supply, scale)
 
 
 def is_feasible(
@@ -161,8 +157,4 @@ def total_integer_capacity(problem: Problem) -> int:
     probes in certificate verification rely on that separation. Returns 1
     for arcless problems so callers can still form positive epsilons.
     """
-    denominators = [a.capacity.denominator for a in problem.arcs]
-    denominators += [d.denominator for d in problem.balances.values()]
-    scale = math.lcm(*denominators) if denominators else 1
-    total = sum((a.capacity for a in problem.arcs), Fraction(0)) * scale
-    return max(int(total), 1)
+    return max(sum(problem.integer_view.capacities), 1)

@@ -9,7 +9,8 @@ to a common integer grid first.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,17 @@ class FlowNetwork:
 
 
 @dataclass(frozen=True)
+class _Residual:
+    """Final residual network of a max-flow run: edge heads, capacities and
+    per-node edge lists, paired so that edge e ^ 1 reverses edge e."""
+
+    sink: int
+    to: list[int]
+    cap: list[int]
+    adj: list[list[int]]
+
+
+@dataclass(frozen=True)
 class MaxFlowResult:
     """Maximum flow value, per-arc flows, and the two canonical min cuts.
 
@@ -44,13 +56,31 @@ class MaxFlowResult:
     same for every maximum flow. `alt_min_cut_source_side` is the complement
     of the nodes that can still reach the sink, the inclusion-maximal min
     cut; it exists only to let callers cross-check results against a second
-    extraction rule.
+    extraction rule, so it is computed on first access.
     """
 
     value: int
     arc_flows: tuple[int, ...]
     min_cut_source_side: frozenset[int]
-    alt_min_cut_source_side: frozenset[int]
+    _residual: _Residual = field(repr=False, compare=False)
+
+    @cached_property
+    def alt_min_cut_source_side(self) -> frozenset[int]:
+        # The edges into w are the pairs e ^ 1 of the edges e leaving w.
+        residual = self._residual
+        to, cap = residual.to, residual.cap
+        reaches_sink = {residual.sink}
+        queue = deque([residual.sink])
+        while queue:
+            w = queue.popleft()
+            for e in residual.adj[w]:
+                v = to[e]
+                if cap[e ^ 1] > 0 and v not in reaches_sink:
+                    reaches_sink.add(v)
+                    queue.append(v)
+        return frozenset(
+            i for i in range(len(residual.adj)) if i not in reaches_sink
+        )
 
 
 def max_flow(net: FlowNetwork) -> MaxFlowResult:
@@ -135,20 +165,5 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
     # The last level pass failed, so it already marks residual reachability.
     reachable = frozenset(i for i in range(n) if level[i] >= 0)
 
-    # Nodes that still reach the sink along residual edges.
-    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for v in range(n):
-        for e in adj[v]:
-            into[to[e]].append((v, e))
-    reaches_sink = {sink}
-    queue = deque([sink])
-    while queue:
-        w = queue.popleft()
-        for v, e in into[w]:
-            if cap[e] > 0 and v not in reaches_sink:
-                reaches_sink.add(v)
-                queue.append(v)
-    alt_side = frozenset(i for i in range(n) if i not in reaches_sink)
-
     flows = tuple(cap[2 * i + 1] for i in range(len(net.arcs)))
-    return MaxFlowResult(value, flows, reachable, alt_side)
+    return MaxFlowResult(value, flows, reachable, _Residual(sink, to, cap, adj))

@@ -1,17 +1,20 @@
 """Exact domain model for transshipment balancing: problems, flows, cuts.
 
-Every numeric quantity is a `fractions.Fraction`; the solver path never
-touches floating point. Instances are immutable after construction, so they
-can be shared freely between threads, and all operations here are pure.
+Every numeric quantity is a `fractions.Fraction`, or an integer on a
+problem's common-denominator grid (`Problem.integer_view`); the solver path
+never touches floating point. Instances are immutable after construction,
+so they can be shared freely between threads, and all operations here are
+pure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 RationalLike = Fraction | int | str
 
@@ -95,6 +98,19 @@ class Arc:
     capacity: Fraction
 
 
+class IntegerView(NamedTuple):
+    """A problem's numbers scaled onto one integer grid.
+
+    `denominator` is the lcm L of every balance and capacity denominator;
+    `balances[i]` is L times the balance of node i in node order and
+    `capacities[a]` is L times the capacity of arc a in arc order.
+    """
+
+    denominator: int
+    balances: tuple[int, ...]
+    capacities: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class Problem:
     """A transshipment instance: a digraph with node balances and capacities.
@@ -120,6 +136,22 @@ class Problem:
     @cached_property
     def arc_by_id(self) -> dict[str, Arc]:
         return {a.arc_id: a for a in self.arcs}
+
+    @cached_property
+    def integer_view(self) -> IntegerView:
+        """Balances and capacities on one integer grid, computed once.
+
+        Every feasibility probe and cut sum on this problem reads it, so none
+        of them needs `Fraction` arithmetic or an lcm of its own.
+        """
+        balances = [self.balances[v] for v in self.node_ids]
+        capacities = [a.capacity for a in self.arcs]
+        lcm = math.lcm(*(x.denominator for x in balances + capacities))
+        return IntegerView(
+            lcm,
+            tuple(lcm // x.denominator * x.numerator for x in balances),
+            tuple(lcm // x.denominator * x.numerator for x in capacities),
+        )
 
     @cached_property
     def total_supply(self) -> Fraction:
@@ -282,17 +314,21 @@ def cut_stats(problem: Problem, cut: Cut, flow: Flow | None = None) -> CutStats:
     if flow is not None and set(flow.values) != set(problem.arc_ids):
         raise KeyMismatch("flow keys do not match the problem's arcs")
 
-    deficiency = sum(
-        (problem.balances[v] for v in cut.source_side), Fraction(0)
-    )
-    capacity = Fraction(0)
+    denominator, balances, capacities = problem.integer_view
+    position = problem.node_position
+    deficiency = sum(balances[position[v]] for v in cut.source_side)
+    capacity = 0
     crossing = Fraction(0) if flow is not None else None
-    for arc in problem.arcs:
+    for arc, c in zip(problem.arcs, capacities):
         if arc.tail in cut.source_side and arc.head in cut.sink_side:
-            capacity += arc.capacity
+            capacity += c
             if flow is not None:
                 crossing += flow.values[arc.arc_id]
-    return CutStats(deficiency, capacity, crossing)
+    return CutStats(
+        Fraction(deficiency, denominator),
+        Fraction(capacity, denominator),
+        crossing,
+    )
 
 
 def lexmin_compare(

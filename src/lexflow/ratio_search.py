@@ -162,29 +162,36 @@ def _simplest_in_interval(
 ) -> Fraction:
     """Smallest-denominator rational inside a (possibly half-open) interval.
 
-    Stern-Brocot descent along the continued fraction of the endpoints; the
-    interval must be nonempty.
+    Stern-Brocot descent along the continued fraction of the endpoints, one
+    loop pass per term, so no recursion limit caps the input; the interval
+    must be nonempty.
     """
     if lo > hi or (lo == hi and (lo_open or hi_open)):
         raise ValueError("empty interval")
-    floor_lo = lo.numerator // lo.denominator
-    if lo == floor_lo and not lo_open:
-        return Fraction(floor_lo)
-    next_int = floor_lo + 1
-    if next_int < hi or (next_int == hi and not hi_open):
-        return Fraction(next_int)
-    if lo == floor_lo:
-        # Interval sits inside (floor_lo, hi]: pick floor_lo + 1/y with the
-        # smallest integer y satisfying 1/(hi - floor_lo) <= y.
-        bound = 1 / (hi - floor_lo)
-        y = -((-bound.numerator) // bound.denominator)
-        if hi_open and y == bound:
-            y += 1
-        return floor_lo + Fraction(1, y)
-    inner = _simplest_in_interval(
-        1 / (hi - floor_lo),
-        1 / (lo - floor_lo),
-        lo_open=hi_open,
-        hi_open=lo_open,
-    )
-    return floor_lo + 1 / inner
+    terms: list[int] = []
+    while True:
+        floor_lo = lo.numerator // lo.denominator
+        if lo == floor_lo and not lo_open:
+            tail = Fraction(floor_lo)
+            break
+        next_int = floor_lo + 1
+        if next_int < hi or (next_int == hi and not hi_open):
+            tail = Fraction(next_int)
+            break
+        if lo == floor_lo:
+            # Interval sits inside (floor_lo, hi]: pick floor_lo + 1/y with
+            # the smallest integer y satisfying 1/(hi - floor_lo) <= y.
+            bound = 1 / (hi - floor_lo)
+            y = -((-bound.numerator) // bound.denominator)
+            if hi_open and y == bound:
+                y += 1
+            tail = floor_lo + Fraction(1, y)
+            break
+        # The answer is floor_lo + 1/x, x simplest in the mirrored interval.
+        terms.append(floor_lo)
+        lo, hi = 1 / (hi - floor_lo), 1 / (lo - floor_lo)
+        lo_open, hi_open = hi_open, lo_open
+    numerator, denominator = tail.numerator, tail.denominator
+    for term in reversed(terms):
+        numerator, denominator = term * numerator + denominator, numerator
+    return Fraction(numerator, denominator)

@@ -302,6 +302,32 @@ class TestVerifyCertificate:
         assert not verdict.accepted
         assert verdict.failed_check == "stage_optimality"
 
+    def test_later_replay_failure_outranks_stage_optimality(self, d4):
+        # Level 0 is the non-critical {s} cut above; level 1 claims arcs the
+        # flow does not carry at their fixed values. Replay is checked for
+        # every level before optimality is reported for any.
+        from lexflow import BalancedSolution
+
+        level0 = Level(
+            F(1), Cut.from_source_side(d4, ["s"]), (("sa", F(1)), ("sb", F(3))), ()
+        )
+        level1 = Level(
+            F(1),
+            Cut.from_source_side(d4, ["s", "a", "b"]),
+            (("at", F(2)), ("bt", F(2))),
+            (),
+        )
+        flow = Flow({"sa": F(1), "sb": F(3), "at": F(1), "bt": F(3)})
+        candidate = BalancedSolution(
+            flow,
+            Certificate((level0, level1), ()),
+            tuple(sorted(flow.ratio_vector(d4), reverse=True)),
+        )
+        verdict = verify_certificate(d4, candidate)
+        assert (verdict.failed_check, verdict.detail) == (
+            "level_replay", "level 1: flow differs on 'at'",
+        )
+
     def test_noncritical_cut_with_honest_tail_trips_monotonicity(self, d4):
         # Loading {s} at ratio 1 under-serves b, so the honest continuation
         # needs ratio 3/2 > 1 and the ratio sequence itself betrays the swap.

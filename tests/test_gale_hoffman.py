@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,17 +10,26 @@ import pytest
 
 from lexflow import (
     Cut,
+    CutStats,
+    Flow,
+    FlowNetwork,
+    InvalidPartition,
+    KeyMismatch,
     build_two_pole,
     cut_stats,
     enumerate_cuts,
     has_fatal_cut,
     is_feasible,
+    max_flow,
     total_integer_capacity,
     validate_problem,
 )
 from conftest import diamond_problem, random_problem, single_arc_problem
 
 F = Fraction
+
+# Primes just above 10**4, the denominators of deep-denominator instances.
+PRIMES = [q for q in range(10_001, 10_400) if all(q % k for k in range(2, 102))]
 
 
 def two_pole_cut_capacity(two_pole, source_nodes: set[str]) -> int:
@@ -205,3 +215,155 @@ class TestTotalIntegerCapacity:
     def test_arcless_floor(self):
         p = validate_problem([("u", 0), ("w", 0)], [])
         assert total_integer_capacity(p) == 1
+
+
+# The Fraction-based kernel the integer view replaced: every probe multiplies
+# each capacity by z and takes the lcm of all denominators. It is the
+# reference the integer kernel must reproduce up to a uniform rescale.
+
+
+def _reference_build_two_pole(problem, z):
+    n = len(problem.node_ids)
+    s, t = n, n + 1
+    position = problem.node_position
+    ends, caps = [], []
+    for v in problem.node_ids:
+        d = problem.balances[v]
+        if d > 0:
+            ends.append((s, position[v]))
+            caps.append(d)
+        elif d < 0:
+            ends.append((position[v], t))
+            caps.append(-d)
+    arc_position = {}
+    for arc in problem.arcs:
+        arc_position[arc.arc_id] = len(ends)
+        ends.append((position[arc.tail], position[arc.head]))
+        caps.append(z * arc.capacity)
+    scale = math.lcm(*(c.denominator for c in caps)) if caps else 1
+    arcs = tuple((tail, head, int(c * scale)) for (tail, head), c in zip(ends, caps))
+    return FlowNetwork(n + 2, arcs, s, t), arc_position, scale
+
+
+def _reference_witness(problem, z, cut_side):
+    """Source side of the Fraction kernel's witness cut, or None if feasible."""
+    network, _, scale = _reference_build_two_pole(problem, z)
+    result = max_flow(network)
+    if result.value == problem.total_supply * scale:
+        return None
+    side = (
+        result.min_cut_source_side
+        if cut_side == "source"
+        else result.alt_min_cut_source_side
+    )
+    n = len(problem.node_ids)
+    return frozenset(problem.node_ids[i] for i in side if i < n)
+
+
+def _reference_cut_stats(problem, cut, flow=None):
+    nodes = frozenset(problem.node_ids)
+    if (
+        not cut.source_side
+        or not cut.sink_side
+        or cut.source_side & cut.sink_side
+        or cut.source_side | cut.sink_side != nodes
+    ):
+        raise InvalidPartition("cut is not a proper bipartition of the nodes")
+    if flow is not None and set(flow.values) != set(problem.arc_ids):
+        raise KeyMismatch("flow keys do not match the problem's arcs")
+    deficiency = sum((problem.balances[v] for v in cut.source_side), F(0))
+    capacity = F(0)
+    crossing = F(0) if flow is not None else None
+    for arc in problem.arcs:
+        if arc.tail in cut.source_side and arc.head in cut.sink_side:
+            capacity += arc.capacity
+            if flow is not None:
+                crossing += flow.values[arc.arc_id]
+    return CutStats(deficiency, capacity, crossing)
+
+
+def _reference_total_integer_capacity(problem):
+    denominators = [a.capacity.denominator for a in problem.arcs]
+    denominators += [d.denominator for d in problem.balances.values()]
+    scale = math.lcm(*denominators) if denominators else 1
+    return max(int(sum((a.capacity for a in problem.arcs), F(0)) * scale), 1)
+
+
+def _deep_rational(rng):
+    return F(rng.randint(1, 10**6), rng.choice(PRIMES))
+
+
+def _mixed_rational(rng):
+    if rng.random() < 0.7:
+        return _deep_rational(rng)
+    return F(rng.randint(1, 9), rng.randint(1, 4))
+
+
+def _deep_problem(rng):
+    """Random instance whose numbers mostly have prime denominators near
+    10**4, so the common denominator runs to kilobits."""
+    n = rng.randint(2, 9)
+    ids = [f"n{i}" for i in range(n)]
+    balances = {v: F(0) for v in ids}
+    for _ in range(rng.randint(1, n)):
+        u, w = rng.sample(ids, 2)
+        amount = _mixed_rational(rng)
+        balances[u] += amount
+        balances[w] -= amount
+    arcs = []
+    for j in range(rng.randint(1, 14)):
+        tail, head = rng.sample(ids, 2)
+        arcs.append((f"e{j}", tail, head, _mixed_rational(rng)))
+    return validate_problem([(v, balances[v]) for v in ids], arcs)
+
+
+class TestAgainstFractionKernel:
+    def cases(self, seed):
+        """(rng, problem, z) triples, a third of them on small denominators."""
+        rng = random.Random(seed)
+        for k in range(60):
+            if k % 3:
+                p = _deep_problem(rng)
+            else:
+                p = random_problem(rng, max_nodes=8, max_arcs=12)
+            for _ in range(4):
+                yield rng, p, _mixed_rational(rng)
+
+    def test_network_is_an_integer_multiple(self):
+        for _, p, z in self.cases(105):
+            tp = build_two_pole(p, z)
+            network, arc_position, scale = _reference_build_two_pole(p, z)
+            assert tp.arc_position == arc_position
+            assert tp.scale % scale == 0
+            factor = tp.scale // scale
+            assert tp.network.arcs == tuple(
+                (tail, head, factor * c) for tail, head, c in network.arcs
+            )
+            assert (tp.network.num_nodes, tp.network.source, tp.network.sink) == (
+                network.num_nodes, network.source, network.sink,
+            )
+            assert total_integer_capacity(p) == _reference_total_integer_capacity(p)
+
+    def test_same_verdict_and_witness(self):
+        verdicts = set()
+        for _, p, z in self.cases(106):
+            for side in ("source", "sink"):
+                report = is_feasible(p, z, cut_side=side)
+                expected = _reference_witness(p, z, side)
+                verdicts.add(report.feasible)
+                if expected is None:
+                    assert report.feasible
+                else:
+                    assert not report.feasible
+                    assert report.witness_cut.source_side == expected
+        assert verdicts == {True, False}
+
+    def test_cut_stats_equal(self):
+        for rng, p, _ in self.cases(107):
+            ids = list(p.node_ids)
+            flow = Flow({a: _deep_rational(rng) for a in p.arc_ids})
+            for _ in range(3):
+                side = rng.sample(ids, rng.randint(1, len(ids) - 1))
+                cut = Cut.from_source_side(p, side)
+                assert cut_stats(p, cut) == _reference_cut_stats(p, cut)
+                assert cut_stats(p, cut, flow) == _reference_cut_stats(p, cut, flow)

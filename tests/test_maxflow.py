@@ -119,6 +119,34 @@ class TestRandomNetworks:
             assert max_flow(net) == max_flow(net)
 
 
+class TestNetworkxReference:
+    def test_value_and_cuts_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(504)
+        for _ in range(6):
+            n = rng.randint(200, 400)
+            arcs = []
+            for _ in range(4 * n):
+                tail, head = rng.sample(range(n), 2)
+                capacity = rng.choice((0, rng.randint(1, 50), rng.randint(1, 10**6)))
+                arcs.append((tail, head, capacity))
+            net = FlowNetwork(n, tuple(arcs), 0, n - 1)
+            graph = nx.DiGraph()
+            graph.add_nodes_from(range(n))
+            for tail, head, capacity in arcs:  # networkx merges parallel arcs
+                if graph.has_edge(tail, head):
+                    graph[tail][head]["capacity"] += capacity
+                else:
+                    graph.add_edge(tail, head, capacity=capacity)
+            expected = nx.maximum_flow_value(graph, 0, n - 1)
+            result = max_flow(net)
+            assert expected > 0 and result.value == expected
+            for side in (result.min_cut_source_side, result.alt_min_cut_source_side):
+                assert net.source in side and net.sink not in side
+                assert cut_capacity(net, side) == expected
+            assert result.min_cut_source_side <= result.alt_min_cut_source_side
+
+
 class TestValidation:
     def test_rejects_bad_poles(self):
         with pytest.raises(ValueError):

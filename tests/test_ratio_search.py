@@ -164,6 +164,18 @@ class TestSimplestInInterval:
                     )
                     assert not inside, (lo, hi, got, candidate)
 
+    def test_deep_continued_fraction(self):
+        # F(k+1)/F(k) = [1; 1, ..., 1] has k continued-fraction terms, far
+        # more than the interpreter's default recursion limit.
+        a, b = 1, 1
+        for _ in range(3100):
+            a, b = a + b, a
+        x = F(a, b)
+        # Every other fraction with denominator at most b is 1/b**2 away.
+        gap = F(1, 2 * b * b)
+        assert _simplest_in_interval(x - gap, x + gap, lo_open=True, hi_open=True) == x
+        assert _simplest_in_interval(x, x, lo_open=False, hi_open=False) == x
+
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
             _simplest_in_interval(F(1), F(1), lo_open=True, hi_open=False)
