@@ -19,7 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
-from .gale_hoffman import CutSide, has_fatal_cut, is_feasible, total_integer_capacity
+from .gale_hoffman import (
+    CutSide,
+    InvariantViolation,
+    has_fatal_cut,
+    is_feasible,
+    total_integer_capacity,
+)
 from .model import (
     Cut,
     Flow,
@@ -28,7 +34,12 @@ from .model import (
     cut_stats,
     node_balance_residual,
 )
-from .ratio_search import FatalCutPresent, minmax_ratio, minmax_ratio_dichotomy
+from .ratio_search import (
+    FatalCutPresent,
+    IterationCapExceeded,
+    minmax_ratio,
+    minmax_ratio_dichotomy,
+)
 
 SearchMode = Literal["dinkelbach", "dichotomy"]
 
@@ -157,7 +168,8 @@ def balanced_flow(
     while any(d != 0 for d in current.balances.values()):
         # Reduced stages of a solvable problem stay solvable; skip re-checks.
         result = search(current, cut_side=cut_side, check_fatal=False)
-        assert result.r0 > 0 and result.critical_cut is not None
+        if result.r0 <= 0 or result.critical_cut is None:
+            raise InvariantViolation("unbalanced stage without a critical cut")
         if previous is not None and result.r0 > previous:
             raise MonotonicityViolation(
                 f"level ratio rose from {previous} to {result.r0}"
@@ -169,7 +181,8 @@ def balanced_flow(
             values[arc_id] = Fraction(0)
         levels.append(level)
         previous = result.r0
-        assert len(levels) <= len(problem.arcs)
+        if len(levels) > len(problem.arcs):
+            raise IterationCapExceeded("more levels than arcs")
 
     zero_tail = current.arc_ids
     for arc_id in zero_tail:

@@ -4,7 +4,7 @@ Instances are read from a JSON document (canonical) or a DIMACS-like plain
 text format; `-` reads stdin. Result documents go to stdout, diagnostics to
 stderr. Exit codes: 0 success/feasible, 2 parse or validation error,
 10 not weakly solvable, 11 weakly feasible only, 12 certificate rejected,
-1 oracle mismatch.
+1 oracle mismatch, 3 internal error (a bug; reported in one stderr line).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .ratio_search import FatalCutPresent, minmax_ratio
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 EXIT_NOT_WEAKLY_SOLVABLE = 10
 EXIT_WEAKLY_FEASIBLE_ONLY = 11
 EXIT_REJECTED = 12
@@ -71,6 +72,8 @@ def _parse_json_instance(text: str, origin: str) -> Problem:
         document = json.loads(text, parse_float=str)
     except json.JSONDecodeError as exc:
         raise CliError(f"{origin}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except ValueError as exc:  # an integer literal past the int-string limit
+        raise CliError(f"{origin}: {exc}; quote long numbers as strings")
     if not isinstance(document, dict):
         raise CliError(f"{origin}: top level must be an object")
 
@@ -130,7 +133,7 @@ def decimal_string(value: Fraction, places: int) -> str:
     double = 2 * remainder
     if double > scaled.denominator or (double == scaled.denominator and whole % 2):
         whole += 1
-    digits = str(whole).rjust(places + 1, "0")
+    digits = format_rational(Fraction(whole)).rjust(places + 1, "0")
     if places == 0:
         return f"{sign}{digits}"
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
@@ -290,6 +293,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         document = json.loads(text, parse_float=str)
     except json.JSONDecodeError as exc:
         raise CliError(f"{args.solution}: invalid JSON: {exc.msg}")
+    except ValueError as exc:  # an integer literal past the int-string limit
+        raise CliError(f"{args.solution}: {exc}")
     solution = solution_from_document(problem, document)
     verdict = verify_certificate(problem, solution)
     if verdict.accepted:
@@ -374,6 +379,10 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # last resort: a bug ends in a code, not a traceback
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

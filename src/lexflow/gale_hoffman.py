@@ -20,6 +20,14 @@ from .model import Cut, CutStats, Problem, cut_stats
 CutSide = Literal["source", "sink"]
 
 
+class InvariantViolation(Exception):
+    """A solver invariant failed; this signals a bug, not bad input.
+
+    Raised explicitly rather than asserted, so the checks stay on under
+    `python -O`.
+    """
+
+
 @dataclass(frozen=True)
 class TwoPole:
     """Auxiliary s-t network whose max flow decides feasibility.
@@ -142,10 +150,10 @@ def has_fatal_cut(problem: Problem) -> FatalCutReport:
     report = is_feasible(problem, factor)
     if report.feasible:
         return FatalCutReport(False)
-    assert report.witness_stats is not None
-    assert report.witness_stats.capacity == 0, (
-        "witness at the fatal-test factor must have an empty arc set"
-    )
+    if report.witness_stats is None or report.witness_stats.capacity != 0:
+        raise InvariantViolation(
+            "witness at the fatal-test factor must have an empty arc set"
+        )
     return FatalCutReport(True, report.witness_cut, report.witness_stats)
 
 

@@ -2,8 +2,14 @@
 
 Capacities are Python ints, so arbitrary precision is free and termination
 does not depend on capacity magnitudes: the number of blocking-flow phases
-is bounded by the node count. Callers with rational capacities scale them
-to a common integer grid first.
+is bounded by the node count. Each phase labels nodes by their residual
+distance to the sink, so the blocking-flow search from the source enters
+only nodes that led to the sink when the phase began. Callers with rational
+capacities scale them to a common integer grid first.
+
+The flow value and both reported min cuts are the same for every maximum
+flow, so they do not depend on the order in which paths are augmented;
+only the per-arc flows do, and those are deterministic for a fixed input.
 """
 
 from __future__ import annotations
@@ -86,84 +92,99 @@ class MaxFlowResult:
 def max_flow(net: FlowNetwork) -> MaxFlowResult:
     """Compute a maximum source-sink flow with Dinic's algorithm.
 
+    Each phase labels the nodes by their residual distance to the sink,
+    with a breadth-first search backwards from the sink that stops once the
+    source is labelled, and then sends a blocking flow from the source along
+    arcs that step one label closer to the sink. The source's distance grows
+    with every phase, so there are at most n phases. After an augmentation
+    the search backs up only to the tail of the first saturated edge.
+
     Deterministic for a fixed input: adjacency lists follow the input arc
-    order and both breadth-first passes scan them in that order.
+    order and every search scans them in that order. The flow value and both
+    min cuts are the same for every maximum flow; `arc_flows` is one of them.
     """
     n = net.num_nodes
     source, sink = net.source, net.sink
 
     # Paired residual edges: input arc i owns edges 2i (forward) and 2i+1.
-    to: list[int] = []
-    cap: list[int] = []
+    to = [0] * (2 * len(net.arcs))
+    cap = [0] * (2 * len(net.arcs))
     adj: list[list[int]] = [[] for _ in range(n)]
+    e = 0
     for tail, head, capacity in net.arcs:
-        adj[tail].append(len(to))
-        to.append(head)
-        cap.append(capacity)
-        adj[head].append(len(to))
-        to.append(tail)
-        cap.append(0)
+        to[e] = head
+        cap[e] = capacity
+        adj[tail].append(e)
+        to[e + 1] = tail
+        adj[head].append(e + 1)
+        e += 2
 
-    level = [-1] * n
-    pointer = [0] * n
+    value = 0
+    while True:
+        # Edge e leaves w, so e ^ 1 enters w; appending to `queue` while
+        # iterating over it makes the loop a breadth-first search.
+        dist = [-1] * n
+        dist[sink] = 0
+        queue = [sink]
+        for w in queue:
+            d = dist[w] + 1
+            for e in adj[w]:
+                if cap[e ^ 1] and dist[to[e]] < 0:
+                    v = to[e]
+                    dist[v] = d
+                    queue.append(v)
+            if dist[source] >= 0:
+                break
+        if dist[source] < 0:
+            break
 
-    def build_levels() -> bool:
-        for i in range(n):
-            level[i] = -1
-        level[source] = 0
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            for e in adj[v]:
-                w = to[e]
-                if cap[e] > 0 and level[w] < 0:
-                    level[w] = level[v] + 1
-                    queue.append(w)
-        return level[sink] >= 0
-
-    def augment() -> int:
-        # Iterative level-graph walk; `pointer` persists across calls so each
-        # edge is abandoned at most once per phase.
+        # Iterative walk; `pointer[v]` is v's current edge, so each edge is
+        # abandoned at most once per phase.
+        pointer = [0] * n
         path: list[int] = []
         v = source
         while True:
             if v == sink:
-                moved = min(cap[e] for e in path)
+                caps = [cap[e] for e in path]
+                moved = min(caps)
+                value += moved
                 for e in path:
                     cap[e] -= moved
                     cap[e ^ 1] += moved
-                return moved
-            advanced = False
-            while pointer[v] < len(adj[v]):
-                e = adj[v][pointer[v]]
-                w = to[e]
-                if cap[e] > 0 and level[w] == level[v] + 1:
-                    path.append(e)
-                    v = w
-                    advanced = True
-                    break
-                pointer[v] += 1
-            if advanced:
+                cut = caps.index(moved)  # first saturated edge
+                v = to[path[cut] ^ 1]
+                del path[cut:]
                 continue
-            if v == source:
-                return 0
-            level[v] = -1  # dead end for this phase
-            e = path.pop()
-            v = to[e ^ 1]
-            pointer[v] += 1
-
-    value = 0
-    while build_levels():
-        for i in range(n):
-            pointer[i] = 0
-        while True:
-            moved = augment()
-            if moved == 0:
+            edges = adj[v]
+            closer = dist[v] - 1
+            p, end = pointer[v], len(edges)
+            while p < end:
+                e = edges[p]
+                if cap[e] and dist[to[e]] == closer:
+                    break
+                p += 1
+            pointer[v] = p
+            if p < end:
+                path.append(e)
+                v = to[e]
+            elif v == source:
                 break
-            value += moved
+            else:
+                dist[v] = -1  # dead end for this phase
+                v = to[path.pop() ^ 1]
+                pointer[v] += 1
 
-    # The last level pass failed, so it already marks residual reachability.
-    reachable = frozenset(i for i in range(n) if level[i] >= 0)
+    # Nodes reachable from the source in the final residual network.
+    reached = [False] * n
+    reached[source] = True
+    queue = [source]
+    for v in queue:
+        for e in adj[v]:
+            if cap[e] and not reached[to[e]]:
+                reached[to[e]] = True
+                queue.append(to[e])
 
-    flows = tuple(cap[2 * i + 1] for i in range(len(net.arcs)))
-    return MaxFlowResult(value, flows, reachable, _Residual(sink, to, cap, adj))
+    flows = tuple(cap[1::2])
+    return MaxFlowResult(
+        value, flows, frozenset(queue), _Residual(sink, to, cap, adj)
+    )

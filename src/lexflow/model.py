@@ -10,13 +10,17 @@ pure.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 RationalLike = Fraction | int | str
+
+_INTEGER_RATIO = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 class ModelError(ValueError):
@@ -64,8 +68,17 @@ def parse_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
         try:
-            return Fraction(value.strip())
+            try:
+                return Fraction(text)
+            except ValueError:
+                # Fraction reads digits with int(str), which refuses more
+                # than sys.get_int_max_str_digits() of them; Decimal does not.
+                match = _INTEGER_RATIO.fullmatch(text)
+                if match is None:
+                    raise
+                return Fraction(int(Decimal(match[1])), int(Decimal(match[2] or 1)))
         except (ValueError, ZeroDivisionError) as exc:
             raise ModelError(f"cannot parse rational from {value!r}") from exc
     raise ModelError(
@@ -76,8 +89,17 @@ def parse_rational(value: RationalLike) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Render in lowest terms as "p/q", or bare "p" when the denominator is 1."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _digits(value.numerator)
+    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
+
+
+def _digits(n: int) -> str:
+    # str(int) refuses more than sys.get_int_max_str_digits() digits, a
+    # process-wide setting; Decimal converts exactly without consulting it.
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 class Ordering(Enum):

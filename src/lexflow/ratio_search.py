@@ -15,6 +15,8 @@ from fractions import Fraction
 
 from .gale_hoffman import (
     CutSide,
+    FeasibilityReport,
+    InvariantViolation,
     has_fatal_cut,
     is_feasible,
     total_integer_capacity,
@@ -30,7 +32,7 @@ class FatalCutPresent(Exception):
         self.witness = witness
 
 
-class IterationCapExceeded(Exception):
+class IterationCapExceeded(InvariantViolation):
     """A search safety cap tripped; this signals a bug, not bad input."""
 
 
@@ -62,6 +64,11 @@ def _require_no_fatal_cut(problem: Problem) -> None:
         raise FatalCutPresent(report.witness_cut)
 
 
+def _witness_ratio(report: FeasibilityReport) -> Fraction | None:
+    stats = report.witness_stats
+    return None if stats is None else stats.ratio
+
+
 def minmax_ratio(
     problem: Problem,
     *,
@@ -85,7 +92,8 @@ def minmax_ratio(
     producers = [v for v in problem.node_ids if problem.balances[v] > 0]
     cut = Cut.from_source_side(problem, producers)
     seed = cut_stats(problem, cut).ratio
-    assert seed is not None and seed > 0, "producer cut would be fatal"
+    if seed is None or seed <= 0:
+        raise InvariantViolation("producer cut would be fatal")
 
     z = seed
     steps: list[SearchStep] = []
@@ -94,9 +102,9 @@ def minmax_ratio(
         report = is_feasible(problem, z, cut_side=cut_side)
         if report.feasible:
             return RatioResult(z, cut, tuple(steps))
-        assert report.witness_cut is not None and report.witness_stats is not None
-        ratio = report.witness_stats.ratio
-        assert ratio is not None and ratio > z, "witness must beat the probe"
+        ratio = _witness_ratio(report)
+        if report.witness_cut is None or ratio is None or ratio <= z:
+            raise InvariantViolation("witness must beat the probe")
         cut = report.witness_cut
         steps.append(SearchStep(z, cut, ratio))
         z = ratio
@@ -142,9 +150,9 @@ def minmax_ratio_dichotomy(
             hi = mid
         else:
             lo = mid
-            assert report.witness_stats is not None
-            ratio = report.witness_stats.ratio
-            assert ratio is not None and report.witness_cut is not None
+            ratio = _witness_ratio(report)
+            if report.witness_cut is None or ratio is None:
+                raise InvariantViolation("infeasible probe without a witness")
             steps.append(SearchStep(mid, report.witness_cut, ratio))
 
     r0 = _simplest_in_interval(lo, hi, lo_open=True, hi_open=False)
@@ -153,7 +161,8 @@ def minmax_ratio_dichotomy(
             "rational reconstruction produced an impossible denominator"
         )
     probe = is_feasible(problem, r0 - gap, cut_side=cut_side)
-    assert not probe.feasible and probe.witness_cut is not None
+    if probe.feasible or probe.witness_cut is None:
+        raise InvariantViolation("no critical cut just below the ratio")
     return RatioResult(r0, probe.witness_cut, tuple(steps))
 
 

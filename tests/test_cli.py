@@ -291,3 +291,51 @@ class TestDecimalString:
     )
     def test_round_half_even(self, value, places, expected):
         assert decimal_string(value, places) == expected
+
+
+class TestRobustness:
+    HUGE = "1" + "0" * 5000  # past the interpreter's default int-string limit
+
+    def test_huge_rational_gives_exact_digits(self, tmp_path, capsys):
+        import sys
+
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"nodes": [{"id": "s", "d": "1e5000"}, {"id": "t", "d": "-1e5000"}],'
+            ' "arcs": [{"id": "st", "tail": "s", "head": "t", "capacity": 3}]}'
+        )
+        assert main(["ratio", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"r0": f"{self.HUGE}/3", "critical_cut": ["s"]}
+
+        solution = tmp_path / "solution.json"
+        assert main(["solve", str(path), "--certificate", str(solution)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["flow"] == {"st": self.HUGE}
+        assert doc["sorted_ratios"] == [f"{self.HUGE}/3"]
+        assert main(["verify", str(path), "--solution", str(solution)]) == 0
+        assert capsys.readouterr().out.strip() == "ACCEPT"
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_huge_bare_json_integer_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "bare.json"
+        path.write_text(
+            f'{{"nodes": [{{"id": "s", "d": {self.HUGE}}},'
+            f' {{"id": "t", "d": -{self.HUGE}}}],'
+            ' "arcs": [{"id": "st", "tail": "s", "head": "t", "capacity": 3}]}'
+        )
+        assert main(["ratio", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_internal_error_exits_3_without_traceback(
+        self, d4_json, capsys, monkeypatch
+    ):
+        def broken(*args, **kwargs):
+            raise RuntimeError("solver bug\nsecond line")
+
+        monkeypatch.setattr("lexflow.cli.minmax_ratio", broken)
+        assert main(["ratio", d4_json]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError: solver bug second line\n"

@@ -65,6 +65,17 @@ class TestParseRational:
         assert format_rational(F(4, 2)) == "2"
         assert format_rational(F(-6, 4)) == "-3/2"
 
+    def test_digits_past_the_int_string_limit(self):
+        huge = 10**5000 + 1  # more digits than str(int) accepts by default
+        for q in (F(huge), F(-huge, 7), F(3, huge)):
+            text = format_rational(q)
+            assert text.lstrip("-").replace("/", "").isdigit()
+            assert parse_rational(text) == q
+        digits = format_rational(F(huge))
+        for bad in (f"{digits}/0", f"1.5/{digits}", f"{digits}x"):
+            with pytest.raises(ModelError):
+                parse_rational(bad)
+
 
 class TestValidateProblem:
     def test_minimal_legal_instance(self):

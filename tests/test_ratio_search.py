@@ -181,3 +181,45 @@ class TestSimplestInInterval:
             _simplest_in_interval(F(1), F(1), lo_open=True, hi_open=False)
         with pytest.raises(ValueError):
             _simplest_in_interval(F(2), F(1), lo_open=False, hi_open=False)
+
+
+class TestInvariantsUnderOptimize:
+    # A feasibility oracle whose witness never beats the probe: the Newton
+    # search must stop with InvariantViolation, also when asserts are off.
+    SCRIPT = """
+import sys
+from lexflow import Cut, FeasibilityReport, InvariantViolation, cut_stats
+from lexflow import validate_problem
+import lexflow.ratio_search as rs
+
+if __debug__:
+    sys.exit("asserts are on")
+problem = validate_problem([("u", 5), ("w", -5)], [("uw", "u", "w", 2)])
+cut = Cut.from_source_side(problem, ["u"])
+
+def stuck(p, z, cut_side="source"):
+    return FeasibilityReport(False, z, cut, cut_stats(p, cut))
+
+rs.is_feasible = stuck
+try:
+    rs.minmax_ratio(problem)
+except InvariantViolation as exc:
+    print(f"raised: {exc}")
+"""
+
+    def test_witness_must_beat_the_probe_under_python_O(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import lexflow
+
+        src = str(Path(lexflow.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", self.SCRIPT],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "raised: witness must beat the probe\n"
