@@ -32,6 +32,7 @@ from .model import (
     InvalidPartition,
     Problem,
     cut_stats,
+    fix_arcs,
     node_balance_residual,
 )
 from .ratio_search import (
@@ -126,20 +127,10 @@ def reduce_problem(
     if stats.ratio != ratio:
         raise NotCritical(f"cut ratio is {stats.ratio}, expected {ratio}")
 
-    balances = dict(problem.balances)
-    fixed: list[tuple[str, Fraction]] = []
-    for arc in forward:
-        value = ratio * arc.capacity
-        fixed.append((arc.arc_id, value))
-        balances[arc.tail] -= value
-        balances[arc.head] += value
+    fixed = tuple((arc.arc_id, ratio * arc.capacity) for arc in forward)
     zeroed = tuple(a.arc_id for a in cut.reverse_arcs(problem))
-
-    dropped = {arc_id for arc_id, _ in fixed}
-    dropped.update(zeroed)
-    remaining = tuple(a for a in problem.arcs if a.arc_id not in dropped)
-    reduced = Problem(problem.node_ids, balances, remaining)
-    return reduced, Level(ratio, cut, tuple(fixed), zeroed)
+    reduced = fix_arcs(problem, dict(fixed), zeroed)
+    return reduced, Level(ratio, cut, fixed, zeroed)
 
 
 def balanced_flow(
@@ -161,11 +152,11 @@ def balanced_flow(
         raise FatalCutPresent(fatal.witness_cut)
     search = minmax_ratio if mode == "dinkelbach" else minmax_ratio_dichotomy
 
-    values: dict[str, Fraction] = {}
+    values = dict.fromkeys(problem.arc_ids, Fraction(0))
     levels: list[Level] = []
     previous: Fraction | None = None
     current = problem
-    while any(d != 0 for d in current.balances.values()):
+    while current.total_supply:
         # Reduced stages of a solvable problem stay solvable; skip re-checks.
         result = search(current, cut_side=cut_side, check_fatal=False)
         if result.r0 <= 0 or result.critical_cut is None:
@@ -175,22 +166,15 @@ def balanced_flow(
                 f"level ratio rose from {previous} to {result.r0}"
             )
         current, level = reduce_problem(current, result.critical_cut, result.r0)
-        for arc_id, value in level.fixed_forward:
-            values[arc_id] = value
-        for arc_id in level.zeroed_reverse:
-            values[arc_id] = Fraction(0)
+        values.update(level.fixed_forward)
         levels.append(level)
         previous = result.r0
         if len(levels) > len(problem.arcs):
             raise IterationCapExceeded("more levels than arcs")
 
-    zero_tail = current.arc_ids
-    for arc_id in zero_tail:
-        values[arc_id] = Fraction(0)
-
-    flow = Flow({arc_id: values[arc_id] for arc_id in problem.arc_ids})
+    flow = Flow(values)
     ratios = tuple(sorted(flow.ratio_vector(problem), reverse=True))
-    return BalancedSolution(flow, Certificate(tuple(levels), zero_tail), ratios)
+    return BalancedSolution(flow, Certificate(tuple(levels), current.arc_ids), ratios)
 
 
 def verify_certificate(
@@ -277,17 +261,7 @@ def verify_certificate(
                 below = level.ratio * (1 - Fraction(1, 2 * lam * lam))
                 if is_feasible(current, below).feasible:
                     suboptimal = reject("stage_optimality", f"{where}: ratio is not minimal")
-        balances = dict(current.balances)
-        for arc_id, value in level.fixed_forward:
-            arc = forward[arc_id]
-            balances[arc.tail] -= value
-            balances[arc.head] += value
-        dropped = set(fixed_ids) | set(level.zeroed_reverse)
-        current = Problem(
-            current.node_ids,
-            balances,
-            tuple(a for a in current.arcs if a.arc_id not in dropped),
-        )
+        current = fix_arcs(current, dict(level.fixed_forward), level.zeroed_reverse)
 
     if suboptimal is not None:
         return suboptimal

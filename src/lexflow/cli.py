@@ -4,13 +4,15 @@ Instances are read from a JSON document (canonical) or a DIMACS-like plain
 text format; `-` reads stdin. Result documents go to stdout, diagnostics to
 stderr. Exit codes: 0 success/feasible, 2 parse or validation error,
 10 not weakly solvable, 11 weakly feasible only, 12 certificate rejected,
-1 oracle mismatch, 3 internal error (a bug; reported in one stderr line).
+1 oracle mismatch, 3 internal error (a bug; reported in one stderr line),
+141 stdout closed early by its reader (silently, as `head` expects).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -43,6 +45,7 @@ EXIT_INTERNAL = 3
 EXIT_NOT_WEAKLY_SOLVABLE = 10
 EXIT_WEAKLY_FEASIBLE_ONLY = 11
 EXIT_REJECTED = 12
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader gone
 
 
 class CliError(Exception):
@@ -128,11 +131,7 @@ def _parse_text_instance(text: str, origin: str) -> Problem:
 def decimal_string(value: Fraction, places: int) -> str:
     """Round-half-even decimal rendering, computed without floats."""
     sign = "-" if value < 0 else ""
-    scaled = abs(value) * 10**places
-    whole, remainder = divmod(scaled.numerator, scaled.denominator)
-    double = 2 * remainder
-    if double > scaled.denominator or (double == scaled.denominator and whole % 2):
-        whole += 1
+    whole = round(abs(value) * 10**places)
     digits = format_rational(Fraction(whole)).rjust(places + 1, "0")
     if places == 0:
         return f"{sign}{digits}"
@@ -261,9 +260,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
             print(f"witness: {side}", file=sys.stderr)
         return EXIT_NOT_WEAKLY_SOLVABLE
     document = solution_document(problem, solution, args.decimals)
-    _emit(document)
     if args.certificate:
-        Path(args.certificate).write_text(json.dumps(document, indent=2) + "\n")
+        try:
+            Path(args.certificate).write_text(json.dumps(document, indent=2) + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write {args.certificate}: {exc}") from exc
+    _emit(document)
     return EXIT_OK
 
 
@@ -375,7 +377,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows up here, not at exit
+        return code
+    except BrokenPipeError:  # the reader left early; keep the exit flush quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

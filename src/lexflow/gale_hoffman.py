@@ -158,11 +158,12 @@ def has_fatal_cut(problem: Problem) -> FatalCutReport:
 
 
 def total_integer_capacity(problem: Problem) -> int:
-    """Total capacity once balances and capacities sit on an integer grid.
+    """Total capacity λ once balances and capacities sit on an integer grid.
 
-    Distinct cut ratios differ by at least one over the square of this
-    value; the exact reconstruction in the ratio search and the epsilon
-    probes in certificate verification rely on that separation. Returns 1
-    for arcless problems so callers can still form positive epsilons.
+    Every cut ratio is ΣD/ΣC on that grid with ΣC <= λ, so its denominator
+    is at most λ and distinct cut ratios differ by at least 1/λ². The
+    bisection's `limit_denominator` reconstruction and the epsilon probes
+    in certificate verification rely on that separation. Returns 1 for
+    arcless problems so callers can still form positive epsilons.
     """
     return max(sum(problem.integer_view.capacities), 1)

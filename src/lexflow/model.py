@@ -20,7 +20,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 RationalLike = Fraction | int | str
 
-_INTEGER_RATIO = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+# The forms `Fraction` reads from a string, for the digit-limit fallback.
+_INTEGER_RATIO = re.compile(r"([+-]?\d+)/(\d+)")
+_DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
 
 class ModelError(ValueError):
@@ -59,8 +61,9 @@ def parse_rational(value: RationalLike) -> Fraction:
     """Parse an exact rational from an int, Fraction, or string.
 
     Strings may be integers ("42"), fractions ("5/3"), or finite decimals
-    ("0.25"); all are normalized to lowest terms with a positive denominator.
-    Floats are rejected because binary floats do not represent decimal input
+    with an optional exponent ("0.25", "1e-3"), with any number of digits;
+    all are normalized to lowest terms with a positive denominator. Floats
+    are rejected because binary floats do not represent decimal input
     exactly.
     """
     if isinstance(value, Fraction):
@@ -76,9 +79,11 @@ def parse_rational(value: RationalLike) -> Fraction:
                 # Fraction reads digits with int(str), which refuses more
                 # than sys.get_int_max_str_digits() of them; Decimal does not.
                 match = _INTEGER_RATIO.fullmatch(text)
-                if match is None:
+                if match is not None:
+                    return Fraction(int(Decimal(match[1])), int(Decimal(match[2])))
+                if _DECIMAL.fullmatch(text) is None:
                     raise
-                return Fraction(int(Decimal(match[1])), int(Decimal(match[2] or 1)))
+                return Fraction(Decimal(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ModelError(f"cannot parse rational from {value!r}") from exc
     raise ModelError(
@@ -156,10 +161,6 @@ class Problem:
         return tuple(a.arc_id for a in self.arcs)
 
     @cached_property
-    def arc_by_id(self) -> dict[str, Arc]:
-        return {a.arc_id: a for a in self.arcs}
-
-    @cached_property
     def integer_view(self) -> IntegerView:
         """Balances and capacities on one integer grid, computed once.
 
@@ -178,7 +179,8 @@ class Problem:
     @cached_property
     def total_supply(self) -> Fraction:
         """Total positive balance; zero exactly when all balances vanish."""
-        return sum((d for d in self.balances.values() if d > 0), Fraction(0))
+        denominator, balances, _ = self.integer_view
+        return Fraction(sum(d for d in balances if d > 0), denominator)
 
     def ordered_nodes(self, subset: Iterable[str]) -> tuple[str, ...]:
         """Members of `subset` listed in problem node order."""
@@ -306,6 +308,21 @@ def validate_problem(
         raise BalanceSumNonzero(f"balances sum to {total}, expected 0")
 
     return Problem(tuple(node_ids), balances, tuple(built))
+
+
+def fix_arcs(
+    problem: Problem, values: Mapping[str, Fraction], zeroed: Iterable[str]
+) -> Problem:
+    """The next stage: fixed `values` move from tail to head balances, and
+    the fixed and `zeroed` arcs are dropped; nodes stay as they are."""
+    balances = dict(problem.balances)
+    for arc in problem.arcs:
+        if arc.arc_id in values:
+            balances[arc.tail] -= values[arc.arc_id]
+            balances[arc.head] += values[arc.arc_id]
+    dropped = set(zeroed).union(values)
+    remaining = tuple(a for a in problem.arcs if a.arc_id not in dropped)
+    return Problem(problem.node_ids, balances, remaining)
 
 
 def node_balance_residual(problem: Problem, flow: Flow) -> dict[str, Fraction]:

@@ -4,7 +4,7 @@ The default mode is a discrete Newton (Dinkelbach) iteration on the capacity
 factor: every infeasible probe returns a witness cut whose ratio strictly
 exceeds the probe, and a feasible probe at a value that is itself a cut
 ratio pins the maximum exactly, with no epsilon management. A bisection mode
-with exact rational reconstruction is kept as an independent cross-check.
+that recovers the ratio with `Fraction.limit_denominator` is a cross-check.
 """
 
 from __future__ import annotations
@@ -125,12 +125,13 @@ def minmax_ratio_dichotomy(
 ) -> RatioResult:
     """Bisection on the capacity factor with exact rational reconstruction.
 
-    Bisects over [0, total supply / minimum capacity] until the bracket is
-    narrower than the minimum gap between distinct cut ratios, recovers the
-    answer as the unique smallest-denominator rational in the bracket, and
-    reads a critical cut off an infeasible probe just below it. The probe
-    offset is half the ratio separation, so every minimum cut at that probe
-    is critical. Cross-checking mode for `minmax_ratio`.
+    Cut ratios are ΣD/ΣC with ΣC <= λ = `total_integer_capacity`, so their
+    denominators are at most λ and distinct ratios lie 1/λ² apart or more.
+    Bisection keeps r0 in (lo, hi] until hi - lo < 1/(2λ²); every other
+    fraction with denominator at most λ is then farther from hi than r0, so
+    r0 = hi.limit_denominator(λ). A critical cut is read off an infeasible
+    probe half the separation below r0, where every minimum cut is critical.
+    Cross-checking mode for `minmax_ratio`.
     """
     if check_fatal:
         _require_no_fatal_cut(problem)
@@ -155,52 +156,10 @@ def minmax_ratio_dichotomy(
                 raise InvariantViolation("infeasible probe without a witness")
             steps.append(SearchStep(mid, report.witness_cut, ratio))
 
-    r0 = _simplest_in_interval(lo, hi, lo_open=True, hi_open=False)
-    if r0.denominator > lam:
-        raise IterationCapExceeded(
-            "rational reconstruction produced an impossible denominator"
-        )
+    r0 = hi.limit_denominator(lam)
+    if not lo < r0 <= hi:
+        raise InvariantViolation("rational reconstruction left the bracket")
     probe = is_feasible(problem, r0 - gap, cut_side=cut_side)
     if probe.feasible or probe.witness_cut is None:
         raise InvariantViolation("no critical cut just below the ratio")
     return RatioResult(r0, probe.witness_cut, tuple(steps))
-
-
-def _simplest_in_interval(
-    lo: Fraction, hi: Fraction, *, lo_open: bool, hi_open: bool
-) -> Fraction:
-    """Smallest-denominator rational inside a (possibly half-open) interval.
-
-    Stern-Brocot descent along the continued fraction of the endpoints, one
-    loop pass per term, so no recursion limit caps the input; the interval
-    must be nonempty.
-    """
-    if lo > hi or (lo == hi and (lo_open or hi_open)):
-        raise ValueError("empty interval")
-    terms: list[int] = []
-    while True:
-        floor_lo = lo.numerator // lo.denominator
-        if lo == floor_lo and not lo_open:
-            tail = Fraction(floor_lo)
-            break
-        next_int = floor_lo + 1
-        if next_int < hi or (next_int == hi and not hi_open):
-            tail = Fraction(next_int)
-            break
-        if lo == floor_lo:
-            # Interval sits inside (floor_lo, hi]: pick floor_lo + 1/y with
-            # the smallest integer y satisfying 1/(hi - floor_lo) <= y.
-            bound = 1 / (hi - floor_lo)
-            y = -((-bound.numerator) // bound.denominator)
-            if hi_open and y == bound:
-                y += 1
-            tail = floor_lo + Fraction(1, y)
-            break
-        # The answer is floor_lo + 1/x, x simplest in the mirrored interval.
-        terms.append(floor_lo)
-        lo, hi = 1 / (hi - floor_lo), 1 / (lo - floor_lo)
-        lo_open, hi_open = hi_open, lo_open
-    numerator, denominator = tail.numerator, tail.denominator
-    for term in reversed(terms):
-        numerator, denominator = term * numerator + denominator, numerator
-    return Fraction(numerator, denominator)

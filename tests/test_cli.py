@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lexflow.cli import decimal_string, main, parse_instance, solution_from_document
 from lexflow import balanced_flow, verify_certificate
@@ -292,6 +294,21 @@ class TestDecimalString:
     def test_round_half_even(self, value, places, expected):
         assert decimal_string(value, places) == expected
 
+    @given(
+        st.integers(-10**6, 10**6),
+        st.integers(0, 6),
+        st.integers(0, 6),
+        st.integers(0, 5),
+    )
+    def test_matches_decimal_quantize(self, numerator, twos, fives, places):
+        # Denominators 2^a 5^b make the value an exact Decimal, ties included.
+        value = F(numerator, 2**twos * 5**fives)
+        exact = Decimal(value.numerator) / Decimal(value.denominator)
+        expected = exact.quantize(Decimal(1).scaleb(-places), ROUND_HALF_EVEN)
+        text = decimal_string(value, places)
+        assert Decimal(text) == expected
+        assert text.lstrip("-").count(".") == (1 if places else 0)
+
 
 class TestRobustness:
     HUGE = "1" + "0" * 5000  # past the interpreter's default int-string limit
@@ -339,3 +356,32 @@ class TestRobustness:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "internal error: RuntimeError: solver bug second line\n"
+
+    def test_reader_gone_ends_quietly(self, d4_json):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import lexflow
+
+        src = str(Path(lexflow.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before anything is written
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "lexflow.cli", "solve", d4_json],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 141
+        assert done.stderr == b""
+
+    def test_unwritable_certificate_is_a_usage_error(self, d4_json, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.json"
+        assert main(["solve", d4_json, "--certificate", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}:")

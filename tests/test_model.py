@@ -27,6 +27,7 @@ from lexflow import (
     parse_rational,
     validate_problem,
 )
+from lexflow.model import fix_arcs
 from conftest import diamond_problem, random_problem, random_solvable_problem
 
 F = Fraction
@@ -76,6 +77,21 @@ class TestParseRational:
             with pytest.raises(ModelError):
                 parse_rational(bad)
 
+    def test_long_decimals_past_the_int_string_limit(self):
+        ones = (10**5000 - 1) // 9  # 5000 ones
+        cases = {
+            "1" * 5000 + ".5": F(2 * ones + 1, 2),
+            "-" + "1" * 5000 + "e-5000": F(-ones, 10**5000),
+            "." + "1" * 5000 + "E+5000": F(ones),
+        }
+        for text, expected in cases.items():
+            value = parse_rational(text)
+            assert value == expected
+            assert parse_rational(format_rational(value)) == value
+        for bad in ("nan", "inf", "-Infinity", "1e", "1" * 5000 + "e", "1" * 5000 + ".5x"):
+            with pytest.raises(ModelError):
+                parse_rational(bad)
+
 
 class TestValidateProblem:
     def test_minimal_legal_instance(self):
@@ -84,6 +100,13 @@ class TestValidateProblem:
         assert p.balances["u"] == F(5)
         assert p.arcs[0].capacity == F(2)
         assert p.total_supply == F(5)
+
+    def test_total_supply_is_the_positive_balance_sum(self):
+        rng = random.Random(107)
+        for _ in range(100):
+            p = random_problem(rng, max_nodes=8, max_arcs=10)
+            positive = sum((d for d in p.balances.values() if d > 0), F(0))
+            assert p.total_supply == positive
 
     def test_balance_sum_nonzero(self):
         with pytest.raises(BalanceSumNonzero):
@@ -116,6 +139,18 @@ class TestValidateProblem:
             [("e1", "u", "w", 1), ("e2", "u", "w", 2)],
         )
         assert len(p.arcs) == 2
+
+
+class TestFixArcs:
+    def test_moves_fixed_values_and_drops_arcs(self, d4):
+        stage = fix_arcs(d4, {"sb": F(4), "sa": F(0)}, ["at"])
+        assert stage.node_ids == d4.node_ids
+        assert stage.balances == {"s": F(0), "a": F(0), "b": F(4), "t": F(-4)}
+        assert stage.arc_ids == ("bt",)
+        assert stage.total_supply == F(4)
+
+    def test_no_arcs_fixed_keeps_the_problem(self, d4):
+        assert fix_arcs(d4, {}, []) == d4
 
 
 class TestNodeBalanceResidual:

@@ -1,14 +1,22 @@
-"""Minmax ratio: Newton and bisection modes, traces, reconstruction helper."""
+"""Minmax ratio: Newton and bisection modes, traces, exact reconstruction."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import lexflow
 from lexflow import (
     FatalCutPresent,
+    Problem,
+    balanced_flow,
     cut_stats,
     enumerate_cuts,
     is_feasible,
@@ -16,11 +24,21 @@ from lexflow import (
     minmax_ratio_dichotomy,
     total_integer_capacity,
     validate_problem,
+    verify_certificate,
 )
-from lexflow.ratio_search import _simplest_in_interval
 from conftest import random_problem, single_arc_problem
 
 F = Fraction
+
+
+def run_optimized(script: str) -> subprocess.CompletedProcess:
+    """Run `script` under `python -O` against this checkout's lexflow."""
+    src = str(Path(lexflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
 
 
 class TestMinmaxRatio:
@@ -131,56 +149,81 @@ class TestFeasibilityFlipsAtR0:
             assert is_feasible(p, r0 * (1 + delta)).feasible
 
 
-class TestSimplestInInterval:
-    def all_fractions(self, max_den: int, lo: F, hi: F) -> list[F]:
-        out = set()
-        for den in range(1, max_den + 1):
-            num = (lo.numerator * den) // lo.denominator - 1
-            while F(num, den) <= hi:
-                if F(num, den) >= lo:
-                    out.add(F(num, den))
-                num += 1
-        return sorted(out)
+@st.composite
+def solvable_problems(draw) -> Problem:
+    """Small weakly solvable instances: balances come from a nonnegative flow."""
+    n = draw(st.integers(2, 5))
+    ids = [f"n{i}" for i in range(n)]
+    balances = {v: F(0) for v in ids}
+    arcs = []
+    for j in range(draw(st.integers(1, 7))):
+        tail = draw(st.integers(0, n - 1))
+        head = (tail + draw(st.integers(1, n - 1))) % n
+        capacity = F(draw(st.integers(1, 12)), draw(st.integers(1, 6)))
+        carried = F(draw(st.integers(0, 12)), draw(st.integers(1, 6)))
+        balances[ids[tail]] += carried
+        balances[ids[head]] -= carried
+        arcs.append((f"e{j}", ids[tail], ids[head], capacity))
+    return validate_problem([(v, balances[v]) for v in ids], arcs)
 
-    @pytest.mark.parametrize("lo_open", [False, True])
-    @pytest.mark.parametrize("hi_open", [False, True])
-    def test_exhaustive_small_intervals(self, lo_open, hi_open):
-        rng = random.Random(306)
-        for _ in range(300):
-            lo = F(rng.randint(-20, 40), rng.randint(1, 8))
-            hi = lo + F(rng.randint(0, 30), rng.randint(1, 8))
-            if lo == hi and (lo_open or hi_open):
-                continue
-            got = _simplest_in_interval(lo, hi, lo_open=lo_open, hi_open=hi_open)
-            assert (lo < got or (not lo_open and lo == got))
-            assert (got < hi or (not hi_open and got == hi))
-            # nothing with a smaller denominator fits
-            for den in range(1, got.denominator):
-                for candidate in self.all_fractions(den, lo, hi):
-                    if candidate.denominator > den:
-                        continue
-                    inside = (lo < candidate or (not lo_open and lo == candidate)) and (
-                        candidate < hi or (not hi_open and candidate == hi)
-                    )
-                    assert not inside, (lo, hi, got, candidate)
 
+class TestReconstruction:
     def test_deep_continued_fraction(self):
-        # F(k+1)/F(k) = [1; 1, ..., 1] has k continued-fraction terms, far
-        # more than the interpreter's default recursion limit.
+        # F(k+1)/F(k) = [1; 1, ..., 1] has 3100 continued-fraction terms, far
+        # more than the interpreter's default recursion limit. The reverse
+        # arc makes the minimum capacity 1, so the bracket does not start at
+        # r0 and the reconstruction has to find it.
         a, b = 1, 1
         for _ in range(3100):
             a, b = a + b, a
-        x = F(a, b)
-        # Every other fraction with denominator at most b is 1/b**2 away.
-        gap = F(1, 2 * b * b)
-        assert _simplest_in_interval(x - gap, x + gap, lo_open=True, hi_open=True) == x
-        assert _simplest_in_interval(x, x, lo_open=False, hi_open=False) == x
+        p = validate_problem(
+            [("u", a), ("w", -a)],
+            [("uw", "u", "w", b), ("wu", "w", "u", 1)],
+        )
+        result = minmax_ratio_dichotomy(p)
+        assert result.r0 == F(a, b)
+        assert result.critical_cut.source_side == frozenset({"u"})
 
-    def test_empty_interval_rejected(self):
-        with pytest.raises(ValueError):
-            _simplest_in_interval(F(1), F(1), lo_open=True, hi_open=False)
-        with pytest.raises(ValueError):
-            _simplest_in_interval(F(2), F(1), lo_open=False, hi_open=False)
+    SCRIPT = """
+import sys
+from fractions import Fraction
+from lexflow import Cut, FeasibilityReport, InvariantViolation, cut_stats
+from lexflow import validate_problem
+import lexflow.ratio_search as rs
+
+if __debug__:
+    sys.exit("asserts are on")
+problem = validate_problem([("u", 5), ("w", -5)], [("uw", "u", "w", 2)])
+cut = Cut.from_source_side(problem, ["u"])
+
+def lying(p, z, cut_side="source"):
+    # Flips at 7/3, whose denominator exceeds the total capacity 2.
+    if z >= Fraction(7, 3):
+        return FeasibilityReport(True, z)
+    return FeasibilityReport(False, z, cut, cut_stats(p, cut))
+
+rs.is_feasible = lying
+try:
+    rs.minmax_ratio_dichotomy(problem)
+except InvariantViolation as exc:
+    print(f"raised: {exc}")
+"""
+
+    def test_impossible_threshold_raises_under_python_O(self):
+        done = run_optimized(self.SCRIPT)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "raised: rational reconstruction left the bracket\n"
+
+
+class TestAgainstCensusProperty:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(solvable_problems())
+    def test_modes_census_and_verifier_agree(self, p):
+        newton = minmax_ratio(p)
+        assert newton.r0 == minmax_ratio_dichotomy(p).r0 == enumerate_cuts(p).max_ratio
+        solution = balanced_flow(p)
+        assert balanced_flow(p, mode="dichotomy").flow == solution.flow
+        assert verify_certificate(p, solution).accepted
 
 
 class TestInvariantsUnderOptimize:
@@ -208,18 +251,6 @@ except InvariantViolation as exc:
 """
 
     def test_witness_must_beat_the_probe_under_python_O(self):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import lexflow
-
-        src = str(Path(lexflow.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", self.SCRIPT],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        done = run_optimized(self.SCRIPT)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "raised: witness must beat the probe\n"
