@@ -150,15 +150,21 @@ def balanced_flow(
     fatal = has_fatal_cut(problem)
     if fatal.fatal:
         raise FatalCutPresent(fatal.witness_cut)
-    search = minmax_ratio if mode == "dinkelbach" else minmax_ratio_dichotomy
-
     values = dict.fromkeys(problem.arc_ids, Fraction(0))
     levels: list[Level] = []
     previous: Fraction | None = None
+    seeds: tuple[Cut, ...] = ()
     current = problem
     while current.total_supply:
         # Reduced stages of a solvable problem stay solvable; skip re-checks.
-        result = search(current, cut_side=cut_side, check_fatal=False)
+        # The previous stage's Newton witnesses seed this stage's search.
+        if mode == "dinkelbach":
+            result = minmax_ratio(
+                current, cut_side=cut_side, check_fatal=False, seeds=seeds
+            )
+            seeds = tuple(step.cut for step in result.steps)
+        else:
+            result = minmax_ratio_dichotomy(current, cut_side=cut_side, check_fatal=False)
         if result.r0 <= 0 or result.critical_cut is None:
             raise InvariantViolation("unbalanced stage without a critical cut")
         if previous is not None and result.r0 > previous:
@@ -258,7 +264,7 @@ def verify_certificate(
                 suboptimal = reject("stage_optimality", f"{where}: ratio is not sufficient")
             else:
                 lam = total_integer_capacity(current)
-                below = level.ratio * (1 - Fraction(1, 2 * lam * lam))
+                below = level.ratio - Fraction(1, 2 * level.ratio.denominator * lam)
                 if is_feasible(current, below).feasible:
                     suboptimal = reject("stage_optimality", f"{where}: ratio is not minimal")
         current = fix_arcs(current, dict(level.fixed_forward), level.zeroed_reverse)

@@ -161,9 +161,11 @@ def total_integer_capacity(problem: Problem) -> int:
     """Total capacity λ once balances and capacities sit on an integer grid.
 
     Every cut ratio is ΣD/ΣC on that grid with ΣC <= λ, so its denominator
-    is at most λ and distinct cut ratios differ by at least 1/λ². The
-    bisection's `limit_denominator` reconstruction and the epsilon probes
-    in certificate verification rely on that separation. Returns 1 for
-    arcless problems so callers can still form positive epsilons.
+    is at most λ and distinct cut ratios differ by at least 1/λ²; a cut
+    ratio a/b differs from every other fraction with denominator at most λ
+    by at least 1/(bλ). The bisection's `limit_denominator` reconstruction
+    relies on the first separation; the probes at a/b - 1/(2bλ) in the
+    Newton search and in certificate verification on the second. Returns 1
+    for arcless problems so callers can still form positive epsilons.
     """
     return max(sum(problem.integer_view.capacities), 1)

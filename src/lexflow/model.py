@@ -23,6 +23,10 @@ RationalLike = Fraction | int | str
 # The forms `Fraction` reads from a string, for the digit-limit fallback.
 _INTEGER_RATIO = re.compile(r"([+-]?\d+)/(\d+)")
 _DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+# A short string with a large exponent asks for a huge integer ("1e1000000000"
+# is a 415 MB one), so exponents past this bound are refused before parsing.
+MAX_DECIMAL_EXPONENT = 100_000
+_EXPONENT = re.compile(r"[eE][+-]?([\d_]+)")
 
 
 class ModelError(ValueError):
@@ -62,7 +66,8 @@ def parse_rational(value: RationalLike) -> Fraction:
 
     Strings may be integers ("42"), fractions ("5/3"), or finite decimals
     with an optional exponent ("0.25", "1e-3"), with any number of digits;
-    all are normalized to lowest terms with a positive denominator. Floats
+    all are normalized to lowest terms with a positive denominator. An
+    exponent may be at most MAX_DECIMAL_EXPONENT in absolute value. Floats
     are rejected because binary floats do not represent decimal input
     exactly.
     """
@@ -72,6 +77,13 @@ def parse_rational(value: RationalLike) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
+        exponent = _EXPONENT.search(text)
+        if exponent is not None:
+            digits = exponent[1].replace("_", "").lstrip("0")
+            if len(digits) > 6 or int(digits or "0") > MAX_DECIMAL_EXPONENT:
+                raise ModelError(
+                    f"exponent of {value!r} exceeds {MAX_DECIMAL_EXPONENT} in size"
+                )
         try:
             try:
                 return Fraction(text)

@@ -3,8 +3,13 @@
 The default mode is a discrete Newton (Dinkelbach) iteration on the capacity
 factor: every infeasible probe returns a witness cut whose ratio strictly
 exceeds the probe, and a feasible probe at a value that is itself a cut
-ratio pins the maximum exactly, with no epsilon management. A bisection mode
-that recovers the ratio with `Fraction.limit_denominator` is a cross-check.
+ratio pins the maximum exactly, with no epsilon management. Newton needs
+fewer steps the closer its seed is to the maximum, so it starts from the
+best of the cuts already in hand: all producers, the producers of each
+weakly connected component, and the previous stage's witnesses. Which seed
+wins does not change the critical cut returned (see `minmax_ratio`). A
+bisection mode that recovers the ratio with `Fraction.limit_denominator` is
+a cross-check.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .gale_hoffman import (
     CutSide,
@@ -21,7 +27,8 @@ from .gale_hoffman import (
     is_feasible,
     total_integer_capacity,
 )
-from .model import Cut, Problem, cut_stats
+# cut_stats is not called here; perfbench/tracer.py wraps it in this module.
+from .model import Cut, Problem, cut_stats  # noqa: F401
 
 
 class FatalCutPresent(Exception):
@@ -69,38 +76,117 @@ def _witness_ratio(report: FeasibilityReport) -> Fraction | None:
     return None if stats is None else stats.ratio
 
 
+def _candidate_ratios(
+    problem: Problem, seeds: Iterable[Cut]
+) -> tuple[Fraction | None, list[Fraction]]:
+    """Ratios of the producer cut and of the other candidate cuts.
+
+    The other candidates are, for each weakly connected component holding
+    producers, the cut whose source side is that component's producers, and
+    every cut in `seeds`, which must be cuts of `problem`'s nodes. Components
+    come from one union-find pass over node positions, and every sum is taken
+    on the integer view; candidates without forward capacity have no ratio
+    and are skipped. A component's forward arcs stay inside it, so the
+    producer cut's sums are the sums over the components.
+    """
+    _, balances, capacities = problem.integer_view
+    position = problem.node_position
+    ends = [(position[a.tail], position[a.head]) for a in problem.arcs]
+
+    root = list(range(len(balances)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for tail, head in ends:
+        root[find(tail)] = find(head)
+    component = [find(i) for i in range(len(balances))]
+    supply: dict[int, int] = {}
+    for k, d in zip(component, balances):
+        if d > 0:
+            supply[k] = supply.get(k, 0) + d
+    outflow = dict.fromkeys(supply, 0)
+    for (tail, head), c in zip(ends, capacities):
+        if balances[tail] > 0 >= balances[head]:
+            outflow[component[tail]] += c
+
+    total_out = sum(outflow.values())
+    producer = Fraction(sum(supply.values()), total_out) if total_out else None
+    others = [Fraction(supply[k], c) for k, c in outflow.items() if c]
+    for seed in seeds:
+        inside = bytearray(len(balances))
+        for v in seed.source_side:
+            inside[position[v]] = 1
+        forward = sum(
+            c for (tail, head), c in zip(ends, capacities)
+            if inside[tail] and not inside[head]
+        )
+        if forward:
+            deficiency = sum(d for d, member in zip(balances, inside) if member)
+            others.append(Fraction(deficiency, forward))
+    return producer, others
+
+
 def minmax_ratio(
     problem: Problem,
     *,
     cut_side: CutSide = "source",
     check_fatal: bool = True,
+    seeds: Iterable[Cut] = (),
 ) -> RatioResult:
     """Largest deficiency/capacity over all cuts, by discrete Newton steps.
 
-    Seeds with the ratio of the all-producers cut, then alternates a
+    Seeds with the largest ratio among the all-producers cut, the producers
+    of each weakly connected component, and the cuts in `seeds` (balanced_flow
+    passes the previous stage's Newton witnesses), then alternates a
     feasibility test at the current candidate with a jump to the witness
     cut's ratio. Candidates are always ratios of actual cuts, so the first
     feasible candidate equals the maximum and the preceding witness is a
-    critical cut. Callers that already know the problem has no fatal cut
-    (e.g. because they reduced a solvable one) may pass check_fatal=False.
+    critical cut. The producer cut wins ties; then the search is the one
+    seeded with the producer cut alone, step for step, and it returns the
+    producer cut itself when that is already critical. Callers that already
+    know the problem has no fatal cut (e.g. because they reduced a solvable
+    one) may pass check_fatal=False.
+
+    A larger seed gives the same critical cut. Let g(z) = max_S D(S) - z·C(S),
+    convex and piecewise linear, zero from r0 on. The last infeasible probe
+    has a witness of ratio r0, so it lies on g's last linear piece before r0;
+    every probe strictly inside that piece returns the same inclusion-minimal
+    (with cut_side="sink", inclusion-maximal) min cut, and so does a probe at
+    the piece's left end whose witness has ratio r0. A seed above the
+    producer cut's ratio that is infeasible therefore ends at the cut the
+    producer-seeded search ends at. One that is feasible at once is r0, and
+    then one more probe is made at r0 - 1/(2bλ), b being r0's denominator
+    and λ = `total_integer_capacity`: breakpoints of g are fractions with
+    denominators at most λ, so they lie at least 1/(bλ) from r0, the probe
+    falls inside the last piece, and its witness is the critical cut.
     """
     if check_fatal:
         _require_no_fatal_cut(problem)
     if problem.total_supply == 0:
         return RatioResult(Fraction(0), None, ())
 
-    producers = [v for v in problem.node_ids if problem.balances[v] > 0]
-    cut = Cut.from_source_side(problem, producers)
-    seed = cut_stats(problem, cut).ratio
-    if seed is None or seed <= 0:
+    producer, others = _candidate_ratios(problem, seeds)
+    if producer is None:
         raise InvariantViolation("producer cut would be fatal")
+    z = max(others, default=producer)
+    cut: Cut | None = None
+    if z <= producer:
+        z = producer
+        cut = Cut.from_source_side(
+            problem, (v for v in problem.node_ids if problem.balances[v] > 0)
+        )
 
-    z = seed
     steps: list[SearchStep] = []
     cap = max(1, len(problem.arcs) * len(problem.node_ids))
     for _ in range(cap):
         report = is_feasible(problem, z, cut_side=cut_side)
         if report.feasible:
+            if cut is None:
+                return _probe_last_piece(problem, z, cut_side)
             return RatioResult(z, cut, tuple(steps))
         ratio = _witness_ratio(report)
         if report.witness_cut is None or ratio is None or ratio <= z:
@@ -115,6 +201,16 @@ def minmax_ratio(
         stacklevel=2,
     )
     return minmax_ratio_dichotomy(problem, cut_side=cut_side, check_fatal=False)
+
+
+def _probe_last_piece(problem: Problem, r0: Fraction, cut_side: CutSide) -> RatioResult:
+    """The critical cut a seed that was feasible at once skipped over."""
+    lam = total_integer_capacity(problem)
+    below = r0 - Fraction(1, 2 * r0.denominator * lam)
+    report = is_feasible(problem, below, cut_side=cut_side)
+    if report.witness_cut is None or _witness_ratio(report) != r0:
+        raise InvariantViolation("probe below the ratio missed its critical cut")
+    return RatioResult(r0, report.witness_cut, (SearchStep(below, report.witness_cut, r0),))
 
 
 def minmax_ratio_dichotomy(

@@ -335,6 +335,17 @@ class TestRobustness:
         assert capsys.readouterr().out.strip() == "ACCEPT"
         assert sys.get_int_max_str_digits() == limit
 
+    def test_exponent_bomb_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "bomb.json"
+        path.write_text(
+            '{"nodes": [{"id": "s", "d": "1e1000000000"}, {"id": "t", "d": "-1e1000000000"}],'
+            ' "arcs": [{"id": "st", "tail": "s", "head": "t", "capacity": "1e-1000000000"}]}'
+        )
+        assert main(["solve", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exponent" in captured.err
+
     def test_huge_bare_json_integer_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "bare.json"
         path.write_text(

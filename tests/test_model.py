@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from lexflow import (
     parse_rational,
     validate_problem,
 )
-from lexflow.model import fix_arcs
+from lexflow.model import MAX_DECIMAL_EXPONENT, fix_arcs
 from conftest import diamond_problem, random_problem, random_solvable_problem
 
 F = Fraction
@@ -91,6 +92,18 @@ class TestParseRational:
         for bad in ("nan", "inf", "-Infinity", "1e", "1" * 5000 + "e", "1" * 5000 + ".5x"):
             with pytest.raises(ModelError):
                 parse_rational(bad)
+
+
+    @pytest.mark.parametrize("text", ["1e1000000000", "1e-1000000000", "1E+100_001"])
+    def test_exponent_past_the_limit_is_refused_at_once(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ModelError, match="exponent"):
+            parse_rational(text)
+        assert time.perf_counter() - start < 0.1
+
+    def test_exponent_at_the_limit_parses(self):
+        assert parse_rational(f"1e{MAX_DECIMAL_EXPONENT}") == 10**MAX_DECIMAL_EXPONENT
+        assert parse_rational(f"2e-{MAX_DECIMAL_EXPONENT}") == F(2, 10**MAX_DECIMAL_EXPONENT)
 
 
 class TestValidateProblem:

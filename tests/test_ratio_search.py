@@ -13,9 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lexflow
+import lexflow.balancer as balancer
+import lexflow.ratio_search as ratio_search
 from lexflow import (
+    Cut,
     FatalCutPresent,
     Problem,
+    RatioResult,
+    SearchStep,
     balanced_flow,
     cut_stats,
     enumerate_cuts,
@@ -26,7 +31,8 @@ from lexflow import (
     validate_problem,
     verify_certificate,
 )
-from conftest import random_problem, single_arc_problem
+from lexflow.cli import solution_document
+from conftest import random_problem, random_solvable_problem, single_arc_problem
 
 F = Fraction
 
@@ -88,6 +94,134 @@ class TestMinmaxRatio:
                 continue
             if result.critical_cut is not None:
                 assert cut_stats(p, result.critical_cut).ratio == result.r0
+
+
+def _reference_minmax_ratio(problem, *, cut_side="source", check_fatal=True, seeds=()):
+    """Newton seeded with the producer cut alone, for solvable problems.
+
+    The search before seeding from components and earlier witnesses; it
+    ignores `seeds`. It probes through `ratio_search.is_feasible`, so a
+    patch there counts its probes too.
+    """
+    if problem.total_supply == 0:
+        return RatioResult(F(0), None, ())
+    producers = [v for v in problem.node_ids if problem.balances[v] > 0]
+    cut = Cut.from_source_side(problem, producers)
+    z = cut_stats(problem, cut).ratio
+    steps = []
+    while True:
+        report = ratio_search.is_feasible(problem, z, cut_side=cut_side)
+        if report.feasible:
+            return RatioResult(z, cut, tuple(steps))
+        cut, ratio = report.witness_cut, report.witness_stats.ratio
+        assert ratio > z
+        steps.append(SearchStep(z, cut, ratio))
+        z = ratio
+
+
+def disjoint_union(parts: list[Problem]) -> Problem:
+    """The parts side by side, ids prefixed by the part's index."""
+    nodes, arcs = [], []
+    for k, part in enumerate(parts):
+        nodes += [(f"c{k}_{v}", part.balances[v]) for v in part.node_ids]
+        arcs += [
+            (f"c{k}_{a.arc_id}", f"c{k}_{a.tail}", f"c{k}_{a.head}", a.capacity)
+            for a in part.arcs
+        ]
+    return validate_problem(nodes, arcs)
+
+
+def grid_problem(rng: random.Random, k: int) -> Problem:
+    """k x k grid, both directions between 4-neighbours, k random transfers."""
+    ids = [f"v{r}_{q}" for r in range(k) for q in range(k)]
+    arcs = []
+    for r in range(k):
+        for q in range(k):
+            for dr, dq in ((0, 1), (1, 0)):
+                if r + dr < k and q + dq < k:
+                    u, w = f"v{r}_{q}", f"v{r + dr}_{q + dq}"
+                    for tail, head in ((u, w), (w, u)):
+                        cap = F(rng.randint(1, 30), rng.randint(1, 7))
+                        arcs.append((f"a{len(arcs)}", tail, head, cap))
+    balances = dict.fromkeys(ids, F(0))
+    for _ in range(k):
+        u, w = rng.sample(ids, 2)
+        amount = F(rng.randint(1, 60), rng.randint(1, 7))
+        balances[u] += amount
+        balances[w] -= amount
+    return validate_problem(list(balances.items()), arcs)
+
+
+def count_probes(monkeypatch) -> list[int]:
+    """Count the Newton search's feasibility probes from here on."""
+    probes = [0]
+    probe = ratio_search.is_feasible
+
+    def counted(*args, **kwargs):
+        probes[0] += 1
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(ratio_search, "is_feasible", counted)
+    return probes
+
+
+class TestSeeding:
+    """Seeds from components and earlier witnesses change nothing but cost."""
+
+    def unions(self, seed: int, count: int):
+        rng = random.Random(seed)
+        for _ in range(count):
+            parts = [random_solvable_problem(rng) for _ in range(rng.randint(2, 4))]
+            yield disjoint_union(parts)
+
+    @pytest.mark.parametrize("side", ["source", "sink"])
+    def test_same_ratio_and_cut_as_producer_seeding(self, side):
+        for p in self.unions(311, 150):
+            seeded = minmax_ratio(p, cut_side=side)
+            reference = _reference_minmax_ratio(p, cut_side=side)
+            assert seeded.r0 == reference.r0
+            assert seeded.critical_cut == reference.critical_cut
+
+    @pytest.mark.parametrize("side", ["source", "sink"])
+    def test_same_documents_as_producer_seeding(self, side, monkeypatch):
+        for p in self.unions(312, 80):
+            seeded = solution_document(p, balanced_flow(p, cut_side=side))
+            with monkeypatch.context() as patch:
+                patch.setattr(balancer, "minmax_ratio", _reference_minmax_ratio)
+                reference = solution_document(p, balanced_flow(p, cut_side=side))
+            assert seeded == reference
+
+    @pytest.mark.parametrize(
+        "d1,c1,d2,c2,r0,below",
+        [
+            # The producer cut {u1, u2} has ratio 6/11, component {u1} ratio
+            # 5 = r0: feasible at once, so one probe at 5 - 1/(2·1·11).
+            (5, 1, 1, 10, F(5), 5 - F(1, 22)),
+            # r0 = 11/19 and g's last breakpoint 4/7 lie 1/133 apart, less
+            # than 1/(2λ) = 1/52; the probe has to be 1/(2·19·26) below.
+            (11, 19, 4, 7, F(11, 19), F(11, 19) - F(1, 988)),
+        ],
+        ids=["seed-is-r0", "narrow-last-piece"],
+    )
+    def test_feasible_seed_probes_once_below_the_ratio(self, d1, c1, d2, c2, r0, below):
+        p = validate_problem(
+            [("u1", d1), ("w1", -d1), ("u2", d2), ("w2", -d2)],
+            [("a1", "u1", "w1", c1), ("a2", "u2", "w2", c2)],
+        )
+        result = minmax_ratio(p)
+        assert result.r0 == r0
+        assert result.critical_cut.source_side == frozenset({"u1"})
+        assert result.steps == (SearchStep(below, result.critical_cut, r0),)
+
+    def test_fewer_probes_on_a_grid(self, monkeypatch):
+        p = grid_problem(random.Random(313), 6)
+        probes = count_probes(monkeypatch)
+        seeded = balanced_flow(p)
+        seeded_probes = probes[0]
+        monkeypatch.setattr(balancer, "minmax_ratio", _reference_minmax_ratio)
+        reference = balanced_flow(p)
+        assert seeded == reference
+        assert 0 < seeded_probes < probes[0] - seeded_probes
 
 
 class TestDichotomy:
@@ -254,3 +388,37 @@ except InvariantViolation as exc:
         done = run_optimized(self.SCRIPT)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "raised: witness must beat the probe\n"
+
+    # A feasibility oracle that accepts the component seed r0 = 5 but then
+    # answers the probe below it with the producer cut (ratio 6/11).
+    BELOW_SCRIPT = """
+import sys
+from fractions import Fraction
+from lexflow import Cut, FeasibilityReport, InvariantViolation, cut_stats
+from lexflow import validate_problem
+import lexflow.ratio_search as rs
+
+if __debug__:
+    sys.exit("asserts are on")
+problem = validate_problem(
+    [("u1", 5), ("w1", -5), ("u2", 1), ("w2", -1)],
+    [("a1", "u1", "w1", 1), ("a2", "u2", "w2", 10)],
+)
+cut = Cut.from_source_side(problem, ["u1", "u2"])
+
+def lying(p, z, cut_side="source"):
+    if z >= 5:
+        return FeasibilityReport(True, z)
+    return FeasibilityReport(False, z, cut, cut_stats(p, cut))
+
+rs.is_feasible = lying
+try:
+    rs.minmax_ratio(problem)
+except InvariantViolation as exc:
+    print(f"raised: {exc}")
+"""
+
+    def test_probe_below_a_feasible_seed_checked_under_python_O(self):
+        done = run_optimized(self.BELOW_SCRIPT)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "raised: probe below the ratio missed its critical cut\n"
