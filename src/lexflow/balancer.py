@@ -141,11 +141,14 @@ def balanced_flow(
 ) -> BalancedSolution:
     """Compute the unique lexmin flow together with its certificate.
 
-    Raises FatalCutPresent when the problem is not weakly solvable. Each
-    level removes at least one arc, so there are at most as many levels as
-    arcs; level ratios never increase. `mode` selects the ratio search and
-    `cut_side` the min-cut extraction rule; both exist for cross-checking
-    and neither changes the resulting flow.
+    Raises FatalCutPresent when the problem is not weakly solvable. Level
+    ratios never increase, and there are at most n - 1 levels for n nodes:
+    a level's cut has a forward arc, and afterwards no stage arc crosses it
+    (forward arcs are fixed, reverse arcs zeroed, both dropped), so each
+    level splits a weakly connected component of the stage graph, and a
+    graph on n nodes has at most n of them. `mode` selects the ratio search
+    and `cut_side` the min-cut extraction rule; both exist for
+    cross-checking and neither changes the resulting flow.
     """
     fatal = has_fatal_cut(problem)
     if fatal.fatal:
@@ -175,8 +178,8 @@ def balanced_flow(
         values.update(level.fixed_forward)
         levels.append(level)
         previous = result.r0
-        if len(levels) > len(problem.arcs):
-            raise IterationCapExceeded("more levels than arcs")
+        if len(levels) >= len(problem.node_ids):
+            raise IterationCapExceeded("more than n - 1 levels")
 
     flow = Flow(values)
     ratios = tuple(sorted(flow.ratio_vector(problem), reverse=True))

@@ -48,17 +48,42 @@ EXIT_REJECTED = 12
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader gone
 
 
+# A JSON id is a string, or an integer that reads as its decimal digits;
+# exact types, so that true and false (ints to Python) are refused too.
+_ID_TYPES = frozenset({str, int})
+
+
 class CliError(Exception):
     """Parse or validation failure with a user-facing message."""
 
 
 def read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """The UTF-8 text of `path`, or of stdin for "-"."""
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        if path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_json(text: str, origin: str) -> Any:
+    try:
+        # parse_float=str keeps decimal literals exact for Fraction parsing
+        return json.loads(text, parse_float=str)
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{origin}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except ValueError as exc:  # an integer literal past the int-string limit
+        raise CliError(f"{origin}: {exc}; quote long numbers as strings")
+    except RecursionError:
+        raise CliError(f"{origin}: JSON nested too deeply")
+
+
+def _entries(document: dict[str, Any], key: str, origin: str) -> list[Any]:
+    entries = document.get(key, [])
+    if not isinstance(entries, list):
+        raise CliError(f"{origin}: '{key}' must be a list")
+    return entries
 
 
 def parse_instance(text: str, origin: str = "<input>") -> Problem:
@@ -70,32 +95,33 @@ def parse_instance(text: str, origin: str = "<input>") -> Problem:
 
 
 def _parse_json_instance(text: str, origin: str) -> Problem:
-    try:
-        # parse_float=str keeps decimal literals exact for Fraction parsing
-        document = json.loads(text, parse_float=str)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{origin}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    except ValueError as exc:  # an integer literal past the int-string limit
-        raise CliError(f"{origin}: {exc}; quote long numbers as strings")
+    document = _load_json(text, origin)
     if not isinstance(document, dict):
         raise CliError(f"{origin}: top level must be an object")
 
     nodes: list[tuple[str, Any]] = []
-    for i, entry in enumerate(document.get("nodes", [])):
+    for i, entry in enumerate(_entries(document, "nodes", origin)):
         try:
-            nodes.append((entry["id"], entry["d"]))
+            node = entry["id"], entry["d"]
         except (TypeError, KeyError):
             raise CliError(f"{origin}: nodes[{i}] needs 'id' and 'd'")
+        if type(node[0]) not in _ID_TYPES:
+            raise CliError(f"{origin}: nodes[{i}] 'id' must be a string or an integer")
+        nodes.append(node)
     arcs: list[tuple[str, str, str, Any]] = []
-    for i, entry in enumerate(document.get("arcs", [])):
+    for i, entry in enumerate(_entries(document, "arcs", origin)):
         try:
-            arcs.append(
-                (entry["id"], entry["tail"], entry["head"], entry["capacity"])
-            )
+            arc = entry["id"], entry["tail"], entry["head"], entry["capacity"]
         except (TypeError, KeyError):
             raise CliError(
                 f"{origin}: arcs[{i}] needs 'id', 'tail', 'head', 'capacity'"
             )
+        if not _ID_TYPES.issuperset(map(type, arc[:3])):
+            raise CliError(
+                f"{origin}: arcs[{i}] 'id', 'tail' and 'head' must be strings "
+                "or integers"
+            )
+        arcs.append(arc)
     try:
         return validate_problem(nodes, arcs)
     except ModelError as exc:
@@ -106,10 +132,9 @@ def _parse_text_instance(text: str, origin: str) -> Problem:
     nodes: list[tuple[str, Any]] = []
     arcs: list[tuple[str, str, str, Any]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if not fields or fields[0] == "c":  # blank, or a "c" comment line
             continue
-        fields = line.split()
         kind = fields[0]
         if kind == "n" and len(fields) == 3:
             nodes.append((fields[1], fields[2]))
@@ -290,13 +315,7 @@ def cmd_ratio(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     problem = parse_instance(read_source(args.instance), args.instance)
-    text = read_source(args.solution)
-    try:
-        document = json.loads(text, parse_float=str)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{args.solution}: invalid JSON: {exc.msg}")
-    except ValueError as exc:  # an integer literal past the int-string limit
-        raise CliError(f"{args.solution}: {exc}")
+    document = _load_json(read_source(args.solution), args.solution)
     solution = solution_from_document(problem, document)
     verdict = verify_certificate(problem, solution)
     if verdict.accepted:

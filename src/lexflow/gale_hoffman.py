@@ -35,10 +35,13 @@ class TwoPole:
     Original node i keeps index i; the super source is index n and the super
     sink n+1. Producer u gets arc (s, u) with capacity d_u, consumer w gets
     (w, t) with capacity -d_w, and every original arc keeps z times its
-    capacity. All capacities are multiplied by one integerizing `scale` so
-    the flow engine can stay integer-only. For z = p/q in lowest terms the
-    scale is q*L, L being the denominator of the problem's integer view; it
-    need not be the least common denominator of the capacities. For any cut
+    capacity. The network lists the pole arcs first, one per producer or
+    consumer in node order, so arc k of the problem is network arc
+    (#producers + #consumers) + k. All capacities are multiplied by one
+    integerizing `scale` so the flow engine can stay integer-only. For
+    z = p/q in lowest terms the scale is q*L, L being the denominator of the
+    problem's integer view; it need not be the least common denominator of
+    the capacities. For any cut
     (V', V'') of the problem, the matching two-pole cut has capacity
     scale * (D + z*capacity - deficiency), D being the total supply.
     """
@@ -46,7 +49,6 @@ class TwoPole:
     problem: Problem
     z: Fraction
     network: FlowNetwork
-    arc_position: dict[str, int]
     total_supply: Fraction
     scale: int
 
@@ -92,15 +94,11 @@ def build_two_pole(problem: Problem, z: Fraction) -> TwoPole:
             arcs.append((s, i, q * d))
         elif d < 0:
             arcs.append((i, t, -q * d))
-    arc_position: dict[str, int] = {}
     for arc, c in zip(problem.arcs, capacities):
-        arc_position[arc.arc_id] = len(arcs)
         arcs.append((position[arc.tail], position[arc.head], p * c))
 
     network = FlowNetwork(n + 2, tuple(arcs), s, t)
-    return TwoPole(
-        problem, z, network, arc_position, problem.total_supply, q * denominator
-    )
+    return TwoPole(problem, z, network, problem.total_supply, q * denominator)
 
 
 def is_feasible(

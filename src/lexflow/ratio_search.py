@@ -5,11 +5,11 @@ factor: every infeasible probe returns a witness cut whose ratio strictly
 exceeds the probe, and a feasible probe at a value that is itself a cut
 ratio pins the maximum exactly, with no epsilon management. Newton needs
 fewer steps the closer its seed is to the maximum, so it starts from the
-best of the cuts already in hand: all producers, the producers of each
-weakly connected component, and the previous stage's witnesses. Which seed
-wins does not change the critical cut returned (see `minmax_ratio`). A
-bisection mode that recovers the ratio with `Fraction.limit_denominator` is
-a cross-check.
+best of the cuts found without a max-flow: all producers, every single-node
+cut (a producer, or all nodes but one consumer), and the previous stage's
+witnesses. Which seed wins does not change the critical cut returned (see
+`minmax_ratio`). A bisection mode that recovers the ratio with
+`Fraction.limit_denominator` is a cross-check.
 """
 
 from __future__ import annotations
@@ -78,44 +78,39 @@ def _witness_ratio(report: FeasibilityReport) -> Fraction | None:
 
 def _candidate_ratios(
     problem: Problem, seeds: Iterable[Cut]
-) -> tuple[Fraction | None, list[Fraction]]:
-    """Ratios of the producer cut and of the other candidate cuts.
+) -> tuple[Fraction | None, Fraction]:
+    """Ratios of the producer cut and of the best other candidate cut.
 
-    The other candidates are, for each weakly connected component holding
-    producers, the cut whose source side is that component's producers, and
-    every cut in `seeds`, which must be cuts of `problem`'s nodes. Components
-    come from one union-find pass over node positions, and every sum is taken
-    on the integer view; candidates without forward capacity have no ratio
-    and are skipped. A component's forward arcs stay inside it, so the
-    producer cut's sums are the sums over the components.
+    The other candidates are the single-node cuts, each producer {u} with
+    ratio d_u / out(u) and each consumer's complement V - {w} with ratio
+    -d_w / in(w) (balances sum to zero), and every cut in `seeds`, which must
+    be cuts of `problem`'s nodes. Sums are taken on the integer view, in one
+    pass over the arcs plus one per seed; candidates without forward capacity
+    have no ratio and are skipped, and the best other ratio is 0 if none has.
     """
     _, balances, capacities = problem.integer_view
     position = problem.node_position
     ends = [(position[a.tail], position[a.head]) for a in problem.arcs]
 
-    root = list(range(len(balances)))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    for tail, head in ends:
-        root[find(tail)] = find(head)
-    component = [find(i) for i in range(len(balances))]
-    supply: dict[int, int] = {}
-    for k, d in zip(component, balances):
-        if d > 0:
-            supply[k] = supply.get(k, 0) + d
-    outflow = dict.fromkeys(supply, 0)
+    out = [0] * len(balances)
+    into = [0] * len(balances)
+    producer_out = 0
     for (tail, head), c in zip(ends, capacities):
+        out[tail] += c
+        into[head] += c
         if balances[tail] > 0 >= balances[head]:
-            outflow[component[tail]] += c
+            producer_out += c
+    supply = sum(d for d in balances if d > 0)
+    producer = Fraction(supply, producer_out) if producer_out else None
 
-    total_out = sum(outflow.values())
-    producer = Fraction(sum(supply.values()), total_out) if total_out else None
-    others = [Fraction(supply[k], c) for k, c in outflow.items() if c]
+    # The largest single-node ratio, compared by cross-multiplying; a node
+    # with zero balance has deficiency 0 and never replaces the start 0/1.
+    deficiency, capacity = 0, 1
+    for d, o, i in zip(balances, out, into):
+        d, c = (d, o) if d > 0 else (-d, i)
+        if c and d * capacity > deficiency * c:
+            deficiency, capacity = d, c
+    best = Fraction(deficiency, capacity)
     for seed in seeds:
         inside = bytearray(len(balances))
         for v in seed.source_side:
@@ -125,9 +120,9 @@ def _candidate_ratios(
             if inside[tail] and not inside[head]
         )
         if forward:
-            deficiency = sum(d for d, member in zip(balances, inside) if member)
-            others.append(Fraction(deficiency, forward))
-    return producer, others
+            seed_deficiency = sum(d for d, member in zip(balances, inside) if member)
+            best = max(best, Fraction(seed_deficiency, forward))
+    return producer, best
 
 
 def minmax_ratio(
@@ -139,9 +134,10 @@ def minmax_ratio(
 ) -> RatioResult:
     """Largest deficiency/capacity over all cuts, by discrete Newton steps.
 
-    Seeds with the largest ratio among the all-producers cut, the producers
-    of each weakly connected component, and the cuts in `seeds` (balanced_flow
-    passes the previous stage's Newton witnesses), then alternates a
+    Seeds with the largest ratio among the all-producers cut, the single-node
+    cuts ({u} for a producer u, V - {w} for a consumer w), and the cuts in
+    `seeds` (balanced_flow passes the previous stage's Newton witnesses),
+    found with one pass over the arcs and no max-flow; then alternates a
     feasibility test at the current candidate with a jump to the witness
     cut's ratio. Candidates are always ratios of actual cuts, so the first
     feasible candidate equals the maximum and the preceding witness is a
@@ -169,10 +165,9 @@ def minmax_ratio(
     if problem.total_supply == 0:
         return RatioResult(Fraction(0), None, ())
 
-    producer, others = _candidate_ratios(problem, seeds)
+    producer, z = _candidate_ratios(problem, seeds)
     if producer is None:
         raise InvariantViolation("producer cut would be fatal")
-    z = max(others, default=producer)
     cut: Cut | None = None
     if z <= producer:
         z = producer

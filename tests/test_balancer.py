@@ -7,6 +7,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexflow import (
     Certificate,
@@ -163,6 +164,13 @@ class TestBalancedFlow:
             p = random_solvable_problem(rng)
             ratios = [lv.ratio for lv in balanced_flow(p).certificate.levels]
             assert all(a >= b for a, b in zip(ratios, ratios[1:]))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_at_most_n_minus_one_levels(self, rng):
+        # Each level splits a weakly connected component of the stage graph.
+        p = random_solvable_problem(rng, max_nodes=8, max_arcs=20)
+        assert len(balanced_flow(p).certificate.levels) <= len(p.node_ids) - 1
 
     def test_uniform_loading_of_first_critical_cut(self):
         rng = random.Random(403)

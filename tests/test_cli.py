@@ -76,6 +76,32 @@ class TestParsing:
         with pytest.raises(CliError, match=r"nodes\[1\]"):
             parse_instance('{"nodes": [{"id": "u", "d": 0}, {"id": "w"}], "arcs": []}')
 
+    def test_text_comment_is_c_alone_or_c_and_whitespace(self):
+        from lexflow.cli import CliError
+
+        commented = "c\nc\tnote\n  c  indented note\n" + D4_TEXT
+        assert parse_instance(commented) == parse_instance(D4_TEXT)
+        with pytest.raises(CliError, match="line 2"):
+            parse_instance("n u 1\ncap 1 2\nn w -1\na e u w 1\n")
+
+    ID_TEMPLATE = (
+        '{"nodes": [{"id": NODE, "d": 1}, {"id": "w", "d": -1}],'
+        ' "arcs": [{"id": "e", "tail": TAIL, "head": "w", "capacity": 1}]}'
+    )
+
+    def test_json_integer_id_reads_as_its_digits(self):
+        p = parse_instance(self.ID_TEMPLATE.replace("NODE", "7").replace("TAIL", "7"))
+        assert p.node_ids == ("7", "w") and p.arcs[0].tail == "7"
+
+    @pytest.mark.parametrize("bad", ["null", "true", "{}", "[]"])
+    def test_json_id_is_a_string_or_an_integer(self, bad):
+        from lexflow.cli import CliError
+
+        with pytest.raises(CliError, match=r"nodes\[0\] 'id' must be"):
+            parse_instance(self.ID_TEMPLATE.replace("NODE", bad).replace("TAIL", "7"))
+        with pytest.raises(CliError, match=r"arcs\[0\] 'id', 'tail' and 'head'"):
+            parse_instance(self.ID_TEMPLATE.replace("NODE", "7").replace("TAIL", bad))
+
 
 class TestCheck:
     def test_weakly_feasible_only(self, d4_json, capsys):
@@ -355,6 +381,53 @@ class TestRobustness:
         )
         assert main(["ratio", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def assert_one_error_line(self, capsys):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_non_utf8_instance_is_a_parse_error(
+        self, source, tmp_path, capsys, monkeypatch
+    ):
+        import io
+        import sys
+
+        data = b'{"nodes": [{"id": "\xff", "d": 0}], "arcs": []}'
+        if source == "file":
+            path = tmp_path / "latin1.json"
+            path.write_bytes(data)
+            argv = ["solve", str(path)]
+        else:
+            stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+            monkeypatch.setattr(sys, "stdin", stdin)
+            argv = ["solve", "-"]
+        assert main(argv) == 2
+        self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("document", ["instance", "solution"])
+    def test_deeply_nested_json_is_a_parse_error(
+        self, document, d4_json, tmp_path, capsys
+    ):
+        path = tmp_path / "deep.json"
+        path.write_text('{"nodes": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        if document == "instance":
+            argv = ["solve", str(path)]
+        else:
+            argv = ["verify", d4_json, "--solution", str(path)]
+        assert main(argv) == 2
+        self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "text", ['{"nodes": 5}', '{"nodes": [{"id": "u", "d": 0}], "arcs": 5}']
+    )
+    def test_nodes_and_arcs_must_be_lists(self, text, tmp_path, capsys):
+        path = tmp_path / "scalar.json"
+        path.write_text(text)
+        assert main(["solve", str(path)]) == 2
+        self.assert_one_error_line(capsys)
 
     def test_internal_error_exits_3_without_traceback(
         self, d4_json, capsys, monkeypatch

@@ -51,7 +51,8 @@ class TestBuildTwoPole:
         assert tp.total_supply == F(5) and tp.scale == 1
         # super source 2 -> u, u -> w, w -> super sink 3
         assert set(tp.network.arcs) == {(2, 0, 5), (0, 1, 2), (1, 3, 5)}
-        assert tp.network.arcs[tp.arc_position["uw"]] == (0, 1, 2)
+        # one producer and one consumer: problem arc k is network arc 2 + k
+        assert tp.network.arcs[2] == (0, 1, 2)
 
     def test_diamond_identity_at_unit_factor(self, d4):
         tp = build_two_pole(d4, F(1))
@@ -60,7 +61,7 @@ class TestBuildTwoPole:
     def test_diamond_scaling(self, d4):
         tp = build_two_pole(d4, F(4, 3))
         assert tp.scale == 3
-        inner = [tp.network.arcs[tp.arc_position[a]][2] for a in d4.arc_ids]
+        inner = [c for _, _, c in tp.network.arcs[2:]]  # after the two poles
         assert inner == [4, 12, 8, 8]  # (4/3, 4, 8/3, 8/3) times 3
 
     def test_rejects_nonpositive_factor(self, d4):
@@ -235,19 +236,17 @@ def _reference_build_two_pole(problem, z):
         elif d < 0:
             ends.append((position[v], t))
             caps.append(-d)
-    arc_position = {}
     for arc in problem.arcs:
-        arc_position[arc.arc_id] = len(ends)
         ends.append((position[arc.tail], position[arc.head]))
         caps.append(z * arc.capacity)
     scale = math.lcm(*(c.denominator for c in caps)) if caps else 1
     arcs = tuple((tail, head, int(c * scale)) for (tail, head), c in zip(ends, caps))
-    return FlowNetwork(n + 2, arcs, s, t), arc_position, scale
+    return FlowNetwork(n + 2, arcs, s, t), scale
 
 
 def _reference_witness(problem, z, cut_side):
     """Source side of the Fraction kernel's witness cut, or None if feasible."""
-    network, _, scale = _reference_build_two_pole(problem, z)
+    network, scale = _reference_build_two_pole(problem, z)
     result = max_flow(network)
     if result.value == problem.total_supply * scale:
         return None
@@ -332,8 +331,7 @@ class TestAgainstFractionKernel:
     def test_network_is_an_integer_multiple(self):
         for _, p, z in self.cases(105):
             tp = build_two_pole(p, z)
-            network, arc_position, scale = _reference_build_two_pole(p, z)
-            assert tp.arc_position == arc_position
+            network, scale = _reference_build_two_pole(p, z)
             assert tp.scale % scale == 0
             factor = tp.scale // scale
             assert tp.network.arcs == tuple(

@@ -99,7 +99,7 @@ class TestMinmaxRatio:
 def _reference_minmax_ratio(problem, *, cut_side="source", check_fatal=True, seeds=()):
     """Newton seeded with the producer cut alone, for solvable problems.
 
-    The search before seeding from components and earlier witnesses; it
+    The search before seeding from other cuts and earlier witnesses; it
     ignores `seeds`. It probes through `ratio_search.is_feasible`, so a
     patch there counts its probes too.
     """
@@ -166,7 +166,7 @@ def count_probes(monkeypatch) -> list[int]:
 
 
 class TestSeeding:
-    """Seeds from components and earlier witnesses change nothing but cost."""
+    """Seeds from single-node cuts and earlier witnesses change nothing but cost."""
 
     def unions(self, seed: int, count: int):
         rng = random.Random(seed)
@@ -194,8 +194,8 @@ class TestSeeding:
     @pytest.mark.parametrize(
         "d1,c1,d2,c2,r0,below",
         [
-            # The producer cut {u1, u2} has ratio 6/11, component {u1} ratio
-            # 5 = r0: feasible at once, so one probe at 5 - 1/(2·1·11).
+            # The producer cut {u1, u2} has ratio 6/11, the node cut {u1}
+            # ratio 5 = r0: feasible at once, so one probe at 5 - 1/(2·1·11).
             (5, 1, 1, 10, F(5), 5 - F(1, 22)),
             # r0 = 11/19 and g's last breakpoint 4/7 lie 1/133 apart, less
             # than 1/(2λ) = 1/52; the probe has to be 1/(2·19·26) below.
@@ -212,6 +212,51 @@ class TestSeeding:
         assert result.r0 == r0
         assert result.critical_cut.source_side == frozenset({"u1"})
         assert result.steps == (SearchStep(below, result.critical_cut, r0),)
+
+    @pytest.mark.parametrize("side", ["source", "sink"])
+    def test_critical_cut_is_a_consumer_complement(self, side):
+        # The producer cut {u} has ratio 7/11; V - {w} has 6/1 = r0, found
+        # without a max-flow, so the one probe is at 6 - 1/(2·1·11).
+        p = validate_problem(
+            [("u", 7), ("w", -6), ("w2", -1)],
+            [("uw", "u", "w", 1), ("uw2", "u", "w2", 10)],
+        )
+        result = minmax_ratio(p, cut_side=side)
+        assert result.r0 == 6
+        assert result.critical_cut.source_side == frozenset({"u", "w2"})
+        assert result.steps == (SearchStep(6 - F(1, 22), result.critical_cut, F(6)),)
+
+    @pytest.mark.parametrize("side", ["source", "sink"])
+    def test_probe_below_a_node_seed_finds_the_larger_critical_cut(self, side):
+        # {u1} and {u2} each have ratio 5 = r0, but {u1, u2} has ratio 5 with
+        # twice the capacity, so it alone is a min cut just below r0.
+        p = validate_problem(
+            [("u1", 5), ("u2", 5), ("u3", 1), ("w", -11)],
+            [("a1", "u1", "w", 1), ("a2", "u2", "w", 1), ("a3", "u3", "w", 10)],
+        )
+        result = minmax_ratio(p, cut_side=side)
+        assert result.r0 == 5
+        assert result.critical_cut.source_side == frozenset({"u1", "u2"})
+        assert result.steps == (SearchStep(5 - F(1, 24), result.critical_cut, F(5)),)
+        reference = _reference_minmax_ratio(p, cut_side=side)
+        assert result.critical_cut == reference.critical_cut
+
+    def test_single_node_critical_cut_costs_two_probes(self, monkeypatch):
+        # Producer ratios 1, 1/2 and 1/4: Newton from the producer cut (3/7)
+        # climbs 3/7 -> 2/3 -> 1 in three probes; the node seed {u0} is r0,
+        # so one probe at r0 and one just below it.
+        p = validate_problem(
+            [("u0", 1), ("u1", 1), ("u2", 1), ("w", -3)],
+            [("a0", "u0", "w", 1), ("a1", "u1", "w", 2), ("a2", "u2", "w", 4)],
+        )
+        probes = count_probes(monkeypatch)
+        result = minmax_ratio(p, check_fatal=False)
+        assert probes[0] == 2
+        reference = _reference_minmax_ratio(p)
+        assert probes[0] == 2 + 3
+        assert result.r0 == reference.r0
+        assert result.critical_cut == reference.critical_cut
+        assert result.critical_cut.source_side == frozenset({"u0"})
 
     def test_fewer_probes_on_a_grid(self, monkeypatch):
         p = grid_problem(random.Random(313), 6)
@@ -389,7 +434,7 @@ except InvariantViolation as exc:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "raised: witness must beat the probe\n"
 
-    # A feasibility oracle that accepts the component seed r0 = 5 but then
+    # A feasibility oracle that accepts the node seed r0 = 5 but then
     # answers the probe below it with the producer cut (ratio 6/11).
     BELOW_SCRIPT = """
 import sys
