@@ -33,11 +33,13 @@ from .model import (
     Problem,
     cut_stats,
     fix_arcs,
+    format_rational,
     node_balance_residual,
 )
 from .ratio_search import (
     FatalCutPresent,
     IterationCapExceeded,
+    RatioResult,
     minmax_ratio,
     minmax_ratio_dichotomy,
 )
@@ -99,8 +101,10 @@ class VerificationResult:
     """Outcome of an independent certificate check.
 
     On rejection, `failed_check` names the first check that failed, one of
-    "conservation", "monotonicity", "level_replay", "stage_optimality", or
-    "arc_partition".
+    "conservation", "monotonicity", "level_replay", "stage_optimality",
+    "arc_partition", or "summary" (the stated sorted ratio vector is not the
+    flow's; `lexflow verify` also checks a document's `r0` and `status`
+    under this name).
     """
 
     accepted: bool
@@ -125,7 +129,9 @@ def reduce_problem(
     if not forward:
         raise EmptyCutArcSet("cut has no forward arcs in the current problem")
     if stats.ratio != ratio:
-        raise NotCritical(f"cut ratio is {stats.ratio}, expected {ratio}")
+        raise NotCritical(
+            f"cut ratio is {format_rational(stats.ratio)}, expected {format_rational(ratio)}"
+        )
 
     fixed = tuple((arc.arc_id, ratio * arc.capacity) for arc in forward)
     zeroed = tuple(a.arc_id for a in cut.reverse_arcs(problem))
@@ -149,35 +155,41 @@ def balanced_flow(
     graph on n nodes has at most n of them. `mode` selects the ratio search
     and `cut_side` the min-cut extraction rule; both exist for
     cross-checking and neither changes the resulting flow.
+
+    Each Newton search gets the previous stage's result: the first stage is
+    searched as one block, the whole problem, and every later one block by
+    block (`minmax_ratio`), re-searching only the blocks the previous level
+    split. g(z) = max_S D(S) - z·C(S) is the sum of the blocks' own, so r0
+    is the largest block ratio, and the level's cut is the union of the
+    tied blocks' canonical cuts, which is the cut the whole-stage search
+    gives; untied blocks lie on its sink side and keep their results.
     """
     fatal = has_fatal_cut(problem)
     if fatal.fatal:
         raise FatalCutPresent(fatal.witness_cut)
     values = dict.fromkeys(problem.arc_ids, Fraction(0))
     levels: list[Level] = []
-    previous: Fraction | None = None
-    seeds: tuple[Cut, ...] = ()
+    result: RatioResult | None = None
     current = problem
     while current.total_supply:
         # Reduced stages of a solvable problem stay solvable; skip re-checks.
-        # The previous stage's Newton witnesses seed this stage's search.
+        last = result
         if mode == "dinkelbach":
             result = minmax_ratio(
-                current, cut_side=cut_side, check_fatal=False, seeds=seeds
+                current, cut_side=cut_side, check_fatal=False, previous=last
             )
-            seeds = tuple(step.cut for step in result.steps)
         else:
             result = minmax_ratio_dichotomy(current, cut_side=cut_side, check_fatal=False)
         if result.r0 <= 0 or result.critical_cut is None:
             raise InvariantViolation("unbalanced stage without a critical cut")
-        if previous is not None and result.r0 > previous:
+        if last is not None and result.r0 > last.r0:
             raise MonotonicityViolation(
-                f"level ratio rose from {previous} to {result.r0}"
+                f"level ratio rose from {format_rational(last.r0)} "
+                f"to {format_rational(result.r0)}"
             )
         current, level = reduce_problem(current, result.critical_cut, result.r0)
         values.update(level.fixed_forward)
         levels.append(level)
-        previous = result.r0
         if len(levels) >= len(problem.node_ids):
             raise IterationCapExceeded("more than n - 1 levels")
 
@@ -198,7 +210,8 @@ def verify_certificate(
     forward arcs at their uniform values, zeroed arcs exactly the reverse
     ones, flow matching all of them); per-stage optimality of each ratio
     (feasible at the ratio, infeasible just below it); and that the levels
-    plus the zero tail partition the arcs with the tail carrying no flow.
+    plus the zero tail partition the arcs with the tail carrying no flow;
+    and that `sorted_ratios` is the flow's ratio vector in descending order.
 
     A passing certificate pins the flow completely: each level's cut is a
     cut of its stage with ratio equal to the level ratio, and stage
@@ -244,7 +257,10 @@ def verify_certificate(
         if stats.capacity == 0:
             return reject("level_replay", f"{where}: cut has no forward arcs")
         if stats.deficiency != level.ratio * stats.capacity:
-            return reject("level_replay", f"{where}: cut ratio differs from {level.ratio}")
+            return reject(
+                "level_replay",
+                f"{where}: cut ratio differs from {format_rational(level.ratio)}",
+            )
 
         forward = {a.arc_id: a for a in level.cut.forward_arcs(current)}
         fixed_ids = [arc_id for arc_id, _ in level.fixed_forward]
@@ -292,4 +308,11 @@ def verify_certificate(
     if nonzero is not None:
         return reject("arc_partition", "residual balances do not vanish")
 
+    # The replay pinned every fixed arc at its level's ratio and the rest at
+    # zero, so with the ratios non-increasing, this is the flow's ratio
+    # vector sorted descending, found without a division or a sort.
+    ratios = [level.ratio for level in certificate.levels for _ in level.fixed_forward]
+    ratios += [Fraction(0)] * (len(problem.arcs) - len(ratios))
+    if solution.sorted_ratios != tuple(ratios):
+        return reject("summary", "sorted ratios differ from the flow's")
     return VerificationResult(True)

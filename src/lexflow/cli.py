@@ -22,6 +22,7 @@ from .balancer import (
     BalancedSolution,
     Certificate,
     Level,
+    VerificationResult,
     balanced_flow,
     verify_certificate,
 )
@@ -163,15 +164,22 @@ def decimal_string(value: Fraction, places: int) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
+def _summary(solution: BalancedSolution) -> tuple[str, Fraction]:
+    """The status and r0 that a solution document states for `solution`."""
+    levels = solution.certificate.levels
+    r0 = levels[0].ratio if levels else Fraction(0)
+    feasible = all(r <= 1 for r in solution.sorted_ratios)
+    return ("feasible" if feasible else "weakly_feasible_only"), r0
+
+
 def solution_document(
     problem: Problem, solution: BalancedSolution, decimals: int | None = None
 ) -> dict[str, Any]:
     """Serialize a solution; exact values always, decimals only as extras."""
+    status, r0 = _summary(solution)
     levels = solution.certificate.levels
-    r0 = levels[0].ratio if levels else Fraction(0)
-    feasible = all(r <= 1 for r in solution.sorted_ratios)
     document: dict[str, Any] = {
-        "status": "feasible" if feasible else "weakly_feasible_only",
+        "status": status,
         "r0": format_rational(r0),
         "flow": {
             arc_id: format_rational(solution.flow.values[arc_id])
@@ -242,6 +250,22 @@ def solution_from_document(
     except (KeyError, TypeError, AttributeError, ModelError) as exc:
         raise CliError(f"malformed solution document: {exc}") from exc
     return BalancedSolution(flow, certificate, ratios)
+
+
+def _verify_summary(
+    document: dict[str, Any], solution: BalancedSolution
+) -> VerificationResult:
+    """Check a document's `r0` and `status` against its verified solution."""
+    try:
+        stated_r0, stated_status = parse_rational(document["r0"]), document["status"]
+    except (KeyError, ModelError) as exc:
+        raise CliError(f"malformed solution document: {exc}") from exc
+    status, r0 = _summary(solution)
+    if stated_r0 != r0:
+        return VerificationResult(False, "summary", f"r0 is {format_rational(r0)}")
+    if stated_status != status:
+        return VerificationResult(False, "summary", f"status is {status}")
+    return VerificationResult(True)
 
 
 def _emit(document: dict[str, Any]) -> None:
@@ -318,6 +342,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     document = _load_json(read_source(args.solution), args.solution)
     solution = solution_from_document(problem, document)
     verdict = verify_certificate(problem, solution)
+    if verdict.accepted:
+        verdict = _verify_summary(document, solution)
     if verdict.accepted:
         print("ACCEPT")
         return EXIT_OK

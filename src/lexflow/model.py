@@ -20,6 +20,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 RationalLike = Fraction | int | str
 
+# Integers and "p/q" in ASCII digits, read with int() and no Fraction regex.
+_PLAIN_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 # The forms `Fraction` reads from a string, for the digit-limit fallback.
 _INTEGER_RATIO = re.compile(r"([+-]?\d+)/(\d+)")
 _DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
@@ -66,7 +68,9 @@ def parse_rational(value: RationalLike) -> Fraction:
 
     Strings may be integers ("42"), fractions ("5/3"), or finite decimals
     with an optional exponent ("0.25", "1e-3"), with any number of digits;
-    all are normalized to lowest terms with a positive denominator. An
+    all are normalized to lowest terms with a positive denominator. A bare
+    ASCII integer or "p/q" is read with `int()`, faster than `Fraction(str)`
+    and to the same value. An
     exponent may be at most MAX_DECIMAL_EXPONENT in absolute value. Floats
     are rejected because binary floats do not represent decimal input
     exactly.
@@ -76,6 +80,12 @@ def parse_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        plain = _PLAIN_RATIONAL.fullmatch(value)
+        if plain is not None:
+            try:
+                return Fraction(int(plain[1]), int(plain[2] or 1))
+            except (ValueError, ZeroDivisionError):
+                pass  # past int(str)'s digit limit, or "p/0": the path below decides
         text = value.strip()
         exponent = _EXPONENT.search(text)
         if exponent is not None:
@@ -140,9 +150,13 @@ class Arc:
 class IntegerView(NamedTuple):
     """A problem's numbers scaled onto one integer grid.
 
-    `denominator` is the lcm L of every balance and capacity denominator;
+    `denominator` is a common multiple L of every balance and capacity
+    denominator: the least one for a problem built by `validate_problem` or
+    `fix_arcs`, and its stage's L for a block cut out by `restrict`.
     `balances[i]` is L times the balance of node i in node order and
-    `capacities[a]` is L times the capacity of arc a in arc order.
+    `capacities[a]` is L times the capacity of arc a in arc order. Every cut
+    sum on the grid is exact whichever common multiple L is, so every bound
+    derived from it (such as `total_integer_capacity`'s separations) holds.
     """
 
     denominator: int
@@ -311,13 +325,15 @@ def validate_problem(
         if tail == head:
             raise SelfLoop(f"arc {arc_id!r} is a self-loop on {tail!r}")
         capacity = parse_rational(raw_cap)
-        if capacity <= 0:
-            raise NonpositiveCapacity(f"arc {arc_id!r} has capacity {capacity}")
+        if capacity.numerator <= 0:
+            raise NonpositiveCapacity(
+                f"arc {arc_id!r} has capacity {format_rational(capacity)}"
+            )
         built.append(Arc(arc_id, tail, head, capacity))
 
     total = sum(balances.values(), Fraction(0))
     if total != 0:
-        raise BalanceSumNonzero(f"balances sum to {total}, expected 0")
+        raise BalanceSumNonzero(f"balances sum to {format_rational(total)}, expected 0")
 
     return Problem(tuple(node_ids), balances, tuple(built))
 
@@ -335,6 +351,28 @@ def fix_arcs(
     dropped = set(zeroed).union(values)
     remaining = tuple(a for a in problem.arcs if a.arc_id not in dropped)
     return Problem(problem.node_ids, balances, remaining)
+
+
+def restrict(problem: Problem, nodes: Sequence[int], arcs: Sequence[int]) -> Problem:
+    """The sub-problem on the nodes and arcs at the given positions.
+
+    Positions are in `problem`'s node and arc order and stay in that order;
+    the arcs must join only the given nodes. The integer view is sliced from
+    `problem`'s, on the same grid L, with no `Fraction` or lcm work.
+    """
+    node_ids = tuple(problem.node_ids[i] for i in nodes)
+    sub = Problem(
+        node_ids,
+        {v: problem.balances[v] for v in node_ids},
+        tuple(problem.arcs[k] for k in arcs),
+    )
+    denominator, balances, capacities = problem.integer_view
+    sub.__dict__["integer_view"] = IntegerView(
+        denominator,
+        tuple(balances[i] for i in nodes),
+        tuple(capacities[k] for k in arcs),
+    )
+    return sub
 
 
 def node_balance_residual(problem: Problem, flow: Flow) -> dict[str, Fraction]:

@@ -6,10 +6,11 @@ exceeds the probe, and a feasible probe at a value that is itself a cut
 ratio pins the maximum exactly, with no epsilon management. Newton needs
 fewer steps the closer its seed is to the maximum, so it starts from the
 best of the cuts found without a max-flow: all producers, every single-node
-cut (a producer, or all nodes but one consumer), and the previous stage's
-witnesses. Which seed wins does not change the critical cut returned (see
-`minmax_ratio`). A bisection mode that recovers the ratio with
-`Fraction.limit_denominator` is a cross-check.
+cut (a producer, or all nodes but one consumer), and the witnesses found
+before the last level. Which seed wins does not change the critical cut
+returned. After the first stage, only the blocks of nodes that the last
+level split are searched again (see `minmax_ratio`). A bisection mode that
+recovers the ratio with `Fraction.limit_denominator` is a cross-check.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .gale_hoffman import (
     CutSide,
@@ -27,8 +28,9 @@ from .gale_hoffman import (
     is_feasible,
     total_integer_capacity,
 )
+from .model import Cut, Problem, restrict
 # cut_stats is not called here; perfbench/tracer.py wraps it in this module.
-from .model import Cut, Problem, cut_stats  # noqa: F401
+from .model import cut_stats  # noqa: F401
 
 
 class FatalCutPresent(Exception):
@@ -57,12 +59,30 @@ class RatioResult:
     """The exact minmax ratio r0 together with a cut attaining it.
 
     `critical_cut` is None exactly when r0 is zero, i.e. when no cut has
-    positive deficiency. The z values along `steps` strictly increase.
+    positive deficiency. `steps` lists the infeasible probes the search
+    made. `blocks` is empty when the problem was searched as one block, and
+    then the z values along `steps` strictly increase; otherwise it holds
+    every block of the stage (see `minmax_ratio`), and `steps` lists the
+    probes of the blocks searched in this call, block by block, each over
+    its block's sub-problem.
     """
 
     r0: Fraction
     critical_cut: Cut | None
     steps: tuple[SearchStep, ...]
+    blocks: tuple[Block, ...] = ()
+
+
+class Block(NamedTuple):
+    """A set of a stage's nodes that no stage arc enters or leaves.
+
+    `problem` is the stage restricted to the block by `model.restrict`, on
+    its stage's integer grid, and `result` is the Newton search on it: the
+    block's ratio, its canonical critical cut, and its witnesses.
+    """
+
+    problem: Problem
+    result: RatioResult
 
 
 def _require_no_fatal_cut(problem: Problem) -> None:
@@ -77,16 +97,17 @@ def _witness_ratio(report: FeasibilityReport) -> Fraction | None:
 
 
 def _candidate_ratios(
-    problem: Problem, seeds: Iterable[Cut]
+    problem: Problem, seeds: Iterable[Iterable[str]]
 ) -> tuple[Fraction | None, Fraction]:
     """Ratios of the producer cut and of the best other candidate cut.
 
     The other candidates are the single-node cuts, each producer {u} with
     ratio d_u / out(u) and each consumer's complement V - {w} with ratio
-    -d_w / in(w) (balances sum to zero), and every cut in `seeds`, which must
-    be cuts of `problem`'s nodes. Sums are taken on the integer view, in one
-    pass over the arcs plus one per seed; candidates without forward capacity
-    have no ratio and are skipped, and the best other ratio is 0 if none has.
+    -d_w / in(w) (balances sum to zero), and the source side of every cut in
+    `seeds`, each a set of `problem`'s node ids. Sums are taken on the
+    integer view, in one pass over the arcs plus one per seed; candidates
+    without forward capacity have no ratio and are skipped, and the best
+    other ratio is 0 if none has.
     """
     _, balances, capacities = problem.integer_view
     position = problem.node_position
@@ -113,7 +134,7 @@ def _candidate_ratios(
     best = Fraction(deficiency, capacity)
     for seed in seeds:
         inside = bytearray(len(balances))
-        for v in seed.source_side:
+        for v in seed:
             inside[position[v]] = 1
         forward = sum(
             c for (tail, head), c in zip(ends, capacities)
@@ -130,18 +151,17 @@ def minmax_ratio(
     *,
     cut_side: CutSide = "source",
     check_fatal: bool = True,
-    seeds: Iterable[Cut] = (),
+    previous: RatioResult | None = None,
 ) -> RatioResult:
     """Largest deficiency/capacity over all cuts, by discrete Newton steps.
 
     Seeds with the largest ratio among the all-producers cut, the single-node
-    cuts ({u} for a producer u, V - {w} for a consumer w), and the cuts in
-    `seeds` (balanced_flow passes the previous stage's Newton witnesses),
-    found with one pass over the arcs and no max-flow; then alternates a
-    feasibility test at the current candidate with a jump to the witness
-    cut's ratio. Candidates are always ratios of actual cuts, so the first
-    feasible candidate equals the maximum and the preceding witness is a
-    critical cut. The producer cut wins ties; then the search is the one
+    cuts ({u} for a producer u, V - {w} for a consumer w), and the witnesses
+    of `previous`, found with one pass over the arcs and no max-flow; then
+    alternates a feasibility test at the current candidate with a jump to the
+    witness cut's ratio. Candidates are always ratios of actual cuts, so the
+    first feasible candidate equals the maximum and the preceding witness is
+    a critical cut. The producer cut wins ties; then the search is the one
     seeded with the producer cut alone, step for step, and it returns the
     producer cut itself when that is already critical. Callers that already
     know the problem has no fatal cut (e.g. because they reduced a solvable
@@ -159,12 +179,47 @@ def minmax_ratio(
     and λ = `total_integer_capacity`: breakpoints of g are fractions with
     denominators at most λ, so they lie at least 1/(bλ) from r0, the probe
     falls inside the last piece, and its witness is the critical cut.
+
+    `previous` is the result for the stage that `problem` was reduced from
+    by that result's critical cut (balanced_flow passes it); without it the
+    whole problem is searched as one block, as a one-shot query is. With it
+    and cut_side="source", the search runs per block (see `Block`). No stage
+    arc crosses a block, so g is the sum of the blocks' own, r0 is the
+    largest block ratio, and just below r0 the inclusion-minimal min cut is
+    the union of the blocks' own: empty for an untied block, whose g is
+    zero there, and the block's critical cut for a tied one, because g's
+    last piece lies inside the block's. A block's search returns that cut
+    also when it stops at its producer cut with no step: a critical producer
+    cut has the largest deficiency of all cuts, so the largest capacity of
+    all critical cuts, and the critical cuts of that capacity, which are the
+    min cuts just below r0, all contain it. The union is therefore the cut
+    the whole-stage search returns, the all-producers cut included.
+
+    The previous level split only its tied blocks: each splits into the
+    weakly connected pieces of its remaining arcs, pieces whose balances are
+    all zero are dropped, and every other piece is searched, seeded with its
+    parent block's witnesses restricted to it. An untied block lies wholly
+    on the sink side of that level's cut, so its arcs and balances are
+    unchanged, and its result is reused with no probe. With cut_side="sink"
+    the inclusion-maximal cut would also take in the untied blocks, so that
+    cross-check searches the whole stage as one block, seeded with the
+    witnesses of `previous`.
     """
     if check_fatal:
         _require_no_fatal_cut(problem)
     if problem.total_supply == 0:
         return RatioResult(Fraction(0), None, ())
+    if previous is None:
+        return _newton(problem, cut_side, ())
+    if cut_side == "sink":
+        return _newton(problem, cut_side, (s.cut.source_side for s in previous.steps))
+    return _search_blocks(problem, previous)
 
+
+def _newton(
+    problem: Problem, cut_side: CutSide, seeds: Iterable[Iterable[str]]
+) -> RatioResult:
+    """The Newton search on `problem` as one block; see `minmax_ratio`."""
     producer, z = _candidate_ratios(problem, seeds)
     if producer is None:
         raise InvariantViolation("producer cut would be fatal")
@@ -193,9 +248,75 @@ def minmax_ratio(
     warnings.warn(
         "ratio search hit its iteration cap; falling back to bisection",
         RuntimeWarning,
-        stacklevel=2,
+        stacklevel=3,
     )
     return minmax_ratio_dichotomy(problem, cut_side=cut_side, check_fatal=False)
+
+
+def _search_blocks(problem: Problem, previous: RatioResult) -> RatioResult:
+    """The source-side search of a stage, block by block; see `minmax_ratio`."""
+    if previous.blocks:
+        kept = [b for b in previous.blocks if b.result.r0 != previous.r0]
+        tied = [
+            (b.problem.node_ids, b.result.steps)
+            for b in previous.blocks
+            if b.result.r0 == previous.r0
+        ]
+    else:
+        kept, tied = [], [(problem.node_ids, previous.steps)]
+
+    # Union-find over the tied blocks' nodes, joined by the stage's arcs.
+    position = problem.node_position
+    parent_block = [-1] * len(problem.node_ids)
+    for k, (nodes, _) in enumerate(tied):
+        for v in nodes:
+            parent_block[position[v]] = k
+    root = list(range(len(problem.node_ids)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    tied_arcs: list[tuple[int, int]] = []
+    for k, arc in enumerate(problem.arcs):
+        tail, head = position[arc.tail], position[arc.head]
+        if parent_block[tail] != parent_block[head]:
+            raise InvariantViolation("a stage arc leaves its block")
+        if parent_block[tail] >= 0:
+            root[find(tail)] = find(head)
+            tied_arcs.append((k, tail))
+
+    piece_nodes: dict[int, list[int]] = {}
+    for i, k in enumerate(parent_block):
+        if k >= 0:
+            piece_nodes.setdefault(find(i), []).append(i)
+    piece_arcs: dict[int, list[int]] = {r: [] for r in piece_nodes}
+    for k, tail in tied_arcs:
+        piece_arcs[find(tail)].append(k)
+
+    balances = problem.integer_view.balances
+    blocks = list(kept)
+    steps: list[SearchStep] = []
+    for r, nodes in piece_nodes.items():
+        if not any(balances[i] for i in nodes):
+            continue
+        block = restrict(problem, nodes, piece_arcs[r])
+        inside = frozenset(block.node_ids)
+        witnesses = tied[parent_block[r]][1]
+        result = _newton(
+            block, "source", (inside & step.cut.source_side for step in witnesses)
+        )
+        blocks.append(Block(block, result))
+        steps += result.steps
+
+    r0 = max(b.result.r0 for b in blocks)
+    source_side = frozenset().union(
+        *(b.result.critical_cut.source_side for b in blocks if b.result.r0 == r0)
+    )
+    cut = Cut(source_side, frozenset(problem.node_ids) - source_side)
+    return RatioResult(r0, cut, tuple(steps), tuple(blocks))
 
 
 def _probe_last_piece(problem: Problem, r0: Fraction, cut_side: CutSide) -> RatioResult:

@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from lexflow.cli import decimal_string, main, parse_instance, solution_from_document
+from lexflow.cli import (
+    decimal_string,
+    main,
+    parse_instance,
+    solution_document,
+    solution_from_document,
+)
 from lexflow import balanced_flow, verify_certificate
 
 F = Fraction
@@ -243,6 +253,24 @@ class TestVerify:
         assert main(["verify", d4_json, "--solution", str(cert)]) == 12
         assert "REJECT monotonicity" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "field,forged",
+        [
+            ("r0", "1/7"),
+            ("status", "feasible"),
+            ("sorted_ratios", ["0", "0", "0", "0", "9"]),
+        ],
+    )
+    def test_forged_summary_field_rejected(self, field, forged, d4_json, tmp_path, capsys):
+        cert = tmp_path / "solution.json"
+        main(["solve", d4_json, "--certificate", str(cert)])
+        capsys.readouterr()
+        doc = json.loads(cert.read_text())
+        doc[field] = forged
+        cert.write_text(json.dumps(doc))
+        assert main(["verify", d4_json, "--solution", str(cert)]) == 12
+        assert capsys.readouterr().out.startswith("REJECT summary: ")
+
     def test_parsed_solution_round_trips_exactly(self, d4_json, tmp_path, capsys):
         cert = tmp_path / "solution.json"
         main(["solve", d4_json, "--certificate", str(cert)])
@@ -382,6 +410,36 @@ class TestRobustness:
         assert main(["ratio", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field,text,code",
+        [
+            ("capacity", "-1e5000", 2),
+            ("balance", "1e5000", 2),
+            ("level_ratio", "1e5000", 12),
+        ],
+    )
+    def test_huge_number_in_a_message_is_not_an_internal_error(
+        self, field, text, code, d4_json, tmp_path, capsys
+    ):
+        # Messages that quote the number print it with all its digits; str()
+        # of a Fraction would refuse them and end in exit 3.
+        instance = json.loads(D4_JSON)
+        if field == "capacity":
+            instance["arcs"][0]["capacity"] = text
+        elif field == "balance":
+            instance["nodes"][0]["d"] = text
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(instance))
+        cert = tmp_path / "solution.json"
+        main(["solve", d4_json, "--certificate", str(cert)])
+        doc = json.loads(cert.read_text())
+        if field == "level_ratio":
+            doc["certificate"]["levels"][0]["ratio"] = text
+        cert.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(path), "--solution", str(cert)]) == code
+        assert "internal error" not in capsys.readouterr().err
+
     def assert_one_error_line(self, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -469,3 +527,98 @@ class TestRobustness:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {target}:")
+
+
+# JSON values to plant in a document: ids, numbers and number strings of
+# the instance's own kinds (and some past the int-string digit limit), and
+# containers of them.
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-5, 5)
+    | st.sampled_from(
+        ["s", "a", "b", "t", "sa", "sb", "at", "bt", "x", "", "0", "-4", "4/3",
+         "1/0", "1/2", "0.5", "1e3", "-1/3", "feasible", "1e5000", "-1e5000"]
+    ),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["id", "d", "tail", "head", "capacity", "arc", "value",
+                         "ratio", "cut", "levels", "flow"]),
+        children,
+        max_size=3,
+    ),
+    max_leaves=6,
+)
+
+
+def _slots(value, found):
+    """Every (container, key) pair inside a JSON value, depth first."""
+    if isinstance(value, (dict, list)):
+        for key in list(value) if isinstance(value, dict) else range(len(value)):
+            found.append((value, key))
+            _slots(value[key], found)
+    return found
+
+
+@st.composite
+def _mutated(draw, document):
+    """`document` with one or two values replaced, deleted, appended,
+    copied from elsewhere in it, or swapped; copies and swaps keep many
+    instances valid (a swap of two balances keeps their sum)."""
+    document = json.loads(json.dumps(document))
+    for _ in range(draw(st.integers(1, 2))):
+        slots = _slots(document, [])
+        if not slots:
+            return draw(_JSON_VALUES)
+        parent, key = draw(st.sampled_from(slots))
+        other, other_key = draw(st.sampled_from(slots))
+        action = draw(st.sampled_from(["replace", "delete", "append", "copy", "swap", "swap"]))
+        if action == "delete":
+            del parent[key]
+        elif action == "append" and isinstance(parent, list):
+            parent.append(draw(_JSON_VALUES | st.just(parent[key])))
+        elif action in ("copy", "swap"):
+            mine, theirs = (json.loads(json.dumps(v)) for v in (parent[key], other[other_key]))
+            parent[key] = theirs
+            if action == "swap":
+                other[other_key] = mine
+        else:
+            parent[key] = draw(_JSON_VALUES)
+    return document
+
+
+def _solution_json() -> dict:
+    problem = parse_instance(D4_JSON)
+    return json.loads(json.dumps(solution_document(problem, balanced_flow(problem))))
+
+
+class TestExitCodes:
+    """Every command ends in a documented exit code, whatever it reads."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_documents_never_exit_3(self, data):
+        instance = json.loads(D4_JSON)
+        solution = _solution_json()
+        if data.draw(st.booleans()):
+            instance = data.draw(_mutated(instance))
+        else:
+            solution = data.draw(_mutated(solution))
+        with tempfile.TemporaryDirectory() as tmp:
+            instance_path = os.path.join(tmp, "instance.json")
+            solution_path = os.path.join(tmp, "solution.json")
+            with open(instance_path, "w") as f:
+                json.dump(instance, f)
+            with open(solution_path, "w") as f:
+                json.dump(solution, f)
+            runs = [
+                ["check", instance_path],
+                ["solve", instance_path],
+                ["ratio", instance_path],
+                ["verify", instance_path, "--solution", solution_path],
+            ]
+            for argv in runs:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in {0, 2, 10, 11, 12}, (argv, err.getvalue())

@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lexflow import (
     BalanceSumNonzero,
@@ -62,6 +62,24 @@ class TestParseRational:
     @given(st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**6))
     def test_round_trip(self, q):
         assert parse_rational(format_rational(q)) == q
+
+    @settings(max_examples=400)
+    @given(
+        st.one_of(
+            st.from_regex(r"[+-]?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True),
+            # Near misses of that form; at most 7 characters keep any
+            # exponent inside MAX_DECIMAL_EXPONENT.
+            st.text(alphabet="0123456789+-/_ .eE\u0661\u00a0", max_size=7),
+        )
+    )
+    def test_same_as_fraction_from_a_string(self, text):
+        try:
+            expected = F(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ModelError):
+                parse_rational(text)
+        else:
+            assert parse_rational(text) == expected
 
     def test_format_lowest_terms(self):
         assert format_rational(F(4, 2)) == "2"

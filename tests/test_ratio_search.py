@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
@@ -27,6 +28,7 @@ from lexflow import (
     is_feasible,
     minmax_ratio,
     minmax_ratio_dichotomy,
+    oracle_lexmin,
     total_integer_capacity,
     validate_problem,
     verify_certificate,
@@ -96,12 +98,12 @@ class TestMinmaxRatio:
                 assert cut_stats(p, result.critical_cut).ratio == result.r0
 
 
-def _reference_minmax_ratio(problem, *, cut_side="source", check_fatal=True, seeds=()):
+def _reference_minmax_ratio(problem, *, cut_side="source", check_fatal=True, previous=None):
     """Newton seeded with the producer cut alone, for solvable problems.
 
-    The search before seeding from other cuts and earlier witnesses; it
-    ignores `seeds`. It probes through `ratio_search.is_feasible`, so a
-    patch there counts its probes too.
+    The search before seeding from other cuts and earlier witnesses and
+    before the per-block search; it ignores `previous`. It probes through
+    `ratio_search.is_feasible`, so a patch there counts its probes too.
     """
     if problem.total_supply == 0:
         return RatioResult(F(0), None, ())
@@ -152,14 +154,16 @@ def grid_problem(rng: random.Random, k: int) -> Problem:
     return validate_problem(list(balances.items()), arcs)
 
 
-def count_probes(monkeypatch) -> list[int]:
-    """Count the Newton search's feasibility probes from here on."""
+def count_probes(monkeypatch, within: frozenset[str] | None = None) -> list[int]:
+    """Count the Newton search's feasibility probes from here on, or only
+    the probes of problems that have a node in `within`."""
     probes = [0]
     probe = ratio_search.is_feasible
 
-    def counted(*args, **kwargs):
-        probes[0] += 1
-        return probe(*args, **kwargs)
+    def counted(problem, *args, **kwargs):
+        if within is None or not within.isdisjoint(problem.node_ids):
+            probes[0] += 1
+        return probe(problem, *args, **kwargs)
 
     monkeypatch.setattr(ratio_search, "is_feasible", counted)
     return probes
@@ -184,12 +188,69 @@ class TestSeeding:
 
     @pytest.mark.parametrize("side", ["source", "sink"])
     def test_same_documents_as_producer_seeding(self, side, monkeypatch):
-        for p in self.unions(312, 80):
-            seeded = solution_document(p, balanced_flow(p, cut_side=side))
+        # Unions of components and 6 x 6 grids split into several blocks
+        # after their first levels; the per-block search must give the same
+        # bytes as one producer-seeded search of each whole stage.
+        rng = random.Random(314)
+        grids = [grid_problem(rng, 6) for _ in range(6)]
+        for p in [*self.unions(312, 80), *grids]:
+            solution = balanced_flow(p, cut_side=side)
+            seeded = json.dumps(solution_document(p, solution), indent=2)
             with monkeypatch.context() as patch:
                 patch.setattr(balancer, "minmax_ratio", _reference_minmax_ratio)
                 reference = solution_document(p, balanced_flow(p, cut_side=side))
-            assert seeded == reference
+            assert seeded == json.dumps(reference, indent=2)
+            assert verify_certificate(p, solution).accepted
+            if side == "source" and len(p.arcs) <= 9:
+                assert oracle_lexmin(p).values == solution.flow.values
+
+    @pytest.mark.parametrize("seed", [315, 316])
+    def test_critical_producer_cut_is_the_canonical_cut(self, seed):
+        # The per-block search unions the blocks' cuts as they come, also a
+        # producer cut a block stopped at with no step; that is sound because
+        # a critical producer cut is the minimal min cut just below r0.
+        rng = random.Random(seed)
+        checked = 0
+        for _ in range(300):
+            p = random_solvable_problem(rng, max_nodes=6, max_arcs=8)
+            result = minmax_ratio(p)
+            if result.critical_cut is None or result.steps:
+                continue
+            producers = {v for v in p.node_ids if p.balances[v] > 0}
+            assert result.critical_cut.source_side == producers
+            probed = ratio_search._probe_last_piece(p, result.r0, "source")
+            assert probed.critical_cut == result.critical_cut
+            checked += 1
+        assert checked > 20
+
+    def test_untied_block_is_reused_without_probes(self, monkeypatch):
+        # Component A = {p1, p2, p3, t} peels at 9, 7 and 5, and B = {x, y}
+        # at 1. Stage 1 searches the whole problem; stage 2 searches the
+        # pieces its level left, B among them (one probe: its producer cut
+        # is critical); stage 3 re-searches only A's piece and reuses B's
+        # result, and stage 4's cut is B's producer cut with no probe.
+        p = validate_problem(
+            [("p1", 9), ("p2", 7), ("p3", 5), ("t", -21), ("x", 1), ("y", -1)],
+            [
+                ("a1", "p1", "t", 1), ("a2", "p2", "t", 1), ("a3", "p3", "t", 1),
+                ("b", "x", "y", 1),
+            ],
+        )
+        probes = count_probes(monkeypatch, within=frozenset({"x", "y"}))
+        per_stage = []
+        search = balancer.minmax_ratio
+
+        def recorded(*args, **kwargs):
+            before = probes[0]
+            result = search(*args, **kwargs)
+            per_stage.append(probes[0] - before)
+            return result
+
+        monkeypatch.setattr(balancer, "minmax_ratio", recorded)
+        solution = balanced_flow(p)
+        assert [level.ratio for level in solution.certificate.levels] == [9, 7, 5, 1]
+        assert solution.certificate.levels[3].cut.source_side == frozenset({"x"})
+        assert per_stage == [2, 1, 0, 0]
 
     @pytest.mark.parametrize(
         "d1,c1,d2,c2,r0,below",
