@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Literal
 
 from .gale_hoffman import (
-    CutSide,
     InvariantViolation,
     has_fatal_cut,
     is_feasible,
@@ -140,10 +139,7 @@ def reduce_problem(
 
 
 def balanced_flow(
-    problem: Problem,
-    *,
-    mode: SearchMode = "dinkelbach",
-    cut_side: CutSide = "source",
+    problem: Problem, *, mode: SearchMode = "dinkelbach"
 ) -> BalancedSolution:
     """Compute the unique lexmin flow together with its certificate.
 
@@ -152,9 +148,8 @@ def balanced_flow(
     a level's cut has a forward arc, and afterwards no stage arc crosses it
     (forward arcs are fixed, reverse arcs zeroed, both dropped), so each
     level splits a weakly connected component of the stage graph, and a
-    graph on n nodes has at most n of them. `mode` selects the ratio search
-    and `cut_side` the min-cut extraction rule; both exist for
-    cross-checking and neither changes the resulting flow.
+    graph on n nodes has at most n of them. `mode` selects the ratio search;
+    it exists for cross-checking and does not change the resulting flow.
 
     Each Newton search gets the previous stage's result: the first stage is
     searched as one block, the whole problem, and every later one block by
@@ -175,11 +170,9 @@ def balanced_flow(
         # Reduced stages of a solvable problem stay solvable; skip re-checks.
         last = result
         if mode == "dinkelbach":
-            result = minmax_ratio(
-                current, cut_side=cut_side, check_fatal=False, previous=last
-            )
+            result = minmax_ratio(current, check_fatal=False, previous=last)
         else:
-            result = minmax_ratio_dichotomy(current, cut_side=cut_side, check_fatal=False)
+            result = minmax_ratio_dichotomy(current, check_fatal=False)
         if result.r0 <= 0 or result.critical_cut is None:
             raise InvariantViolation("unbalanced stage without a critical cut")
         if last is not None and result.r0 > last.r0:

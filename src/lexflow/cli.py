@@ -378,6 +378,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK if matches else EXIT_MISMATCH
 
 
+def decimal_places(text: str) -> int:
+    """`--decimals N` for N >= 0; a negative N would make 10**N a float."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"N must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lexflow",
@@ -395,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write the solution document to PATH")
     solve.add_argument("--mode", choices=["dinkelbach", "dichotomy"],
                        default="dinkelbach")
-    solve.add_argument("--decimals", metavar="N", nargs="?", type=int,
+    solve.add_argument("--decimals", metavar="N", nargs="?", type=decimal_places,
                        const=6, default=None,
                        help="append decimal renderings (default 6 places)")
     solve.set_defaults(handler=cmd_solve)

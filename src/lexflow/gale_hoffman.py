@@ -12,12 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
 
 from .maxflow import FlowNetwork, max_flow
 from .model import Cut, CutStats, Problem, cut_stats
-
-CutSide = Literal["source", "sink"]
 
 
 class InvariantViolation(Exception):
@@ -101,17 +98,14 @@ def build_two_pole(problem: Problem, z: Fraction) -> TwoPole:
     return TwoPole(problem, z, network, problem.total_supply, q * denominator)
 
 
-def is_feasible(
-    problem: Problem, z: Fraction, *, cut_side: CutSide = "source"
-) -> FeasibilityReport:
+def is_feasible(problem: Problem, z: Fraction) -> FeasibilityReport:
     """Test solvability of the problem with every capacity scaled by z.
 
     Feasible iff the two-pole max flow saturates the scaled total supply.
     On failure the min cut, restricted to the original nodes, is a proper
     bipartition (the trivial all-source and all-sink cuts both carry the
     full supply, so neither can be minimal) and is returned as the witness.
-    `cut_side` selects the inclusion-minimal ("source") or -maximal ("sink")
-    min cut; the alternative exists for cross-checking only.
+    It is the inclusion-minimal min cut, the same for every maximum flow.
     """
     if problem.total_supply == 0:
         return FeasibilityReport(True, z)
@@ -120,14 +114,9 @@ def is_feasible(
     if result.value == two_pole.total_supply * two_pole.scale:
         return FeasibilityReport(True, z)
 
-    side = (
-        result.min_cut_source_side
-        if cut_side == "source"
-        else result.alt_min_cut_source_side
-    )
     n = len(problem.node_ids)
     cut = Cut.from_source_side(
-        problem, (problem.node_ids[i] for i in side if i < n)
+        problem, (problem.node_ids[i] for i in result.min_cut_source_side if i < n)
     )
     return FeasibilityReport(False, z, cut, cut_stats(problem, cut))
 

@@ -7,16 +7,14 @@ distance to the sink, so the blocking-flow search from the source enters
 only nodes that led to the sink when the phase began. Callers with rational
 capacities scale them to a common integer grid first.
 
-The flow value and both reported min cuts are the same for every maximum
+The flow value and the reported min cut are the same for every maximum
 flow, so they do not depend on the order in which paths are augmented;
 only the per-arc flows do, and those are deterministic for a fixed input.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -43,50 +41,17 @@ class FlowNetwork:
 
 
 @dataclass(frozen=True)
-class _Residual:
-    """Final residual network of a max-flow run: edge heads, capacities and
-    per-node edge lists, paired so that edge e ^ 1 reverses edge e."""
-
-    sink: int
-    to: list[int]
-    cap: list[int]
-    adj: list[list[int]]
-
-
-@dataclass(frozen=True)
 class MaxFlowResult:
-    """Maximum flow value, per-arc flows, and the two canonical min cuts.
+    """Maximum flow value, per-arc flows, and the canonical min cut.
 
     `min_cut_source_side` is the set of nodes reachable from the source in
     the final residual network: the inclusion-minimal min cut, which is the
-    same for every maximum flow. `alt_min_cut_source_side` is the complement
-    of the nodes that can still reach the sink, the inclusion-maximal min
-    cut; it exists only to let callers cross-check results against a second
-    extraction rule, so it is computed on first access.
+    same for every maximum flow.
     """
 
     value: int
     arc_flows: tuple[int, ...]
     min_cut_source_side: frozenset[int]
-    _residual: _Residual = field(repr=False, compare=False)
-
-    @cached_property
-    def alt_min_cut_source_side(self) -> frozenset[int]:
-        # The edges into w are the pairs e ^ 1 of the edges e leaving w.
-        residual = self._residual
-        to, cap = residual.to, residual.cap
-        reaches_sink = {residual.sink}
-        queue = deque([residual.sink])
-        while queue:
-            w = queue.popleft()
-            for e in residual.adj[w]:
-                v = to[e]
-                if cap[e ^ 1] > 0 and v not in reaches_sink:
-                    reaches_sink.add(v)
-                    queue.append(v)
-        return frozenset(
-            i for i in range(len(residual.adj)) if i not in reaches_sink
-        )
 
 
 def max_flow(net: FlowNetwork) -> MaxFlowResult:
@@ -100,8 +65,8 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
     the search backs up only to the tail of the first saturated edge.
 
     Deterministic for a fixed input: adjacency lists follow the input arc
-    order and every search scans them in that order. The flow value and both
-    min cuts are the same for every maximum flow; `arc_flows` is one of them.
+    order and every search scans them in that order. The flow value and the
+    min cut are the same for every maximum flow; `arc_flows` is one of them.
     """
     n = net.num_nodes
     source, sink = net.source, net.sink
@@ -185,6 +150,4 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
                 queue.append(to[e])
 
     flows = tuple(cap[1::2])
-    return MaxFlowResult(
-        value, flows, frozenset(queue), _Residual(sink, to, cap, adj)
-    )
+    return MaxFlowResult(value, flows, frozenset(queue))

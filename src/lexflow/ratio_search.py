@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .gale_hoffman import (
-    CutSide,
     FeasibilityReport,
     InvariantViolation,
     has_fatal_cut,
@@ -149,7 +148,6 @@ def _candidate_ratios(
 def minmax_ratio(
     problem: Problem,
     *,
-    cut_side: CutSide = "source",
     check_fatal: bool = True,
     previous: RatioResult | None = None,
 ) -> RatioResult:
@@ -171,54 +169,47 @@ def minmax_ratio(
     convex and piecewise linear, zero from r0 on. The last infeasible probe
     has a witness of ratio r0, so it lies on g's last linear piece before r0;
     every probe strictly inside that piece returns the same inclusion-minimal
-    (with cut_side="sink", inclusion-maximal) min cut, and so does a probe at
-    the piece's left end whose witness has ratio r0. A seed above the
-    producer cut's ratio that is infeasible therefore ends at the cut the
-    producer-seeded search ends at. One that is feasible at once is r0, and
-    then one more probe is made at r0 - 1/(2bλ), b being r0's denominator
-    and λ = `total_integer_capacity`: breakpoints of g are fractions with
-    denominators at most λ, so they lie at least 1/(bλ) from r0, the probe
-    falls inside the last piece, and its witness is the critical cut.
+    min cut, and so does a probe at the piece's left end whose witness has
+    ratio r0. A seed above the producer cut's ratio that is infeasible
+    therefore ends at the cut the producer-seeded search ends at. One that is
+    feasible at once is r0, and then one more probe is made at r0 - 1/(2bλ), b
+    being r0's denominator and λ = `total_integer_capacity`: breakpoints of g
+    are fractions with denominators at most λ, so they lie at least 1/(bλ)
+    from r0, the probe falls inside the last piece, and its witness is the
+    critical cut.
 
-    `previous` is the result for the stage that `problem` was reduced from
-    by that result's critical cut (balanced_flow passes it); without it the
-    whole problem is searched as one block, as a one-shot query is. With it
-    and cut_side="source", the search runs per block (see `Block`). No stage
-    arc crosses a block, so g is the sum of the blocks' own, r0 is the
-    largest block ratio, and just below r0 the inclusion-minimal min cut is
-    the union of the blocks' own: empty for an untied block, whose g is
-    zero there, and the block's critical cut for a tied one, because g's
-    last piece lies inside the block's. A block's search returns that cut
-    also when it stops at its producer cut with no step: a critical producer
-    cut has the largest deficiency of all cuts, so the largest capacity of
-    all critical cuts, and the critical cuts of that capacity, which are the
-    min cuts just below r0, all contain it. The union is therefore the cut
-    the whole-stage search returns, the all-producers cut included.
+    `previous` is the result for the stage that `problem` was reduced from by
+    that result's critical cut (balanced_flow passes it); without it the whole
+    problem is searched as one block, as a one-shot query is. With it, the
+    search runs per block (see `Block`). No stage arc crosses a block, so g is
+    the sum of the blocks' own, r0 is the largest block ratio, and just below
+    r0 the inclusion-minimal min cut is the union of the blocks' own: empty
+    for an untied block, whose g is zero there, and the block's critical cut
+    for a tied one, because g's last piece lies inside the block's. A block's
+    search returns that cut also when it stops at its producer cut with no
+    step: a critical producer cut has the largest deficiency of all cuts, so
+    the largest capacity of all critical cuts, and the critical cuts of that
+    capacity, which are the min cuts just below r0, all contain it. The union
+    is therefore the cut the whole-stage search returns, the all-producers cut
+    included.
 
     The previous level split only its tied blocks: each splits into the
     weakly connected pieces of its remaining arcs, pieces whose balances are
     all zero are dropped, and every other piece is searched, seeded with its
     parent block's witnesses restricted to it. An untied block lies wholly
     on the sink side of that level's cut, so its arcs and balances are
-    unchanged, and its result is reused with no probe. With cut_side="sink"
-    the inclusion-maximal cut would also take in the untied blocks, so that
-    cross-check searches the whole stage as one block, seeded with the
-    witnesses of `previous`.
+    unchanged, and its result is reused with no probe.
     """
     if check_fatal:
         _require_no_fatal_cut(problem)
     if problem.total_supply == 0:
         return RatioResult(Fraction(0), None, ())
     if previous is None:
-        return _newton(problem, cut_side, ())
-    if cut_side == "sink":
-        return _newton(problem, cut_side, (s.cut.source_side for s in previous.steps))
+        return _newton(problem, ())
     return _search_blocks(problem, previous)
 
 
-def _newton(
-    problem: Problem, cut_side: CutSide, seeds: Iterable[Iterable[str]]
-) -> RatioResult:
+def _newton(problem: Problem, seeds: Iterable[Iterable[str]]) -> RatioResult:
     """The Newton search on `problem` as one block; see `minmax_ratio`."""
     producer, z = _candidate_ratios(problem, seeds)
     if producer is None:
@@ -233,10 +224,10 @@ def _newton(
     steps: list[SearchStep] = []
     cap = max(1, len(problem.arcs) * len(problem.node_ids))
     for _ in range(cap):
-        report = is_feasible(problem, z, cut_side=cut_side)
+        report = is_feasible(problem, z)
         if report.feasible:
             if cut is None:
-                return _probe_last_piece(problem, z, cut_side)
+                return _probe_last_piece(problem, z)
             return RatioResult(z, cut, tuple(steps))
         ratio = _witness_ratio(report)
         if report.witness_cut is None or ratio is None or ratio <= z:
@@ -250,11 +241,11 @@ def _newton(
         RuntimeWarning,
         stacklevel=3,
     )
-    return minmax_ratio_dichotomy(problem, cut_side=cut_side, check_fatal=False)
+    return minmax_ratio_dichotomy(problem, check_fatal=False)
 
 
 def _search_blocks(problem: Problem, previous: RatioResult) -> RatioResult:
-    """The source-side search of a stage, block by block; see `minmax_ratio`."""
+    """The search of a stage, block by block; see `minmax_ratio`."""
     if previous.blocks:
         kept = [b for b in previous.blocks if b.result.r0 != previous.r0]
         tied = [
@@ -305,9 +296,7 @@ def _search_blocks(problem: Problem, previous: RatioResult) -> RatioResult:
         block = restrict(problem, nodes, piece_arcs[r])
         inside = frozenset(block.node_ids)
         witnesses = tied[parent_block[r]][1]
-        result = _newton(
-            block, "source", (inside & step.cut.source_side for step in witnesses)
-        )
+        result = _newton(block, (inside & step.cut.source_side for step in witnesses))
         blocks.append(Block(block, result))
         steps += result.steps
 
@@ -319,21 +308,18 @@ def _search_blocks(problem: Problem, previous: RatioResult) -> RatioResult:
     return RatioResult(r0, cut, tuple(steps), tuple(blocks))
 
 
-def _probe_last_piece(problem: Problem, r0: Fraction, cut_side: CutSide) -> RatioResult:
+def _probe_last_piece(problem: Problem, r0: Fraction) -> RatioResult:
     """The critical cut a seed that was feasible at once skipped over."""
     lam = total_integer_capacity(problem)
     below = r0 - Fraction(1, 2 * r0.denominator * lam)
-    report = is_feasible(problem, below, cut_side=cut_side)
+    report = is_feasible(problem, below)
     if report.witness_cut is None or _witness_ratio(report) != r0:
         raise InvariantViolation("probe below the ratio missed its critical cut")
     return RatioResult(r0, report.witness_cut, (SearchStep(below, report.witness_cut, r0),))
 
 
 def minmax_ratio_dichotomy(
-    problem: Problem,
-    *,
-    cut_side: CutSide = "source",
-    check_fatal: bool = True,
+    problem: Problem, *, check_fatal: bool = True
 ) -> RatioResult:
     """Bisection on the capacity factor with exact rational reconstruction.
 
@@ -358,7 +344,7 @@ def minmax_ratio_dichotomy(
     steps: list[SearchStep] = []
     while hi - lo >= gap:
         mid = (lo + hi) / 2
-        report = is_feasible(problem, mid, cut_side=cut_side)
+        report = is_feasible(problem, mid)
         if report.feasible:
             hi = mid
         else:
@@ -371,7 +357,7 @@ def minmax_ratio_dichotomy(
     r0 = hi.limit_denominator(lam)
     if not lo < r0 <= hi:
         raise InvariantViolation("rational reconstruction left the bracket")
-    probe = is_feasible(problem, r0 - gap, cut_side=cut_side)
+    probe = is_feasible(problem, r0 - gap)
     if probe.feasible or probe.witness_cut is None:
         raise InvariantViolation("no critical cut just below the ratio")
     return RatioResult(r0, probe.witness_cut, tuple(steps))

@@ -3,11 +3,20 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
-from lexflow import Problem, validate_problem
+from lexflow import (
+    Cut,
+    FeasibilityReport,
+    FlowNetwork,
+    Problem,
+    build_two_pole,
+    cut_stats,
+    validate_problem,
+)
 
 
 def diamond_problem(supply: int = 4) -> Problem:
@@ -86,6 +95,89 @@ def random_solvable_problem(
             balances[tail] += carried
             balances[head] -= carried
     return validate_problem([(v, balances[v]) for v in ids], arcs)
+
+
+def reference_max_flow(net: FlowNetwork) -> tuple[int, frozenset, frozenset]:
+    """Reference Dinic with levels counted from the source, each augmenting
+    walk restarting at the source. Returns the flow value, the nodes the
+    source reaches in the final residual network (the inclusion-minimal min
+    cut), and the complement of the nodes that reach the sink (the
+    inclusion-maximal one)."""
+    n, source, sink = net.num_nodes, net.source, net.sink
+    to: list[int] = []
+    cap: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for tail, head, capacity in net.arcs:
+        adj[tail].append(len(to))
+        to.append(head)
+        cap.append(capacity)
+        adj[head].append(len(to))
+        to.append(tail)
+        cap.append(0)
+
+    def search(start: int, usable) -> list[int]:
+        level = [-1] * n
+        level[start] = 0
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for e in adj[v]:
+                if usable(e) and level[to[e]] < 0:
+                    level[to[e]] = level[v] + 1
+                    queue.append(to[e])
+        return level
+
+    value = 0
+    while True:
+        level = search(source, lambda e: cap[e] > 0)
+        if level[sink] < 0:
+            break
+        pointer = [0] * n
+        while True:
+            path: list[int] = []
+            v = source
+            while v != sink:
+                while pointer[v] < len(adj[v]):
+                    e = adj[v][pointer[v]]
+                    if cap[e] > 0 and level[to[e]] == level[v] + 1:
+                        break
+                    pointer[v] += 1
+                else:
+                    if v == source:
+                        break
+                    level[v] = -1
+                    v = to[path.pop() ^ 1]
+                    pointer[v] += 1
+                    continue
+                path.append(e)
+                v = to[e]
+            if v != sink:
+                break
+            moved = min(cap[e] for e in path)
+            for e in path:
+                cap[e] -= moved
+                cap[e ^ 1] += moved
+            value += moved
+    reachable = frozenset(v for v, d in enumerate(level) if d >= 0)
+    reaches_sink = search(sink, lambda e: cap[e ^ 1] > 0)
+    maximal = frozenset(v for v, d in enumerate(reaches_sink) if d < 0)
+    return value, reachable, maximal
+
+
+def sink_side_is_feasible(problem: Problem, z: Fraction) -> FeasibilityReport:
+    """`is_feasible` through the reference kernel, with the inclusion-maximal
+    min cut as the witness instead of the minimal one. Patched into
+    `ratio_search.is_feasible`, it lets levels take other critical cuts
+    where a stage has several, which must not change the flow."""
+    if problem.total_supply == 0:
+        return FeasibilityReport(True, z)
+    two_pole = build_two_pole(problem, z)
+    value, _, maximal = reference_max_flow(two_pole.network)
+    if value == two_pole.total_supply * two_pole.scale:
+        return FeasibilityReport(True, z)
+    n = len(problem.node_ids)
+    cut = Cut.from_source_side(problem, (problem.node_ids[i] for i in maximal if i < n))
+    return FeasibilityReport(False, z, cut, cut_stats(problem, cut))
 
 
 @pytest.fixture

@@ -210,6 +210,15 @@ class TestSolve:
         assert doc["decimals"]["r0"] == "1.3333"
         assert doc["decimals"]["flow"]["sb"] == "2.6667"
 
+    @pytest.mark.parametrize("places", ["-3", "x"])
+    def test_decimals_must_be_a_nonnegative_integer(self, places, d4_json, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["solve", d4_json, "--decimals", places])
+        assert done.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--decimals" in captured.err
+
     def test_fatal_exit(self, tmp_path, capsys):
         path = tmp_path / "fatal.txt"
         path.write_text("n u -1\nn w 1\na uw u w 2\n")
@@ -592,6 +601,61 @@ def _solution_json() -> dict:
     return json.loads(json.dumps(solution_document(problem, balanced_flow(problem))))
 
 
+# Numbers past the int-string limit, as integers, as p/q and as decimal
+# exponents, and the exponents at and just past the accepted bound.
+_EXTREMES = [
+    "1e5000",
+    "-1e5000",
+    "9" * 4400,
+    "-" + "1" + "0" * 4399,
+    "1" * 4400 + "/" + "7" * 4400,
+    "1e100000",
+    "1e100001",
+]
+
+
+@st.composite
+def _planted(draw):
+    """The diamond instance and its solution document, with one extreme
+    number planted at one numeric field of one of them."""
+    instance, solution = json.loads(D4_JSON), _solution_json()
+    levels = solution["certificate"]["levels"]
+    slots = [
+        *((node, "d") for node in instance["nodes"]),
+        *((arc, "capacity") for arc in instance["arcs"]),
+        (solution, "r0"),
+        *((solution["flow"], arc_id) for arc_id in solution["flow"]),
+        *((solution["sorted_ratios"], k) for k in range(len(solution["sorted_ratios"]))),
+        *((level, "ratio") for level in levels),
+        *((fixed, "value") for level in levels for fixed in level["fixed_forward"]),
+    ]
+    parent, key = draw(st.sampled_from(slots))
+    parent[key] = draw(st.sampled_from(_EXTREMES))
+    return instance, solution
+
+
+def _exit_codes(instance, solution) -> None:
+    """Run every command that reads the documents; none may end in exit 3."""
+    with tempfile.TemporaryDirectory() as tmp:
+        instance_path = os.path.join(tmp, "instance.json")
+        solution_path = os.path.join(tmp, "solution.json")
+        with open(instance_path, "w") as f:
+            json.dump(instance, f)
+        with open(solution_path, "w") as f:
+            json.dump(solution, f)
+        runs = [
+            ["check", instance_path],
+            ["solve", instance_path],
+            ["ratio", instance_path],
+            ["verify", instance_path, "--solution", solution_path],
+        ]
+        for argv in runs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in {0, 2, 10, 11, 12}, (argv, err.getvalue())
+
+
 class TestExitCodes:
     """Every command ends in a documented exit code, whatever it reads."""
 
@@ -604,21 +668,9 @@ class TestExitCodes:
             instance = data.draw(_mutated(instance))
         else:
             solution = data.draw(_mutated(solution))
-        with tempfile.TemporaryDirectory() as tmp:
-            instance_path = os.path.join(tmp, "instance.json")
-            solution_path = os.path.join(tmp, "solution.json")
-            with open(instance_path, "w") as f:
-                json.dump(instance, f)
-            with open(solution_path, "w") as f:
-                json.dump(solution, f)
-            runs = [
-                ["check", instance_path],
-                ["solve", instance_path],
-                ["ratio", instance_path],
-                ["verify", instance_path, "--solution", solution_path],
-            ]
-            for argv in runs:
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main(argv)
-                assert code in {0, 2, 10, 11, 12}, (argv, err.getvalue())
+        _exit_codes(instance, solution)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(_planted())
+    def test_extreme_numbers_never_exit_3(self, documents):
+        _exit_codes(*documents)

@@ -244,19 +244,14 @@ def _reference_build_two_pole(problem, z):
     return FlowNetwork(n + 2, arcs, s, t), scale
 
 
-def _reference_witness(problem, z, cut_side):
+def _reference_witness(problem, z):
     """Source side of the Fraction kernel's witness cut, or None if feasible."""
     network, scale = _reference_build_two_pole(problem, z)
     result = max_flow(network)
     if result.value == problem.total_supply * scale:
         return None
-    side = (
-        result.min_cut_source_side
-        if cut_side == "source"
-        else result.alt_min_cut_source_side
-    )
     n = len(problem.node_ids)
-    return frozenset(problem.node_ids[i] for i in side if i < n)
+    return frozenset(problem.node_ids[i] for i in result.min_cut_source_side if i < n)
 
 
 def _reference_cut_stats(problem, cut, flow=None):
@@ -345,15 +340,14 @@ class TestAgainstFractionKernel:
     def test_same_verdict_and_witness(self):
         verdicts = set()
         for _, p, z in self.cases(106):
-            for side in ("source", "sink"):
-                report = is_feasible(p, z, cut_side=side)
-                expected = _reference_witness(p, z, side)
-                verdicts.add(report.feasible)
-                if expected is None:
-                    assert report.feasible
-                else:
-                    assert not report.feasible
-                    assert report.witness_cut.source_side == expected
+            report = is_feasible(p, z)
+            expected = _reference_witness(p, z)
+            verdicts.add(report.feasible)
+            if expected is None:
+                assert report.feasible
+            else:
+                assert not report.feasible
+                assert report.witness_cut.source_side == expected
         assert verdicts == {True, False}
 
     def test_cut_stats_equal(self):

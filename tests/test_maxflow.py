@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
 
 import pytest
 
 from lexflow import FlowNetwork, balanced_flow, max_flow, verify_certificate
-from conftest import random_solvable_problem
+from conftest import random_solvable_problem, reference_max_flow
 
 
 def brute_force_min_cut(net: FlowNetwork) -> int:
@@ -34,72 +33,6 @@ def cut_capacity(net: FlowNetwork, side: frozenset[int]) -> int:
     )
 
 
-def _reference_max_flow(net: FlowNetwork) -> tuple[int, frozenset, frozenset]:
-    """The original kernel: Dinic with levels counted from the source, each
-    augmenting walk restarting at the source. Returns the flow value, the
-    nodes the source reaches in the final residual network, and the
-    complement of the nodes that reach the sink."""
-    n, source, sink = net.num_nodes, net.source, net.sink
-    to: list[int] = []
-    cap: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for tail, head, capacity in net.arcs:
-        adj[tail].append(len(to))
-        to.append(head)
-        cap.append(capacity)
-        adj[head].append(len(to))
-        to.append(tail)
-        cap.append(0)
-
-    def search(start: int, usable) -> list[int]:
-        level = [-1] * n
-        level[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for e in adj[v]:
-                if usable(e) and level[to[e]] < 0:
-                    level[to[e]] = level[v] + 1
-                    queue.append(to[e])
-        return level
-
-    value = 0
-    while True:
-        level = search(source, lambda e: cap[e] > 0)
-        if level[sink] < 0:
-            break
-        pointer = [0] * n
-        while True:
-            path: list[int] = []
-            v = source
-            while v != sink:
-                while pointer[v] < len(adj[v]):
-                    e = adj[v][pointer[v]]
-                    if cap[e] > 0 and level[to[e]] == level[v] + 1:
-                        break
-                    pointer[v] += 1
-                else:
-                    if v == source:
-                        break
-                    level[v] = -1
-                    v = to[path.pop() ^ 1]
-                    pointer[v] += 1
-                    continue
-                path.append(e)
-                v = to[e]
-            if v != sink:
-                break
-            moved = min(cap[e] for e in path)
-            for e in path:
-                cap[e] -= moved
-                cap[e ^ 1] += moved
-            value += moved
-    reachable = frozenset(v for v, d in enumerate(level) if d >= 0)
-    reaches_sink = search(sink, lambda e: cap[e ^ 1] > 0)
-    alt = frozenset(v for v, d in enumerate(reaches_sink) if d < 0)
-    return value, reachable, alt
-
-
 def assert_exact(net: FlowNetwork, result) -> None:
     """A feasible flow whose value equals a cut's capacity is maximum."""
     balance = [0] * net.num_nodes
@@ -111,9 +44,9 @@ def assert_exact(net: FlowNetwork, result) -> None:
     assert all(
         b == 0 for v, b in enumerate(balance) if v not in (net.source, net.sink)
     )
-    for side in (result.min_cut_source_side, result.alt_min_cut_source_side):
-        assert net.source in side and net.sink not in side
-        assert cut_capacity(net, side) == result.value
+    side = result.min_cut_source_side
+    assert net.source in side and net.sink not in side
+    assert cut_capacity(net, side) == result.value
 
 
 class TestExamples:
@@ -190,11 +123,10 @@ class TestRandomNetworks:
                 if v not in (net.source, net.sink):
                     assert balance[v] == 0
             assert balance[net.source] == result.value
-            # both reported cuts are minimum cuts
-            for side in (result.min_cut_source_side, result.alt_min_cut_source_side):
-                assert net.source in side and net.sink not in side
-                assert cut_capacity(net, side) == result.value
-            assert result.min_cut_source_side <= result.alt_min_cut_source_side
+            # the reported cut is a minimum cut
+            side = result.min_cut_source_side
+            assert net.source in side and net.sink not in side
+            assert cut_capacity(net, side) == result.value
 
     def test_deterministic(self):
         rng = random.Random(503)
@@ -205,8 +137,10 @@ class TestRandomNetworks:
 
 class TestCanonicalCuts:
     def test_cuts_are_intersection_and_union_of_all_min_cuts(self):
-        # Every maximum flow leaves the same two cuts, so the solver's
-        # witnesses do not depend on which maximum flow the kernel finds.
+        # Every maximum flow leaves the same cut, so the solver's witnesses
+        # do not depend on which maximum flow the kernel finds. The reference
+        # kernel's maximal side, which tests use as a second critical cut,
+        # must be the union of all min cuts.
         rng = random.Random(505)
         ties = 0
         for _ in range(200):
@@ -225,7 +159,9 @@ class TestCanonicalCuts:
                 if cut_capacity(net, frozenset({0, *extra})) == result.value
             ]
             assert result.min_cut_source_side == frozenset.intersection(*minimum)
-            assert result.alt_min_cut_source_side == frozenset.union(*minimum)
+            value, minimal, maximal = reference_max_flow(net)
+            assert (value, minimal) == (result.value, result.min_cut_source_side)
+            assert maximal == frozenset.union(*minimum)
             ties += len(minimum) > 1
         assert ties > 50
 
@@ -251,11 +187,8 @@ class TestAgainstReferenceKernel:
         assert len(networks) > 500
         for net in networks:
             result = max_flow(net)
-            assert (
-                result.value,
-                result.min_cut_source_side,
-                result.alt_min_cut_source_side,
-            ) == _reference_max_flow(net)
+            value, minimal, _ = reference_max_flow(net)
+            assert (result.value, result.min_cut_source_side) == (value, minimal)
 
 
 class TestDeepNetworks:
@@ -269,7 +202,6 @@ class TestDeepNetworks:
         result = max_flow(net)
         assert result.value == 17
         assert result.min_cut_source_side == frozenset(range(12_346))
-        assert result.alt_min_cut_source_side == result.min_cut_source_side
         assert_exact(net, result)
 
     def test_deep_layered_network(self):
@@ -293,12 +225,8 @@ class TestDeepNetworks:
         result = max_flow(net)
         assert result.value > 0
         assert_exact(net, result)
-        expected = _reference_max_flow(net)
-        assert (
-            result.value,
-            result.min_cut_source_side,
-            result.alt_min_cut_source_side,
-        ) == expected
+        value, minimal, _ = reference_max_flow(net)
+        assert (result.value, result.min_cut_source_side) == (value, minimal)
 
 
 class TestNetworkxReference:
@@ -323,10 +251,9 @@ class TestNetworkxReference:
             expected = nx.maximum_flow_value(graph, 0, n - 1)
             result = max_flow(net)
             assert expected > 0 and result.value == expected
-            for side in (result.min_cut_source_side, result.alt_min_cut_source_side):
-                assert net.source in side and net.sink not in side
-                assert cut_capacity(net, side) == expected
-            assert result.min_cut_source_side <= result.alt_min_cut_source_side
+            side = result.min_cut_source_side
+            assert net.source in side and net.sink not in side
+            assert cut_capacity(net, side) == expected
 
 
 class TestValidation:

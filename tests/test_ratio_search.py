@@ -34,7 +34,12 @@ from lexflow import (
     verify_certificate,
 )
 from lexflow.cli import solution_document
-from conftest import random_problem, random_solvable_problem, single_arc_problem
+from conftest import (
+    random_problem,
+    random_solvable_problem,
+    single_arc_problem,
+    sink_side_is_feasible,
+)
 
 F = Fraction
 
@@ -98,7 +103,7 @@ class TestMinmaxRatio:
                 assert cut_stats(p, result.critical_cut).ratio == result.r0
 
 
-def _reference_minmax_ratio(problem, *, cut_side="source", check_fatal=True, previous=None):
+def _reference_minmax_ratio(problem, *, check_fatal=True, previous=None):
     """Newton seeded with the producer cut alone, for solvable problems.
 
     The search before seeding from other cuts and earlier witnesses and
@@ -112,7 +117,7 @@ def _reference_minmax_ratio(problem, *, cut_side="source", check_fatal=True, pre
     z = cut_stats(problem, cut).ratio
     steps = []
     while True:
-        report = ratio_search.is_feasible(problem, z, cut_side=cut_side)
+        report = ratio_search.is_feasible(problem, z)
         if report.feasible:
             return RatioResult(z, cut, tuple(steps))
         cut, ratio = report.witness_cut, report.witness_stats.ratio
@@ -169,6 +174,16 @@ def count_probes(monkeypatch, within: frozenset[str] | None = None) -> list[int]
     return probes
 
 
+@pytest.fixture(params=["source", "sink"])
+def side(request, monkeypatch):
+    """Which min cut every `ratio_search` probe returns: the library's
+    inclusion-minimal one, or the reference kernel's maximal one. A seed
+    must not change the critical cut under either rule."""
+    if request.param == "sink":
+        monkeypatch.setattr(ratio_search, "is_feasible", sink_side_is_feasible)
+    return request.param
+
+
 class TestSeeding:
     """Seeds from single-node cuts and earlier witnesses change nothing but cost."""
 
@@ -178,30 +193,28 @@ class TestSeeding:
             parts = [random_solvable_problem(rng) for _ in range(rng.randint(2, 4))]
             yield disjoint_union(parts)
 
-    @pytest.mark.parametrize("side", ["source", "sink"])
     def test_same_ratio_and_cut_as_producer_seeding(self, side):
         for p in self.unions(311, 150):
-            seeded = minmax_ratio(p, cut_side=side)
-            reference = _reference_minmax_ratio(p, cut_side=side)
+            seeded = minmax_ratio(p)
+            reference = _reference_minmax_ratio(p)
             assert seeded.r0 == reference.r0
             assert seeded.critical_cut == reference.critical_cut
 
-    @pytest.mark.parametrize("side", ["source", "sink"])
-    def test_same_documents_as_producer_seeding(self, side, monkeypatch):
+    def test_same_documents_as_producer_seeding(self, monkeypatch):
         # Unions of components and 6 x 6 grids split into several blocks
         # after their first levels; the per-block search must give the same
         # bytes as one producer-seeded search of each whole stage.
         rng = random.Random(314)
         grids = [grid_problem(rng, 6) for _ in range(6)]
         for p in [*self.unions(312, 80), *grids]:
-            solution = balanced_flow(p, cut_side=side)
+            solution = balanced_flow(p)
             seeded = json.dumps(solution_document(p, solution), indent=2)
             with monkeypatch.context() as patch:
                 patch.setattr(balancer, "minmax_ratio", _reference_minmax_ratio)
-                reference = solution_document(p, balanced_flow(p, cut_side=side))
+                reference = solution_document(p, balanced_flow(p))
             assert seeded == json.dumps(reference, indent=2)
             assert verify_certificate(p, solution).accepted
-            if side == "source" and len(p.arcs) <= 9:
+            if len(p.arcs) <= 9:
                 assert oracle_lexmin(p).values == solution.flow.values
 
     @pytest.mark.parametrize("seed", [315, 316])
@@ -218,7 +231,7 @@ class TestSeeding:
                 continue
             producers = {v for v in p.node_ids if p.balances[v] > 0}
             assert result.critical_cut.source_side == producers
-            probed = ratio_search._probe_last_piece(p, result.r0, "source")
+            probed = ratio_search._probe_last_piece(p, result.r0)
             assert probed.critical_cut == result.critical_cut
             checked += 1
         assert checked > 20
@@ -274,7 +287,6 @@ class TestSeeding:
         assert result.critical_cut.source_side == frozenset({"u1"})
         assert result.steps == (SearchStep(below, result.critical_cut, r0),)
 
-    @pytest.mark.parametrize("side", ["source", "sink"])
     def test_critical_cut_is_a_consumer_complement(self, side):
         # The producer cut {u} has ratio 7/11; V - {w} has 6/1 = r0, found
         # without a max-flow, so the one probe is at 6 - 1/(2·1·11).
@@ -282,12 +294,11 @@ class TestSeeding:
             [("u", 7), ("w", -6), ("w2", -1)],
             [("uw", "u", "w", 1), ("uw2", "u", "w2", 10)],
         )
-        result = minmax_ratio(p, cut_side=side)
+        result = minmax_ratio(p)
         assert result.r0 == 6
         assert result.critical_cut.source_side == frozenset({"u", "w2"})
         assert result.steps == (SearchStep(6 - F(1, 22), result.critical_cut, F(6)),)
 
-    @pytest.mark.parametrize("side", ["source", "sink"])
     def test_probe_below_a_node_seed_finds_the_larger_critical_cut(self, side):
         # {u1} and {u2} each have ratio 5 = r0, but {u1, u2} has ratio 5 with
         # twice the capacity, so it alone is a min cut just below r0.
@@ -295,11 +306,11 @@ class TestSeeding:
             [("u1", 5), ("u2", 5), ("u3", 1), ("w", -11)],
             [("a1", "u1", "w", 1), ("a2", "u2", "w", 1), ("a3", "u3", "w", 10)],
         )
-        result = minmax_ratio(p, cut_side=side)
+        result = minmax_ratio(p)
         assert result.r0 == 5
         assert result.critical_cut.source_side == frozenset({"u1", "u2"})
         assert result.steps == (SearchStep(5 - F(1, 24), result.critical_cut, F(5)),)
-        reference = _reference_minmax_ratio(p, cut_side=side)
+        reference = _reference_minmax_ratio(p)
         assert result.critical_cut == reference.critical_cut
 
     def test_single_node_critical_cut_costs_two_probes(self, monkeypatch):
@@ -436,7 +447,7 @@ if __debug__:
 problem = validate_problem([("u", 5), ("w", -5)], [("uw", "u", "w", 2)])
 cut = Cut.from_source_side(problem, ["u"])
 
-def lying(p, z, cut_side="source"):
+def lying(p, z):
     # Flips at 7/3, whose denominator exceeds the total capacity 2.
     if z >= Fraction(7, 3):
         return FeasibilityReport(True, z)
@@ -480,7 +491,7 @@ if __debug__:
 problem = validate_problem([("u", 5), ("w", -5)], [("uw", "u", "w", 2)])
 cut = Cut.from_source_side(problem, ["u"])
 
-def stuck(p, z, cut_side="source"):
+def stuck(p, z):
     return FeasibilityReport(False, z, cut, cut_stats(p, cut))
 
 rs.is_feasible = stuck
@@ -512,7 +523,7 @@ problem = validate_problem(
 )
 cut = Cut.from_source_side(problem, ["u1", "u2"])
 
-def lying(p, z, cut_side="source"):
+def lying(p, z):
     if z >= 5:
         return FeasibilityReport(True, z)
     return FeasibilityReport(False, z, cut, cut_stats(p, cut))
