@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
+from typing import Literal, Sequence
 
 from .gale_hoffman import (
     InvariantViolation,
@@ -34,6 +34,7 @@ from .model import (
     fix_arcs,
     format_rational,
     node_balance_residual,
+    restrict,
 )
 from .ratio_search import (
     FatalCutPresent,
@@ -210,6 +211,33 @@ def verify_certificate(
     cut of its stage with ratio equal to the level ratio, and stage
     feasibility at that ratio shows no stage cut beats it, so the ratio is
     the stage's exact minmax value and the uniform loading is forced.
+
+    Both probes of level k run on T_k, the union of the stage's weakly
+    connected components that the level's cut crosses, not on the whole
+    stage. λ in the minimality probe r_k - 1/(2bλ), b being r_k's
+    denominator, is `total_integer_capacity(T_k)`. This accepts exactly the
+    certificates the whole-stage probes accept:
+
+    - Conservation and the replayed levels show that the flow on the stage
+      arcs meets the stage balances, so every component's balances sum to
+      zero. A component is feasible at a factor z by itself, and the stage
+      is feasible at z exactly when all of its components are.
+    - A stage-k component the cut does not cross lies on one side of it and
+      keeps its arcs and balances, so it is a component of stage k+1. There
+      it is covered at r_{k+1} <= r_k, a smaller capacity factor, so
+      feasibility there implies it at r_k. By induction it is covered by
+      the end, where all balances must vanish and it is feasible at every
+      factor. Such a flaw may thus surface as `arc_partition` at the end
+      rather than as `stage_optimality` at level k; it is rejected either
+      way.
+    - An uncrossed component contributes zero deficiency and no capacity
+      to the level cut, so the cut has the same deficiency and capacity on
+      T_k as on the whole stage, and is violated on T_k just below r_k.
+
+    The components are the verifier's own, found from the stage's arcs. A
+    union-find labels each node with its component's root; after a level,
+    only T_k is split again, over its remaining arcs, because the other
+    components do not change.
     """
     flow = solution.flow
     certificate = solution.certificate
@@ -241,6 +269,13 @@ def verify_certificate(
     # outranks an optimality failure, which is kept until the replay is done.
     suboptimal: VerificationResult | None = None
     current = problem
+    # component[i] is the root position of node i's weakly connected
+    # component in the current stage.
+    position = problem.node_position
+    component = list(range(len(problem.node_ids)))
+    _split(component, range(len(component)), [
+        (position[a.tail], position[a.head]) for a in problem.arcs
+    ])
     for k, level in enumerate(certificate.levels):
         where = f"level {k}"
         try:
@@ -264,21 +299,34 @@ def verify_certificate(
                 return reject("level_replay", f"{where}: fixed value wrong on {arc_id!r}")
             if flow.values[arc_id] != value:
                 return reject("level_replay", f"{where}: flow differs on {arc_id!r}")
-        reverse_ids = {a.arc_id for a in level.cut.reverse_arcs(current)}
+        reverse = level.cut.reverse_arcs(current)
+        reverse_ids = {a.arc_id for a in reverse}
         if set(level.zeroed_reverse) != reverse_ids:
             return reject("level_replay", f"{where}: zeroed arcs differ from the reverse arcs")
         for arc_id in level.zeroed_reverse:
             if flow.values[arc_id] != 0:
                 return reject("level_replay", f"{where}: reverse arc {arc_id!r} carries flow")
 
+        # Once a probe has failed, no later probe runs and the labels lapse.
         if suboptimal is None:
-            if not is_feasible(current, level.ratio).feasible:
+            crossed = {component[position[a.tail]] for a in (*forward.values(), *reverse)}
+            nodes = [i for i, c in enumerate(component) if c in crossed]
+            inside = [
+                (j, a) for j, a in enumerate(current.arcs)
+                if component[position[a.tail]] in crossed
+            ]
+            touched = restrict(current, nodes, [j for j, _ in inside])
+            if not is_feasible(touched, level.ratio).feasible:
                 suboptimal = reject("stage_optimality", f"{where}: ratio is not sufficient")
             else:
-                lam = total_integer_capacity(current)
+                lam = total_integer_capacity(touched)
                 below = level.ratio - Fraction(1, 2 * level.ratio.denominator * lam)
-                if is_feasible(current, below).feasible:
+                if is_feasible(touched, below).feasible:
                     suboptimal = reject("stage_optimality", f"{where}: ratio is not minimal")
+            _split(component, nodes, [
+                (position[a.tail], position[a.head]) for _, a in inside
+                if a.arc_id not in forward and a.arc_id not in reverse_ids
+            ])
         current = fix_arcs(current, dict(level.fixed_forward), level.zeroed_reverse)
 
     if suboptimal is not None:
@@ -309,3 +357,28 @@ def verify_certificate(
     if solution.sorted_ratios != tuple(ratios):
         return reject("summary", "sorted ratios differ from the flow's")
     return VerificationResult(True)
+
+
+def _split(
+    component: list[int], nodes: Sequence[int], ends: list[tuple[int, int]]
+) -> None:
+    """Relabel `nodes` by the weakly connected pieces their arcs form.
+
+    `component` maps each node position to its component's root position;
+    `ends` holds the (tail, head) positions of every arc among `nodes`, and
+    no arc joins them to another node. Each of `nodes` ends up labelled with
+    a root among `nodes`, so the labels of the other nodes stay valid.
+    """
+    for i in nodes:
+        component[i] = i
+
+    def find(i: int) -> int:
+        while component[i] != i:
+            component[i] = component[component[i]]
+            i = component[i]
+        return i
+
+    for tail, head in ends:
+        component[find(tail)] = find(head)
+    for i in nodes:
+        component[i] = find(i)

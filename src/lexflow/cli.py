@@ -28,6 +28,7 @@ from .balancer import (
 )
 from .gale_hoffman import FeasibilityReport, has_fatal_cut, is_feasible
 from .model import (
+    MAX_DECIMAL_EXPONENT,
     Cut,
     Flow,
     ModelError,
@@ -379,10 +380,17 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def decimal_places(text: str) -> int:
-    """`--decimals N` for N >= 0; a negative N would make 10**N a float."""
+    """`--decimals N` for 0 <= N <= MAX_DECIMAL_EXPONENT.
+
+    A negative N would make 10**N a float; rendering costs about N² time,
+    so N is held to the bound that input exponents have.
+    """
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"N must be a nonnegative integer, got {text!r}")
-    return int(text)
+    places = int(text)
+    if places > MAX_DECIMAL_EXPONENT:
+        raise argparse.ArgumentTypeError(f"N must be at most {MAX_DECIMAL_EXPONENT}")
+    return places
 
 
 def build_parser() -> argparse.ArgumentParser:

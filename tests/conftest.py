@@ -5,17 +5,22 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+import lexflow.balancer as balancer
 from lexflow import (
+    BalancedSolution,
     Cut,
     FeasibilityReport,
     FlowNetwork,
     Problem,
+    VerificationResult,
     build_two_pole,
     cut_stats,
     validate_problem,
+    verify_certificate,
 )
 
 
@@ -95,6 +100,39 @@ def random_solvable_problem(
             balances[tail] += carried
             balances[head] -= carried
     return validate_problem([(v, balances[v]) for v in ids], arcs)
+
+
+def disjoint_union(parts: list[Problem]) -> Problem:
+    """The parts side by side, ids prefixed by the part's index."""
+    nodes, arcs = [], []
+    for k, part in enumerate(parts):
+        nodes += [(f"c{k}_{v}", part.balances[v]) for v in part.node_ids]
+        arcs += [
+            (f"c{k}_{a.arc_id}", f"c{k}_{a.tail}", f"c{k}_{a.head}", a.capacity)
+            for a in part.arcs
+        ]
+    return validate_problem(nodes, arcs)
+
+
+def grid_problem(rng: random.Random, k: int) -> Problem:
+    """k x k grid, both directions between 4-neighbours, k random transfers."""
+    ids = [f"v{r}_{q}" for r in range(k) for q in range(k)]
+    arcs = []
+    for r in range(k):
+        for q in range(k):
+            for dr, dq in ((0, 1), (1, 0)):
+                if r + dr < k and q + dq < k:
+                    u, w = f"v{r}_{q}", f"v{r + dr}_{q + dq}"
+                    for tail, head in ((u, w), (w, u)):
+                        cap = Fraction(rng.randint(1, 30), rng.randint(1, 7))
+                        arcs.append((f"a{len(arcs)}", tail, head, cap))
+    balances = dict.fromkeys(ids, Fraction(0))
+    for _ in range(k):
+        u, w = rng.sample(ids, 2)
+        amount = Fraction(rng.randint(1, 60), rng.randint(1, 7))
+        balances[u] += amount
+        balances[w] -= amount
+    return validate_problem(list(balances.items()), arcs)
 
 
 def reference_max_flow(net: FlowNetwork) -> tuple[int, frozenset, frozenset]:
@@ -178,6 +216,15 @@ def sink_side_is_feasible(problem: Problem, z: Fraction) -> FeasibilityReport:
     n = len(problem.node_ids)
     cut = Cut.from_source_side(problem, (problem.node_ids[i] for i in maximal if i < n))
     return FeasibilityReport(False, z, cut, cut_stats(problem, cut))
+
+
+def whole_stage_verify(problem: Problem, solution: BalancedSolution) -> VerificationResult:
+    """`verify_certificate` with both probes of every level run on the whole
+    stage instead of the components the level's cut crosses: `restrict`
+    hands back the stage itself. The reference the narrowed probes must
+    agree with."""
+    with mock.patch.object(balancer, "restrict", lambda stage, nodes, arcs: stage):
+        return verify_certificate(problem, solution)
 
 
 @pytest.fixture

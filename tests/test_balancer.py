@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexflow import (
+    BalancedSolution,
     Certificate,
     Cut,
     EmptyCutArcSet,
@@ -17,6 +19,7 @@ from lexflow import (
     Flow,
     Level,
     NotCritical,
+    Problem,
     balanced_flow,
     cut_stats,
     enumerate_cuts,
@@ -26,14 +29,20 @@ from lexflow import (
     validate_problem,
     verify_certificate,
 )
+import lexflow.balancer as balancer
 import lexflow.ratio_search as ratio_search
+from lexflow.model import fix_arcs
 from conftest import (
     diamond_problem,
+    disjoint_union,
+    grid_problem,
     random_problem,
+    random_rational,
     random_solvable_problem,
     single_arc_problem,
     sink_side_is_feasible,
     two_cycle_problem,
+    whole_stage_verify,
 )
 
 F = Fraction
@@ -404,3 +413,190 @@ class TestVerifyCertificate:
         verdict = verify_certificate(d4, replace(sol, certificate=chopped))
         assert not verdict.accepted
         assert verdict.failed_check == "arc_partition"
+
+
+def crossed_components(stage: Problem, cut: Cut) -> list[frozenset[str]]:
+    """The stage's weakly connected components that have nodes on both
+    sides of `cut`, each grown by brute-force closure."""
+    left = set(stage.node_ids)
+    crossed = []
+    while left:
+        component = {left.pop()}
+        grown = True
+        while grown:
+            grown = False
+            for a in stage.arcs:
+                if (a.tail in component) != (a.head in component):
+                    component |= {a.tail, a.head}
+                    grown = True
+        left -= component
+        if component & cut.source_side and component & cut.sink_side:
+            crossed.append(frozenset(component))
+    return crossed
+
+
+class TestProbeScope:
+    def test_probes_run_on_the_components_the_cut_crosses(self, monkeypatch):
+        probe = balancer.is_feasible
+        probed: list[Problem] = []
+
+        def recording(problem, z):
+            probed.append(problem)
+            return probe(problem, z)
+
+        # Small integer data makes a level's cut cross several components.
+        rng = random.Random(409)
+        instances = [
+            disjoint_union(
+                [
+                    random_solvable_problem(rng, max_num=3, max_den=1)
+                    for _ in range(rng.randint(2, 4))
+                ]
+            )
+            for _ in range(12)
+        ]
+        instances.append(grid_problem(random.Random(410), 6))
+        monkeypatch.setattr(balancer, "is_feasible", recording)
+        smaller = several = 0
+        for p in instances:
+            sol = balanced_flow(p)
+            probed.clear()
+            assert verify_certificate(p, sol).accepted
+            levels = sol.certificate.levels
+            assert len(probed) == 2 * len(levels)
+            stage = p
+            for k, level in enumerate(levels):
+                crossed = crossed_components(stage, level.cut)
+                nodes = frozenset().union(*crossed)
+                arcs = {a.arc_id for a in stage.arcs if a.tail in nodes}
+                for sub in probed[2 * k : 2 * k + 2]:
+                    assert frozenset(sub.node_ids) == nodes
+                    assert set(sub.arc_ids) == arcs
+                smaller += len(nodes) < len(stage.node_ids)
+                several += len(crossed) > 1
+                stage = fix_arcs(stage, dict(level.fixed_forward), level.zeroed_reverse)
+        assert smaller and several
+
+
+def noncritical_cut(rng, p, sol):
+    """A random cut loaded at its own ratio, with a replay-consistent flow:
+    the reduced problem's balanced flow, either behind the cut's level as
+    more levels or left in the zero tail (as in the d4 case)."""
+    for _ in range(20):
+        side = [v for v in p.node_ids if rng.random() < 0.5]
+        if not 0 < len(side) < len(p.node_ids):
+            continue
+        cut = Cut.from_source_side(p, side)
+        stats = cut_stats(p, cut)
+        if not stats.capacity or stats.deficiency <= 0:
+            continue
+        fixed = tuple((a.arc_id, stats.ratio * a.capacity) for a in cut.forward_arcs(p))
+        zeroed = tuple(a.arc_id for a in cut.reverse_arcs(p))
+        reduced = fix_arcs(p, dict(fixed), zeroed)
+        try:
+            rest = balanced_flow(reduced)
+        except FatalCutPresent:
+            continue
+        flow = Flow({**dict(fixed), **dict.fromkeys(zeroed, F(0)), **rest.flow.values})
+        level = Level(stats.ratio, cut, fixed, zeroed)
+        if rng.random() < 0.5:
+            certificate = Certificate((level,), reduced.arc_ids)
+        else:
+            certificate = Certificate(
+                (level, *rest.certificate.levels), rest.certificate.zero_tail
+            )
+        ratios = tuple(sorted(flow.ratio_vector(p), reverse=True))
+        return BalancedSolution(flow, certificate, ratios)
+    return None
+
+
+def nudged_ratio(rng, p, sol):
+    """One level's ratio moved to the next higher or lower level ratio."""
+    levels = list(sol.certificate.levels)
+    ratios = sorted({level.ratio for level in levels})
+    if len(ratios) < 2:
+        return None
+    k = rng.randrange(len(levels))
+    i = ratios.index(levels[k].ratio)
+    neighbours = ratios[max(i - 1, 0) : i] + ratios[i + 1 : i + 2]
+    levels[k] = replace(levels[k], ratio=rng.choice(neighbours))
+    return replace(sol, certificate=replace(sol.certificate, levels=tuple(levels)))
+
+
+def dropped_last_level(rng, p, sol):
+    """The last level left out, its arcs moved to the zero tail."""
+    levels = sol.certificate.levels
+    if not levels:
+        return None
+    last = levels[-1]
+    tail = sol.certificate.zero_tail + tuple(a for a, _ in last.fixed_forward)
+    return replace(sol, certificate=Certificate(levels[:-1], tail + last.zeroed_reverse))
+
+
+def swapped_levels(rng, p, sol):
+    """Two adjacent levels in the other order."""
+    levels = sol.certificate.levels
+    if len(levels) < 2:
+        return None
+    i = rng.randrange(len(levels) - 1)
+    swapped = levels[:i] + (levels[i + 1], levels[i]) + levels[i + 2 :]
+    return replace(sol, certificate=replace(sol.certificate, levels=swapped))
+
+
+def zero_tail_cycle(rng, p, sol):
+    """Flow pushed around a directed cycle of zero-tail arcs, if one exists."""
+    tail = set(sol.certificate.zero_tail)
+    arcs = [a for a in p.arcs if a.arc_id in tail]
+    rng.shuffle(arcs)
+    for first in arcs:
+        # Search back from first.tail to first.head over the tail arcs.
+        via = {first.head: None}
+        queue = deque([first.head])
+        while queue and first.tail not in via:
+            v = queue.popleft()
+            for a in arcs:
+                if a.tail == v and a.head not in via:
+                    via[a.head] = a
+                    queue.append(a.head)
+        if first.tail in via:
+            values = dict(sol.flow.values)
+            delta = random_rational(rng)
+            values[first.arc_id] += delta
+            v = first.tail
+            while via[v] is not None:
+                values[via[v].arc_id] += delta
+                v = via[v].tail
+            return replace(sol, flow=Flow(values))
+    return None
+
+
+class TestVerdictsUnchanged:
+    """The verifier's probes on the crossed components give the verdicts of
+    whole-stage probes (`conftest.whole_stage_verify`)."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.sampled_from(
+            [noncritical_cut, nudged_ratio, dropped_last_level, swapped_levels, zero_tail_cycle]
+        ),
+        st.booleans(),
+    )
+    def test_same_verdict_as_whole_stage_probes(self, rng, mutate, union):
+        if union:
+            parts = [
+                random_solvable_problem(rng, max_nodes=4, max_arcs=8, max_num=4, max_den=2)
+                for _ in range(3)
+            ]
+            p = disjoint_union(parts[: rng.randint(2, 3)])
+        else:
+            p = random_solvable_problem(rng)
+        sol = balanced_flow(p)
+        candidate = mutate(rng, p, sol) or sol
+        ours, reference = verify_certificate(p, candidate), whole_stage_verify(p, candidate)
+        assert ours.accepted == reference.accepted
+        # A flaw in a component that no later level crosses shows only after
+        # the replay, as balances that do not vanish.
+        assert ours.failed_check == reference.failed_check or (
+            reference.failed_check, ours.failed_check
+        ) == ("stage_optimality", "arc_partition")

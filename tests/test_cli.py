@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexflow.cli import (
+    decimal_places,
     decimal_string,
     main,
     parse_instance,
@@ -21,6 +22,7 @@ from lexflow.cli import (
     solution_from_document,
 )
 from lexflow import balanced_flow, verify_certificate
+from lexflow.model import MAX_DECIMAL_EXPONENT
 
 F = Fraction
 
@@ -210,7 +212,8 @@ class TestSolve:
         assert doc["decimals"]["r0"] == "1.3333"
         assert doc["decimals"]["flow"]["sb"] == "2.6667"
 
-    @pytest.mark.parametrize("places", ["-3", "x"])
+    # 100001 is one past MAX_DECIMAL_EXPONENT: rendering costs about N² time.
+    @pytest.mark.parametrize("places", ["-3", "x", "100001"])
     def test_decimals_must_be_a_nonnegative_integer(self, places, d4_json, capsys):
         with pytest.raises(SystemExit) as done:
             main(["solve", d4_json, "--decimals", places])
@@ -218,6 +221,9 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--decimals" in captured.err
+
+    def test_decimals_bound_is_inclusive(self):
+        assert decimal_places(str(MAX_DECIMAL_EXPONENT)) == MAX_DECIMAL_EXPONENT
 
     def test_fatal_exit(self, tmp_path, capsys):
         path = tmp_path / "fatal.txt"

@@ -35,6 +35,8 @@ from lexflow import (
 )
 from lexflow.cli import solution_document
 from conftest import (
+    disjoint_union,
+    grid_problem,
     random_problem,
     random_solvable_problem,
     single_arc_problem,
@@ -124,39 +126,6 @@ def _reference_minmax_ratio(problem, *, check_fatal=True, previous=None):
         assert ratio > z
         steps.append(SearchStep(z, cut, ratio))
         z = ratio
-
-
-def disjoint_union(parts: list[Problem]) -> Problem:
-    """The parts side by side, ids prefixed by the part's index."""
-    nodes, arcs = [], []
-    for k, part in enumerate(parts):
-        nodes += [(f"c{k}_{v}", part.balances[v]) for v in part.node_ids]
-        arcs += [
-            (f"c{k}_{a.arc_id}", f"c{k}_{a.tail}", f"c{k}_{a.head}", a.capacity)
-            for a in part.arcs
-        ]
-    return validate_problem(nodes, arcs)
-
-
-def grid_problem(rng: random.Random, k: int) -> Problem:
-    """k x k grid, both directions between 4-neighbours, k random transfers."""
-    ids = [f"v{r}_{q}" for r in range(k) for q in range(k)]
-    arcs = []
-    for r in range(k):
-        for q in range(k):
-            for dr, dq in ((0, 1), (1, 0)):
-                if r + dr < k and q + dq < k:
-                    u, w = f"v{r}_{q}", f"v{r + dr}_{q + dq}"
-                    for tail, head in ((u, w), (w, u)):
-                        cap = F(rng.randint(1, 30), rng.randint(1, 7))
-                        arcs.append((f"a{len(arcs)}", tail, head, cap))
-    balances = dict.fromkeys(ids, F(0))
-    for _ in range(k):
-        u, w = rng.sample(ids, 2)
-        amount = F(rng.randint(1, 60), rng.randint(1, 7))
-        balances[u] += amount
-        balances[w] -= amount
-    return validate_problem(list(balances.items()), arcs)
 
 
 def count_probes(monkeypatch, within: frozenset[str] | None = None) -> list[int]:
