@@ -160,8 +160,8 @@ def balanced_flow(
     tied blocks' canonical cuts, which is the cut the whole-stage search
     gives; untied blocks lie on its sink side and keep their results.
     """
-    fatal = has_fatal_cut(problem)
-    if fatal.fatal:
+    # The first Newton search finds a fatal cut itself (`minmax_ratio`).
+    if mode != "dinkelbach" and (fatal := has_fatal_cut(problem)).fatal:
         raise FatalCutPresent(fatal.witness_cut)
     values = dict.fromkeys(problem.arc_ids, Fraction(0))
     levels: list[Level] = []
@@ -171,7 +171,7 @@ def balanced_flow(
         # Reduced stages of a solvable problem stay solvable; skip re-checks.
         last = result
         if mode == "dinkelbach":
-            result = minmax_ratio(current, check_fatal=False, previous=last)
+            result = minmax_ratio(current, previous=last)
         else:
             result = minmax_ratio_dichotomy(current, check_fatal=False)
         if result.r0 <= 0 or result.critical_cut is None:

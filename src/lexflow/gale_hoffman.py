@@ -124,16 +124,14 @@ def is_feasible(problem: Problem, z: Fraction) -> FeasibilityReport:
 def has_fatal_cut(problem: Problem) -> FatalCutReport:
     """Detect a positive-deficiency cut with no outgoing arcs.
 
-    Tests feasibility at M = total supply / minimum capacity: with that much
-    slack, any cut with at least one outgoing arc is satisfied, so only an
-    arcless cut can still be violated and any witness must be fatal.
+    Tests feasibility at M = total supply / minimum capacity (any M without
+    arcs): with that much slack, any cut with an outgoing arc is satisfied,
+    so only an arcless cut can still be violated and any witness is fatal.
     """
     if problem.total_supply == 0:
         return FatalCutReport(False)
-    if problem.arcs:
-        factor = problem.total_supply / min(a.capacity for a in problem.arcs)
-    else:
-        factor = Fraction(1)  # no arcs: the factor is irrelevant
+    _, balances, capacities = problem.integer_view
+    factor = Fraction(sum(d for d in balances if d > 0), min(capacities, default=1))
     report = is_feasible(problem, factor)
     if report.feasible:
         return FatalCutReport(False)

@@ -8,7 +8,8 @@ fewer steps the closer its seed is to the maximum, so it starts from the
 best of the cuts found without a max-flow: all producers, every single-node
 cut (a producer, or all nodes but one consumer), and the witnesses found
 before the last level. Which seed wins does not change the critical cut
-returned. After the first stage, only the blocks of nodes that the last
+returned. A fatal cut is found inside the same search, as a witness without
+capacity. After the first stage, only the blocks of nodes that the last
 level split are searched again (see `minmax_ratio`). A bisection mode that
 recovers the ratio with `Fraction.limit_denominator` is a cross-check.
 """
@@ -84,12 +85,6 @@ class Block(NamedTuple):
     result: RatioResult
 
 
-def _require_no_fatal_cut(problem: Problem) -> None:
-    report = has_fatal_cut(problem)
-    if report.fatal:
-        raise FatalCutPresent(report.witness_cut)
-
-
 def _witness_ratio(report: FeasibilityReport) -> Fraction | None:
     stats = report.witness_stats
     return None if stats is None else stats.ratio
@@ -146,10 +141,7 @@ def _candidate_ratios(
 
 
 def minmax_ratio(
-    problem: Problem,
-    *,
-    check_fatal: bool = True,
-    previous: RatioResult | None = None,
+    problem: Problem, *, previous: RatioResult | None = None
 ) -> RatioResult:
     """Largest deficiency/capacity over all cuts, by discrete Newton steps.
 
@@ -161,9 +153,18 @@ def minmax_ratio(
     first feasible candidate equals the maximum and the preceding witness is
     a critical cut. The producer cut wins ties; then the search is the one
     seeded with the producer cut alone, step for step, and it returns the
-    producer cut itself when that is already critical. Callers that already
-    know the problem has no fatal cut (e.g. because they reduced a solvable
-    one) may pass check_fatal=False.
+    producer cut itself when that is already critical.
+
+    Raises FatalCutPresent with `has_fatal_cut`'s witness when a cut F has
+    positive deficiency and no forward capacity. Then g >= D(F) > 0, no
+    probe is feasible, and the search ends at a witness with C = 0: S_k is
+    optimal at z_k, and S_{k+1} beats S_k's 0 at z_{k+1}, S_k's ratio, so
+    subtracting gives (z_{k+1} - z_k)(C(S_{k+1}) - C(S_k)) < 0. Such a W
+    maximizes D over the fatal cuts. At M = supply / min capacity a cut with
+    capacity scores D - M·C <= 0, so the maximizers there are the fatal cuts
+    of deficiency D(W); each maximizes D - z·C too, so W, the least at z, is
+    the least at M. The producer cut, raised at once when it has no forward
+    capacity, is the least fatal cut of deficiency D = supply.
 
     A larger seed gives the same critical cut. Let g(z) = max_S D(S) - z·C(S),
     convex and piecewise linear, zero from r0 on. The last infeasible probe
@@ -200,8 +201,6 @@ def minmax_ratio(
     on the sink side of that level's cut, so its arcs and balances are
     unchanged, and its result is reused with no probe.
     """
-    if check_fatal:
-        _require_no_fatal_cut(problem)
     if problem.total_supply == 0:
         return RatioResult(Fraction(0), None, ())
     if previous is None:
@@ -212,14 +211,14 @@ def minmax_ratio(
 def _newton(problem: Problem, seeds: Iterable[Iterable[str]]) -> RatioResult:
     """The Newton search on `problem` as one block; see `minmax_ratio`."""
     producer, z = _candidate_ratios(problem, seeds)
-    if producer is None:
-        raise InvariantViolation("producer cut would be fatal")
     cut: Cut | None = None
-    if z <= producer:
+    if producer is None or z <= producer:
+        balances = problem.integer_view.balances
+        producers = (v for v, d in zip(problem.node_ids, balances) if d > 0)
+        cut = Cut.from_source_side(problem, producers)
+        if producer is None:
+            raise FatalCutPresent(cut)
         z = producer
-        cut = Cut.from_source_side(
-            problem, (v for v in problem.node_ids if problem.balances[v] > 0)
-        )
 
     steps: list[SearchStep] = []
     cap = max(1, len(problem.arcs) * len(problem.node_ids))
@@ -229,6 +228,8 @@ def _newton(problem: Problem, seeds: Iterable[Iterable[str]]) -> RatioResult:
             if cut is None:
                 return _probe_last_piece(problem, z)
             return RatioResult(z, cut, tuple(steps))
+        if report.witness_stats is not None and report.witness_stats.is_fatal:
+            raise FatalCutPresent(report.witness_cut)
         ratio = _witness_ratio(report)
         if report.witness_cut is None or ratio is None or ratio <= z:
             raise InvariantViolation("witness must beat the probe")
@@ -241,7 +242,7 @@ def _newton(problem: Problem, seeds: Iterable[Iterable[str]]) -> RatioResult:
         RuntimeWarning,
         stacklevel=3,
     )
-    return minmax_ratio_dichotomy(problem, check_fatal=False)
+    return minmax_ratio_dichotomy(problem)
 
 
 def _search_blocks(problem: Problem, previous: RatioResult) -> RatioResult:
@@ -331,14 +332,15 @@ def minmax_ratio_dichotomy(
     probe half the separation below r0, where every minimum cut is critical.
     Cross-checking mode for `minmax_ratio`.
     """
-    if check_fatal:
-        _require_no_fatal_cut(problem)
+    if check_fatal and (report := has_fatal_cut(problem)).fatal:
+        raise FatalCutPresent(report.witness_cut)
     if problem.total_supply == 0:
         return RatioResult(Fraction(0), None, ())
 
     lam = total_integer_capacity(problem)
     gap = Fraction(1, 2 * lam * lam)
-    upper = problem.total_supply / min(a.capacity for a in problem.arcs)
+    _, balances, capacities = problem.integer_view
+    upper = Fraction(sum(d for d in balances if d > 0), min(capacities))
 
     lo, hi = Fraction(0), upper  # infeasible at lo (by r0 > 0), feasible at hi
     steps: list[SearchStep] = []

@@ -313,6 +313,18 @@ class TestRatioAndOracle:
         doc = json.loads(capsys.readouterr().out)
         assert doc == {"r0": "0", "critical_cut": None}
 
+    def test_ratio_fatal_exit(self, tmp_path, capsys):
+        # {x} is fatal; the producer cut {u, x} is not, so the Newton
+        # search finds {x} as a probe's witness.
+        path = tmp_path / "fatal.txt"
+        path.write_text("n u 2\nn x 1\nn w -3\na uw u w 1\n")
+        assert main(["ratio", str(path)]) == 10
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "witness: x" in captured.err.splitlines()
+        assert main(["solve", str(path)]) == 10
+        assert capsys.readouterr().err == captured.err
+
     def test_oracle_matches(self, d4_json, capsys):
         assert main(["oracle", d4_json]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import lexflow
 import lexflow.balancer as balancer
+import lexflow.gale_hoffman as gale_hoffman
 import lexflow.ratio_search as ratio_search
 from lexflow import (
     Cut,
@@ -25,6 +26,7 @@ from lexflow import (
     balanced_flow,
     cut_stats,
     enumerate_cuts,
+    has_fatal_cut,
     is_feasible,
     minmax_ratio,
     minmax_ratio_dichotomy,
@@ -42,6 +44,7 @@ from conftest import (
     single_arc_problem,
     sink_side_is_feasible,
 )
+from test_acceptance import _scale_instance
 
 F = Fraction
 
@@ -73,11 +76,24 @@ class TestMinmaxRatio:
         assert result.r0 == 0 and result.critical_cut is None
         assert result.steps == ()
 
-    def test_fatal_cut_raises(self):
+    def test_fatal_cut_raises(self, monkeypatch):
+        # The producer cut {w} has no forward capacity: raised with no probe.
         p = validate_problem([("u", -1), ("w", 1)], [("uw", "u", "w", 2)])
+        probes = count_probes(monkeypatch)
         with pytest.raises(FatalCutPresent) as info:
             minmax_ratio(p)
         assert info.value.witness.source_side == frozenset({"w"})
+        assert probes[0] == 0
+
+    def test_fatal_witness_of_a_probe_raises(self, monkeypatch):
+        # The producer cut {u, x} has ratio 3; the probe at 3 returns the
+        # fatal cut {x} as its witness.
+        p = validate_problem([("u", 2), ("x", 1), ("w", -3)], [("uw", "u", "w", 1)])
+        probes = count_probes(monkeypatch)
+        with pytest.raises(FatalCutPresent) as info:
+            minmax_ratio(p)
+        assert info.value.witness.source_side == frozenset({"x"})
+        assert probes[0] == 1
 
     def test_trace_strictly_increases(self):
         rng = random.Random(301)
@@ -105,7 +121,61 @@ class TestMinmaxRatio:
                 assert cut_stats(p, result.critical_cut).ratio == result.r0
 
 
-def _reference_minmax_ratio(problem, *, check_fatal=True, previous=None):
+class TestFatalCutInTheSearch:
+    """The Newton search is the fatal check: `has_fatal_cut`'s verdict and
+    witness, with no max-flow of its own."""
+
+    def test_same_verdict_and_witness_as_has_fatal_cut(self, monkeypatch):
+        rng = random.Random(318)
+        probes = count_probes(monkeypatch)
+        searches = [
+            minmax_ratio,
+            balanced_flow,
+            lambda p: balanced_flow(p, mode="dichotomy"),
+        ]
+        at_once = by_witness = 0
+        for _ in range(300):
+            p = random_problem(rng)
+            report = has_fatal_cut(p)
+            for search in searches:
+                before = probes[0]
+                if not report.fatal:
+                    search(p)
+                    continue
+                with pytest.raises(FatalCutPresent) as info:
+                    search(p)
+                assert info.value.witness == report.witness_cut
+                if search is minmax_ratio:
+                    at_once += probes[0] == before
+                    by_witness += probes[0] > before
+        assert at_once > 20 and by_witness > 20
+
+    def test_no_fatal_probe_on_a_criterion_8_instance(self, monkeypatch):
+        flows = [0]
+        max_flow = gale_hoffman.max_flow
+
+        def counted(network):
+            flows[0] += 1
+            return max_flow(network)
+
+        fatal_checks = [0]
+        check = gale_hoffman.has_fatal_cut
+
+        def checked(problem):
+            fatal_checks[0] += 1
+            return check(problem)
+
+        monkeypatch.setattr(gale_hoffman, "max_flow", counted)
+        for module in (balancer, ratio_search):
+            monkeypatch.setattr(module, "has_fatal_cut", checked)
+        p = _scale_instance(11)
+        result = minmax_ratio(p)
+        assert flows[0] == len(result.steps) + 1
+        balanced_flow(p)
+        assert fatal_checks == [0]
+
+
+def _reference_minmax_ratio(problem, *, previous=None):
     """Newton seeded with the producer cut alone, for solvable problems.
 
     The search before seeding from other cuts and earlier witnesses and
@@ -291,7 +361,7 @@ class TestSeeding:
             [("a0", "u0", "w", 1), ("a1", "u1", "w", 2), ("a2", "u2", "w", 4)],
         )
         probes = count_probes(monkeypatch)
-        result = minmax_ratio(p, check_fatal=False)
+        result = minmax_ratio(p)
         assert probes[0] == 2
         reference = _reference_minmax_ratio(p)
         assert probes[0] == 2 + 3
