@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Sequence
+from typing import Literal
 
 from .gale_hoffman import (
     InvariantViolation,
@@ -187,9 +187,12 @@ def balanced_flow(
         if len(levels) >= len(problem.node_ids):
             raise IterationCapExceeded("more than n - 1 levels")
 
-    flow = Flow(values)
-    ratios = tuple(sorted(flow.ratio_vector(problem), reverse=True))
-    return BalancedSolution(flow, Certificate(tuple(levels), current.arc_ids), ratios)
+    # Fixed arcs carry their level's ratio, the rest zero, and the ratios
+    # never increase: this is the flow's ratio vector sorted descending.
+    ratios = [level.ratio for level in levels for _ in level.fixed_forward]
+    ratios += [Fraction(0)] * (len(problem.arcs) - len(ratios))
+    certificate = Certificate(tuple(levels), current.arc_ids)
+    return BalancedSolution(Flow(values), certificate, tuple(ratios))
 
 
 def verify_certificate(
@@ -212,32 +215,36 @@ def verify_certificate(
     feasibility at that ratio shows no stage cut beats it, so the ratio is
     the stage's exact minmax value and the uniform loading is forced.
 
-    Both probes of level k run on T_k, the union of the stage's weakly
-    connected components that the level's cut crosses, not on the whole
-    stage. λ in the minimality probe r_k - 1/(2bλ), b being r_k's
-    denominator, is `total_integer_capacity(T_k)`. This accepts exactly the
-    certificates the whole-stage probes accept:
+    Both probes of level k run on T_k, a union of blocks of stage k, not on
+    the whole stage. A block is a set of nodes that no stage arc enters or
+    leaves. Stage 0 is one block; after level k, each block of T_k splits
+    into its nodes on the source side and on the sink side of the level's
+    cut, which no remaining arc joins, and every other block is kept. T_k is
+    the union of the blocks that hold the tail of a forward or reverse arc
+    of the level's cut. λ in the minimality probe r_k - 1/(2bλ), b being
+    r_k's denominator, is `total_integer_capacity(T_k)`. This accepts
+    exactly the certificates the whole-stage probes accept:
 
     - Conservation and the replayed levels show that the flow on the stage
-      arcs meets the stage balances, so every component's balances sum to
-      zero. A component is feasible at a factor z by itself, and the stage
-      is feasible at z exactly when all of its components are.
-    - A stage-k component the cut does not cross lies on one side of it and
-      keeps its arcs and balances, so it is a component of stage k+1. There
-      it is covered at r_{k+1} <= r_k, a smaller capacity factor, so
-      feasibility there implies it at r_k. By induction it is covered by
-      the end, where all balances must vanish and it is feasible at every
-      factor. Such a flaw may thus surface as `arc_partition` at the end
-      rather than as `stage_optimality` at level k; it is rejected either
-      way.
-    - An uncrossed component contributes zero deficiency and no capacity
-      to the level cut, so the cut has the same deficiency and capacity on
-      T_k as on the whole stage, and is violated on T_k just below r_k.
+      arcs meets the stage balances, so the balances of every node set that
+      no stage arc enters or leaves, each block among them, sum to zero. A
+      block is feasible at a factor z by itself, and the stage is feasible
+      at z exactly when all of its blocks are.
+    - A stage-k block outside T_k keeps its arcs and balances, so it is a
+      block of stage k+1. There it is covered at r_{k+1} <= r_k, a smaller
+      capacity factor, so feasibility there implies it at r_k. By induction
+      it is covered by the end, where all balances must vanish and it is
+      feasible at every factor. Such a flaw may thus surface as
+      `arc_partition` at the end rather than as `stage_optimality` at level
+      k; it is rejected either way.
+    - A block outside T_k holds no arc of the level's cut, so no stage arc
+      enters or leaves its part on the source side. That part's balances
+      sum to zero, so it adds zero deficiency and no capacity to the cut.
+      The cut thus has the same deficiency and capacity on T_k as on the
+      whole stage, and is violated on T_k just below r_k.
 
-    The components are the verifier's own, found from the stage's arcs. A
-    union-find labels each node with its component's root; after a level,
-    only T_k is split again, over its remaining arcs, because the other
-    components do not change.
+    The blocks are the verifier's own, found from the levels' cuts; after a
+    level, only T_k's nodes are labelled again.
     """
     flow = solution.flow
     certificate = solution.certificate
@@ -269,13 +276,9 @@ def verify_certificate(
     # outranks an optimality failure, which is kept until the replay is done.
     suboptimal: VerificationResult | None = None
     current = problem
-    # component[i] is the root position of node i's weakly connected
-    # component in the current stage.
+    # block[i] is the position of the first node of node i's block.
     position = problem.node_position
-    component = list(range(len(problem.node_ids)))
-    _split(component, range(len(component)), [
-        (position[a.tail], position[a.head]) for a in problem.arcs
-    ])
+    block = [0] * len(problem.node_ids)
     for k, level in enumerate(certificate.levels):
         where = f"level {k}"
         try:
@@ -309,13 +312,12 @@ def verify_certificate(
 
         # Once a probe has failed, no later probe runs and the labels lapse.
         if suboptimal is None:
-            crossed = {component[position[a.tail]] for a in (*forward.values(), *reverse)}
-            nodes = [i for i, c in enumerate(component) if c in crossed]
+            crossed = {block[position[a.tail]] for a in (*forward.values(), *reverse)}
+            nodes = [i for i, b in enumerate(block) if b in crossed]
             inside = [
-                (j, a) for j, a in enumerate(current.arcs)
-                if component[position[a.tail]] in crossed
+                j for j, a in enumerate(current.arcs) if block[position[a.tail]] in crossed
             ]
-            touched = restrict(current, nodes, [j for j, _ in inside])
+            touched = restrict(current, nodes, inside)
             if not is_feasible(touched, level.ratio).feasible:
                 suboptimal = reject("stage_optimality", f"{where}: ratio is not sufficient")
             else:
@@ -323,10 +325,10 @@ def verify_certificate(
                 below = level.ratio - Fraction(1, 2 * level.ratio.denominator * lam)
                 if is_feasible(touched, below).feasible:
                     suboptimal = reject("stage_optimality", f"{where}: ratio is not minimal")
-            _split(component, nodes, [
-                (position[a.tail], position[a.head]) for _, a in inside
-                if a.arc_id not in forward and a.arc_id not in reverse_ids
-            ])
+            first: dict[tuple[int, bool], int] = {}
+            for i in nodes:
+                side = problem.node_ids[i] in level.cut.source_side
+                block[i] = first.setdefault((block[i], side), i)
         current = fix_arcs(current, dict(level.fixed_forward), level.zeroed_reverse)
 
     if suboptimal is not None:
@@ -358,27 +360,3 @@ def verify_certificate(
         return reject("summary", "sorted ratios differ from the flow's")
     return VerificationResult(True)
 
-
-def _split(
-    component: list[int], nodes: Sequence[int], ends: list[tuple[int, int]]
-) -> None:
-    """Relabel `nodes` by the weakly connected pieces their arcs form.
-
-    `component` maps each node position to its component's root position;
-    `ends` holds the (tail, head) positions of every arc among `nodes`, and
-    no arc joins them to another node. Each of `nodes` ends up labelled with
-    a root among `nodes`, so the labels of the other nodes stay valid.
-    """
-    for i in nodes:
-        component[i] = i
-
-    def find(i: int) -> int:
-        while component[i] != i:
-            component[i] = component[component[i]]
-            i = component[i]
-        return i
-
-    for tail, head in ends:
-        component[find(tail)] = find(head)
-    for i in nodes:
-        component[i] = find(i)

@@ -299,16 +299,19 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_WEAKLY_FEASIBLE_ONLY
 
 
+def _report_fatal(exc: FatalCutPresent, problem: Problem) -> int:
+    print("not weakly solvable: fatal cut present", file=sys.stderr)
+    side = " ".join(problem.ordered_nodes(exc.witness.source_side))
+    print(f"witness: {side}", file=sys.stderr)
+    return EXIT_NOT_WEAKLY_SOLVABLE
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     problem = parse_instance(read_source(args.instance), args.instance)
     try:
         solution = balanced_flow(problem, mode=args.mode)
     except FatalCutPresent as exc:
-        print("not weakly solvable: fatal cut present", file=sys.stderr)
-        if exc.witness is not None:
-            side = " ".join(problem.ordered_nodes(exc.witness.source_side))
-            print(f"witness: {side}", file=sys.stderr)
-        return EXIT_NOT_WEAKLY_SOLVABLE
+        return _report_fatal(exc, problem)
     document = solution_document(problem, solution, args.decimals)
     if args.certificate:
         try:
@@ -324,11 +327,7 @@ def cmd_ratio(args: argparse.Namespace) -> int:
     try:
         result = minmax_ratio(problem)
     except FatalCutPresent as exc:
-        print("not weakly solvable: fatal cut present", file=sys.stderr)
-        if exc.witness is not None:
-            side = " ".join(problem.ordered_nodes(exc.witness.source_side))
-            print(f"witness: {side}", file=sys.stderr)
-        return EXIT_NOT_WEAKLY_SOLVABLE
+        return _report_fatal(exc, problem)
     cut_nodes = (
         list(problem.ordered_nodes(result.critical_cut.source_side))
         if result.critical_cut is not None

@@ -257,11 +257,10 @@ class Cut:
 
 @dataclass(frozen=True)
 class CutStats:
-    """Exact aggregates of a cut: deficiency, capacity, optional flow."""
+    """Exact aggregates of a cut: deficiency and capacity."""
 
     deficiency: Fraction
     capacity: Fraction
-    flow: Fraction | None = None
 
     @property
     def is_fatal(self) -> bool:
@@ -390,8 +389,8 @@ def node_balance_residual(problem: Problem, flow: Flow) -> dict[str, Fraction]:
     return residual
 
 
-def cut_stats(problem: Problem, cut: Cut, flow: Flow | None = None) -> CutStats:
-    """Exact deficiency, capacity, and (when a flow is given) crossing flow."""
+def cut_stats(problem: Problem, cut: Cut) -> CutStats:
+    """Exact deficiency and capacity of `cut`."""
     nodes = frozenset(problem.node_ids)
     if (
         not cut.source_side
@@ -400,24 +399,15 @@ def cut_stats(problem: Problem, cut: Cut, flow: Flow | None = None) -> CutStats:
         or cut.source_side | cut.sink_side != nodes
     ):
         raise InvalidPartition("cut is not a proper bipartition of the nodes")
-    if flow is not None and set(flow.values) != set(problem.arc_ids):
-        raise KeyMismatch("flow keys do not match the problem's arcs")
 
     denominator, balances, capacities = problem.integer_view
     position = problem.node_position
     deficiency = sum(balances[position[v]] for v in cut.source_side)
     capacity = 0
-    crossing = Fraction(0) if flow is not None else None
     for arc, c in zip(problem.arcs, capacities):
         if arc.tail in cut.source_side and arc.head in cut.sink_side:
             capacity += c
-            if flow is not None:
-                crossing += flow.values[arc.arc_id]
-    return CutStats(
-        Fraction(deficiency, denominator),
-        Fraction(capacity, denominator),
-        crossing,
-    )
+    return CutStats(Fraction(deficiency, denominator), Fraction(capacity, denominator))
 
 
 def lexmin_compare(

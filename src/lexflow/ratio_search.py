@@ -36,7 +36,7 @@ from .model import cut_stats  # noqa: F401
 class FatalCutPresent(Exception):
     """The problem is not weakly solvable; the offending cut is `.witness`."""
 
-    def __init__(self, witness: Cut | None = None) -> None:
+    def __init__(self, witness: Cut) -> None:
         super().__init__("problem has a fatal cut and no weakly feasible flow")
         self.witness = witness
 
@@ -75,6 +75,11 @@ class RatioResult:
 
 class Block(NamedTuple):
     """A set of a stage's nodes that no stage arc enters or leaves.
+
+    The first stage is searched as one block, the whole problem. A later
+    stage's blocks are the previous stage's untied blocks and the two sides
+    of each tied one, split by the previous level's cut; a side whose
+    balances are all zero is dropped.
 
     `problem` is the stage restricted to the block by `model.restrict`, on
     its stage's integer grid, and `result` is the Newton search on it: the
@@ -194,12 +199,13 @@ def minmax_ratio(
     is therefore the cut the whole-stage search returns, the all-producers cut
     included.
 
-    The previous level split only its tied blocks: each splits into the
-    weakly connected pieces of its remaining arcs, pieces whose balances are
-    all zero are dropped, and every other piece is searched, seeded with its
-    parent block's witnesses restricted to it. An untied block lies wholly
-    on the sink side of that level's cut, so its arcs and balances are
-    unchanged, and its result is reused with no probe.
+    The previous level split only its tied blocks: each splits into its
+    nodes on the source side and on the sink side of that level's cut, which
+    no remaining arc joins. A side whose balances are all zero is dropped,
+    and every other side is searched, seeded with its parent block's
+    witnesses restricted to it. An untied block lies wholly on the sink side
+    of that level's cut, so its arcs and balances are unchanged, and its
+    result is reused with no probe.
     """
     if problem.total_supply == 0:
         return RatioResult(Fraction(0), None, ())
@@ -257,46 +263,35 @@ def _search_blocks(problem: Problem, previous: RatioResult) -> RatioResult:
     else:
         kept, tied = [], [(problem.node_ids, previous.steps)]
 
-    # Union-find over the tied blocks' nodes, joined by the stage's arcs.
+    # Tied block k splits into cells 2k and 2k + 1, its nodes on the sink
+    # and on the source side of the previous cut; no stage arc may leave a
+    # cell. Block nodes are in stage order, and so are each cell's.
     position = problem.node_position
-    parent_block = [-1] * len(problem.node_ids)
+    split_side = previous.critical_cut.source_side
+    cell = [-1] * len(problem.node_ids)
+    cell_nodes: dict[int, list[int]] = {}
     for k, (nodes, _) in enumerate(tied):
         for v in nodes:
-            parent_block[position[v]] = k
-    root = list(range(len(problem.node_ids)))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    tied_arcs: list[tuple[int, int]] = []
-    for k, arc in enumerate(problem.arcs):
-        tail, head = position[arc.tail], position[arc.head]
-        if parent_block[tail] != parent_block[head]:
+            i = position[v]
+            cell[i] = 2 * k + (v in split_side)
+            cell_nodes.setdefault(cell[i], []).append(i)
+    cell_arcs: dict[int, list[int]] = {c: [] for c in cell_nodes}
+    for j, arc in enumerate(problem.arcs):
+        c = cell[position[arc.tail]]
+        if c != cell[position[arc.head]]:
             raise InvariantViolation("a stage arc leaves its block")
-        if parent_block[tail] >= 0:
-            root[find(tail)] = find(head)
-            tied_arcs.append((k, tail))
-
-    piece_nodes: dict[int, list[int]] = {}
-    for i, k in enumerate(parent_block):
-        if k >= 0:
-            piece_nodes.setdefault(find(i), []).append(i)
-    piece_arcs: dict[int, list[int]] = {r: [] for r in piece_nodes}
-    for k, tail in tied_arcs:
-        piece_arcs[find(tail)].append(k)
+        if c >= 0:
+            cell_arcs[c].append(j)
 
     balances = problem.integer_view.balances
     blocks = list(kept)
     steps: list[SearchStep] = []
-    for r, nodes in piece_nodes.items():
+    for c, nodes in cell_nodes.items():
         if not any(balances[i] for i in nodes):
             continue
-        block = restrict(problem, nodes, piece_arcs[r])
+        block = restrict(problem, nodes, cell_arcs[c])
         inside = frozenset(block.node_ids)
-        witnesses = tied[parent_block[r]][1]
+        witnesses = tied[c // 2][1]
         result = _newton(block, (inside & step.cut.source_side for step in witnesses))
         blocks.append(Block(block, result))
         steps += result.steps

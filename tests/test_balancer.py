@@ -415,28 +415,8 @@ class TestVerifyCertificate:
         assert verdict.failed_check == "arc_partition"
 
 
-def crossed_components(stage: Problem, cut: Cut) -> list[frozenset[str]]:
-    """The stage's weakly connected components that have nodes on both
-    sides of `cut`, each grown by brute-force closure."""
-    left = set(stage.node_ids)
-    crossed = []
-    while left:
-        component = {left.pop()}
-        grown = True
-        while grown:
-            grown = False
-            for a in stage.arcs:
-                if (a.tail in component) != (a.head in component):
-                    component |= {a.tail, a.head}
-                    grown = True
-        left -= component
-        if component & cut.source_side and component & cut.sink_side:
-            crossed.append(frozenset(component))
-    return crossed
-
-
 class TestProbeScope:
-    def test_probes_run_on_the_components_the_cut_crosses(self, monkeypatch):
+    def test_probes_run_on_the_blocks_the_cut_touches(self, monkeypatch):
         probe = balancer.is_feasible
         probed: list[Problem] = []
 
@@ -444,7 +424,7 @@ class TestProbeScope:
             probed.append(problem)
             return probe(problem, z)
 
-        # Small integer data makes a level's cut cross several components.
+        # Small integer data makes a level's cut touch several blocks.
         rng = random.Random(409)
         instances = [
             disjoint_union(
@@ -464,16 +444,27 @@ class TestProbeScope:
             assert verify_certificate(p, sol).accepted
             levels = sol.certificate.levels
             assert len(probed) == 2 * len(levels)
-            stage = p
+            # One block of all nodes, refined along each level's cut in the
+            # blocks that hold a tail of one of its arcs.
+            stage, blocks = p, [frozenset(p.node_ids)]
             for k, level in enumerate(levels):
-                crossed = crossed_components(stage, level.cut)
-                nodes = frozenset().union(*crossed)
+                assert all((a.tail in b) == (a.head in b) for b in blocks for a in stage.arcs)
+                cut_arcs = (*level.cut.forward_arcs(stage), *level.cut.reverse_arcs(stage))
+                tails = {a.tail for a in cut_arcs}
+                touched = [b for b in blocks if b & tails]
+                nodes = frozenset().union(*touched)
                 arcs = {a.arc_id for a in stage.arcs if a.tail in nodes}
                 for sub in probed[2 * k : 2 * k + 2]:
                     assert frozenset(sub.node_ids) == nodes
                     assert set(sub.arc_ids) == arcs
                 smaller += len(nodes) < len(stage.node_ids)
-                several += len(crossed) > 1
+                several += len(touched) > 1
+                blocks = [b for b in blocks if not b & tails] + [
+                    part
+                    for b in touched
+                    for part in (b & level.cut.source_side, b & level.cut.sink_side)
+                    if part
+                ]
                 stage = fix_arcs(stage, dict(level.fixed_forward), level.zeroed_reverse)
         assert smaller and several
 

@@ -276,19 +276,18 @@ class TestSeeding:
         assert checked > 20
 
     def test_untied_block_is_reused_without_probes(self, monkeypatch):
-        # Component A = {p1, p2, p3, t} peels at 9, 7 and 5, and B = {x, y}
-        # at 1. Stage 1 searches the whole problem; stage 2 searches the
-        # pieces its level left, B among them (one probe: its producer cut
-        # is critical); stage 3 re-searches only A's piece and reuses B's
-        # result, and stage 4's cut is B's producer cut with no probe.
+        # Level 1 at 9 cuts {p1, q} off {t, r, s}. Stage 2 searches both
+        # sides, {t, r, s} with one probe (its ratio 1/2 is below 1), and
+        # level 2 cuts {p1} at 1. Stage 3 reuses the result of {t, r, s},
+        # and level 3 is its cut {r} at 1/2, with no probe.
         p = validate_problem(
-            [("p1", 9), ("p2", 7), ("p3", 5), ("t", -21), ("x", 1), ("y", -1)],
+            [("p1", 10), ("q", -1), ("t", -9), ("r", 1), ("s", -1)],
             [
-                ("a1", "p1", "t", 1), ("a2", "p2", "t", 1), ("a3", "p3", "t", 1),
-                ("b", "x", "y", 1),
+                ("a", "p1", "q", 1), ("b", "p1", "t", 1), ("c", "t", "r", 1),
+                ("d", "r", "s", 2),
             ],
         )
-        probes = count_probes(monkeypatch, within=frozenset({"x", "y"}))
+        probes = count_probes(monkeypatch, within=frozenset({"r", "s"}))
         per_stage = []
         search = balancer.minmax_ratio
 
@@ -300,9 +299,9 @@ class TestSeeding:
 
         monkeypatch.setattr(balancer, "minmax_ratio", recorded)
         solution = balanced_flow(p)
-        assert [level.ratio for level in solution.certificate.levels] == [9, 7, 5, 1]
-        assert solution.certificate.levels[3].cut.source_side == frozenset({"x"})
-        assert per_stage == [2, 1, 0, 0]
+        assert [level.ratio for level in solution.certificate.levels] == [9, 1, F(1, 2)]
+        assert solution.certificate.levels[2].cut.source_side == frozenset({"r"})
+        assert per_stage == [2, 1, 0]
 
     @pytest.mark.parametrize(
         "d1,c1,d2,c2,r0,below",
@@ -378,6 +377,44 @@ class TestSeeding:
         reference = balanced_flow(p)
         assert seeded == reference
         assert 0 < seeded_probes < probes[0] - seeded_probes
+
+
+class TestBlocks:
+    """Every stage's blocks are disjoint closed node sets with some nonzero
+    balance, each holding its stage's arcs and balances as they are now."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_blocks_partition_the_stage_into_closed_sets(self, rng, union):
+        if union:
+            parts = [random_problem(rng, max_nodes=5, max_arcs=7) for _ in range(3)]
+            p = disjoint_union(parts[: rng.randint(2, 3)])
+        else:
+            p = random_problem(rng)
+        stages = []
+        search = balancer.minmax_ratio
+
+        def recorded(problem, **kwargs):
+            result = search(problem, **kwargs)
+            stages.append((problem, result))
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(balancer, "minmax_ratio", recorded)
+            try:
+                balanced_flow(p)
+            except FatalCutPresent:
+                pass
+        for stage, result in stages:
+            seen: set[str] = set()
+            for block in result.blocks:
+                nodes = frozenset(block.problem.node_ids)
+                assert seen.isdisjoint(nodes)
+                seen |= nodes
+                assert any(stage.balances[v] for v in nodes)
+                assert all((a.tail in nodes) == (a.head in nodes) for a in stage.arcs)
+                assert block.problem.arcs == tuple(a for a in stage.arcs if a.tail in nodes)
+                assert block.problem.balances == {v: stage.balances[v] for v in nodes}
 
 
 class TestDichotomy:
