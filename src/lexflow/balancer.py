@@ -135,8 +135,7 @@ def reduce_problem(
 
     fixed = tuple((arc.arc_id, ratio * arc.capacity) for arc in forward)
     zeroed = tuple(a.arc_id for a in cut.reverse_arcs(problem))
-    reduced = fix_arcs(problem, dict(fixed), zeroed)
-    return reduced, Level(ratio, cut, fixed, zeroed)
+    return fix_arcs(problem, cut, ratio), Level(ratio, cut, fixed, zeroed)
 
 
 def balanced_flow(
@@ -329,7 +328,8 @@ def verify_certificate(
             for i in nodes:
                 side = problem.node_ids[i] in level.cut.source_side
                 block[i] = first.setdefault((block[i], side), i)
-        current = fix_arcs(current, dict(level.fixed_forward), level.zeroed_reverse)
+        # The replay showed the level's arcs are the cut's, loaded at its ratio.
+        current = fix_arcs(current, level.cut, level.ratio)
 
     if suboptimal is not None:
         return suboptimal
@@ -347,8 +347,7 @@ def verify_certificate(
     busy = next((a for a in certificate.zero_tail if flow.values[a] != 0), None)
     if busy is not None:
         return reject("arc_partition", f"zero-tail arc {busy!r} carries flow")
-    nonzero = next((v for v in current.balances.values() if v != 0), None)
-    if nonzero is not None:
+    if any(current.integer_view.balances):
         return reject("arc_partition", "residual balances do not vanish")
 
     # The replay pinned every fixed arc at its level's ratio and the rest at

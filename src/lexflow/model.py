@@ -1,10 +1,10 @@
 """Exact domain model for transshipment balancing: problems, flows, cuts.
 
-Every numeric quantity is a `fractions.Fraction`, or an integer on a
-problem's common-denominator grid (`Problem.integer_view`); the solver path
-never touches floating point. Instances are immutable after construction,
-so they can be shared freely between threads, and all operations here are
-pure.
+A problem's numbers live on one integer grid (`Problem.integer_view`), built
+by `validate_problem` and stepped by `fix_arcs`; `fractions.Fraction`s only
+enter and leave there. The solver path never touches floating point.
+Instances are immutable after construction, so they can be shared freely
+between threads, and all operations here are pure.
 """
 
 from __future__ import annotations
@@ -168,15 +168,15 @@ class IntegerView(NamedTuple):
 class Problem:
     """A transshipment instance: a digraph with node balances and capacities.
 
-    Balances sum to zero, capacities are positive, parallel arcs are allowed
-    and self-loops are not. Node and arc order is the input order; every
-    iteration order downstream derives from it, which makes all results
-    deterministic. Construct through `validate_problem`.
+    Balances, kept only on the grid `integer_view`, sum to zero; capacities
+    are positive, parallel arcs are allowed and self-loops are not. Every
+    iteration order derives from the input order of nodes and arcs, which
+    makes all results deterministic. Construct through `validate_problem`.
     """
 
     node_ids: tuple[str, ...]
-    balances: Mapping[str, Fraction]
     arcs: tuple[Arc, ...]
+    integer_view: IntegerView
 
     @cached_property
     def node_position(self) -> dict[str, int]:
@@ -187,20 +187,9 @@ class Problem:
         return tuple(a.arc_id for a in self.arcs)
 
     @cached_property
-    def integer_view(self) -> IntegerView:
-        """Balances and capacities on one integer grid, computed once.
-
-        Every feasibility probe and cut sum on this problem reads it, so none
-        of them needs `Fraction` arithmetic or an lcm of its own.
-        """
-        balances = [self.balances[v] for v in self.node_ids]
-        capacities = [a.capacity for a in self.arcs]
-        lcm = math.lcm(*(x.denominator for x in balances + capacities))
-        return IntegerView(
-            lcm,
-            tuple(lcm // x.denominator * x.numerator for x in balances),
-            tuple(lcm // x.denominator * x.numerator for x in capacities),
-        )
+    def balances(self) -> dict[str, Fraction]:
+        denominator, balances, _ = self.integer_view
+        return {v: Fraction(d, denominator) for v, d in zip(self.node_ids, balances)}
 
     @cached_property
     def total_supply(self) -> Fraction:
@@ -299,15 +288,13 @@ def validate_problem(
     """
     node_items = nodes.items() if isinstance(nodes, Mapping) else nodes
 
-    node_ids: list[str] = []
     balances: dict[str, Fraction] = {}
     for node_id, raw in node_items:
         node_id = str(node_id)
         if node_id in balances:
             raise DuplicateId(f"duplicate node id {node_id!r}")
         balances[node_id] = parse_rational(raw)
-        node_ids.append(node_id)
-    if not node_ids:
+    if not balances:
         raise ModelError("instance has no nodes")
 
     built: list[Arc] = []
@@ -330,26 +317,47 @@ def validate_problem(
             )
         built.append(Arc(arc_id, tail, head, capacity))
 
-    total = sum(balances.values(), Fraction(0))
-    if total != 0:
+    numbers = [*balances.values(), *(a.capacity for a in built)]
+    lcm = math.lcm(*(x.denominator for x in numbers))
+    grid = [lcm // x.denominator * x.numerator for x in numbers]
+    view = IntegerView(lcm, tuple(grid[: len(balances)]), tuple(grid[len(balances) :]))
+    if total := Fraction(sum(view.balances), lcm):
         raise BalanceSumNonzero(f"balances sum to {format_rational(total)}, expected 0")
 
-    return Problem(tuple(node_ids), balances, tuple(built))
+    return Problem(tuple(balances), tuple(built), view)
 
 
-def fix_arcs(
-    problem: Problem, values: Mapping[str, Fraction], zeroed: Iterable[str]
-) -> Problem:
-    """The next stage: fixed `values` move from tail to head balances, and
-    the fixed and `zeroed` arcs are dropped; nodes stay as they are."""
-    balances = dict(problem.balances)
-    for arc in problem.arcs:
-        if arc.arc_id in values:
-            balances[arc.tail] -= values[arc.arc_id]
-            balances[arc.head] += values[arc.arc_id]
-    dropped = set(zeroed).union(values)
-    remaining = tuple(a for a in problem.arcs if a.arc_id not in dropped)
-    return Problem(problem.node_ids, balances, remaining)
+def fix_arcs(problem: Problem, cut: Cut, ratio: Fraction) -> Problem:
+    """The next stage after loading `cut`, a proper bipartition, at `ratio`:
+    forward arcs carry ratio × capacity tail to head; crossing arcs are dropped.
+
+    The grid is stepped on the least L without an lcm. With ratio = p/q, the
+    numbers on grid q·L are q·x, except each balance with a net forward
+    inflow e ≠ 0, t = q·D + p·e. Their gcd is g = gcd(q·h, every t) for
+    h = gcd(L, the other balances, the kept capacities), so L' = q·L/g: x
+    becomes x/h·f with f = q·h/g, and t becomes t/g.
+    """
+    denominator, balances, capacities = problem.integer_view
+    position, source = problem.node_position, cut.source_side
+    net = [0] * len(balances)
+    arcs, kept = [], []
+    for arc, c in zip(problem.arcs, capacities):
+        if (tail_side := arc.tail in source) == (arc.head in source):
+            arcs.append(arc)
+            kept.append(c)
+        elif tail_side:
+            net[position[arc.tail]] -= c
+            net[position[arc.head]] += c
+    p, q = ratio.numerator, ratio.denominator
+    h = math.gcd(denominator, *(d for d, e in zip(balances, net) if not e), *kept)
+    moved = {i: q * balances[i] + p * e for i, e in enumerate(net) if e}
+    g = math.gcd(q * h, *moved.values())
+    f = q * h // g
+    if h != 1 or f != 1:
+        balances, kept = [d // h * f for d in balances], [c // h * f for c in kept]
+    stepped = tuple(moved[i] // g if e else d for i, (d, e) in enumerate(zip(balances, net)))
+    view = IntegerView(denominator // h * f, stepped, tuple(kept))
+    return Problem(problem.node_ids, tuple(arcs), view)
 
 
 def restrict(problem: Problem, nodes: Sequence[int], arcs: Sequence[int]) -> Problem:
@@ -357,21 +365,14 @@ def restrict(problem: Problem, nodes: Sequence[int], arcs: Sequence[int]) -> Pro
 
     Positions are in `problem`'s node and arc order and stay in that order;
     the arcs must join only the given nodes. The integer view is sliced from
-    `problem`'s, on the same grid L, with no `Fraction` or lcm work.
+    `problem`'s, on the same grid L, with no gcd or lcm work.
     """
-    node_ids = tuple(problem.node_ids[i] for i in nodes)
-    sub = Problem(
-        node_ids,
-        {v: problem.balances[v] for v in node_ids},
-        tuple(problem.arcs[k] for k in arcs),
-    )
     denominator, balances, capacities = problem.integer_view
-    sub.__dict__["integer_view"] = IntegerView(
-        denominator,
-        tuple(balances[i] for i in nodes),
-        tuple(capacities[k] for k in arcs),
+    view = IntegerView(
+        denominator, tuple(balances[i] for i in nodes), tuple(capacities[k] for k in arcs)
     )
-    return sub
+    node_ids = tuple(problem.node_ids[i] for i in nodes)
+    return Problem(node_ids, tuple(problem.arcs[k] for k in arcs), view)
 
 
 def node_balance_residual(problem: Problem, flow: Flow) -> dict[str, Fraction]:

@@ -149,7 +149,8 @@ def lp_solve(lp: LinearProgram) -> LPResult:
             if b >= art_start:
                 cost1 = [c - t for c, t in zip(cost1, tab[i])]
         status = run(cost1, width)
-        assert status == "optimal", "phase 1 is bounded below by zero"
+        if status != "optimal":
+            raise AssertionError("phase 1 is bounded below by zero")
         if -cost1[-1] > 0:
             return LPResult(LPStatus.INFEASIBLE)
         # Pivot leftover artificials out of the basis; drop redundant rows.
@@ -232,7 +233,8 @@ def oracle_lexmin(problem: Problem) -> Flow:
             if first_round:
                 raise OracleInfeasible("no weakly feasible flow exists")
             raise AssertionError("pinning arcs cannot lose feasibility")
-        assert outcome.status is LPStatus.OPTIMAL and outcome.value is not None
+        if outcome.status is not LPStatus.OPTIMAL or outcome.value is None:
+            raise AssertionError("the bound LP has an optimum once feasible")
         bound = outcome.value
         first_round = False
 
@@ -251,10 +253,12 @@ def oracle_lexmin(problem: Problem) -> Flow:
                 else:
                     probe.add(coeffs, "<=", bound * other.capacity)
             verdict = lp_solve(probe)
-            assert verdict.status is LPStatus.OPTIMAL and verdict.value is not None
+            if verdict.status is not LPStatus.OPTIMAL or verdict.value is None:
+                raise AssertionError("a probe LP has an optimum at a feasible bound")
             if verdict.value == bound * arc.capacity:
                 pinned_now.append((arc.arc_id, bound * arc.capacity))
-        assert pinned_now, "some arc must be tight at the optimal bound"
+        if not pinned_now:
+            raise AssertionError("some arc must be tight at the optimal bound")
         fixed.update(pinned_now)
 
     return Flow({arc_id: fixed[arc_id] for arc_id in problem.arc_ids})

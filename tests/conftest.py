@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -22,6 +23,7 @@ from lexflow import (
     validate_problem,
     verify_certificate,
 )
+from lexflow.model import IntegerView
 
 
 def diamond_problem(supply: int = 4) -> Problem:
@@ -133,6 +135,54 @@ def grid_problem(rng: random.Random, k: int) -> Problem:
         balances[u] += amount
         balances[w] -= amount
     return validate_problem(list(balances.items()), arcs)
+
+
+# Primes just above 10**4, the denominators of deep-denominator instances.
+PRIMES = [q for q in range(10_001, 10_400) if all(q % k for k in range(2, 102))]
+
+
+def mixed_rational(rng: random.Random) -> Fraction:
+    """Mostly a deep rational (a prime denominator near 10**4), else a small one."""
+    if rng.random() < 0.7:
+        return Fraction(rng.randint(1, 10**6), rng.choice(PRIMES))
+    return Fraction(rng.randint(1, 9), rng.randint(1, 4))
+
+
+def deep_problem(rng: random.Random) -> Problem:
+    """Random instance whose numbers mostly have prime denominators near
+    10**4, so the common denominator runs to kilobits."""
+    n = rng.randint(2, 9)
+    ids = [f"n{i}" for i in range(n)]
+    balances = {v: Fraction(0) for v in ids}
+    for _ in range(rng.randint(1, n)):
+        u, w = rng.sample(ids, 2)
+        amount = mixed_rational(rng)
+        balances[u] += amount
+        balances[w] -= amount
+    arcs = []
+    for j in range(rng.randint(1, 14)):
+        tail, head = rng.sample(ids, 2)
+        arcs.append((f"e{j}", tail, head, mixed_rational(rng)))
+    return validate_problem([(v, balances[v]) for v in ids], arcs)
+
+
+def reference_step(problem: Problem, cut: Cut, ratio: Fraction) -> IntegerView:
+    """The reference for `fix_arcs`' stepped view, rebuilt from `Fraction`s:
+    move ratio × capacity along the cut's forward arcs in a balance dict,
+    drop the forward and reverse arcs, and put what is left on the lcm of
+    its denominators."""
+    balances = dict(problem.balances)
+    forward = cut.forward_arcs(problem)
+    for arc in forward:
+        balances[arc.tail] -= ratio * arc.capacity
+        balances[arc.head] += ratio * arc.capacity
+    dropped = {a.arc_id for a in (*forward, *cut.reverse_arcs(problem))}
+    numbers = [balances[v] for v in problem.node_ids]
+    numbers += [a.capacity for a in problem.arcs if a.arc_id not in dropped]
+    lcm = math.lcm(*(x.denominator for x in numbers))
+    grid = [lcm // x.denominator * x.numerator for x in numbers]
+    n = len(problem.node_ids)
+    return IntegerView(lcm, tuple(grid[:n]), tuple(grid[n:]))
 
 
 def reference_max_flow(net: FlowNetwork) -> tuple[int, frozenset, frozenset]:

@@ -465,7 +465,7 @@ class TestProbeScope:
                     for part in (b & level.cut.source_side, b & level.cut.sink_side)
                     if part
                 ]
-                stage = fix_arcs(stage, dict(level.fixed_forward), level.zeroed_reverse)
+                stage = fix_arcs(stage, level.cut, level.ratio)
         assert smaller and several
 
 
@@ -483,7 +483,7 @@ def noncritical_cut(rng, p, sol):
             continue
         fixed = tuple((a.arc_id, stats.ratio * a.capacity) for a in cut.forward_arcs(p))
         zeroed = tuple(a.arc_id for a in cut.reverse_arcs(p))
-        reduced = fix_arcs(p, dict(fixed), zeroed)
+        reduced = fix_arcs(p, cut, stats.ratio)
         try:
             rest = balanced_flow(reduced)
         except FatalCutPresent:

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
@@ -23,6 +24,8 @@ from lexflow.cli import (
 )
 from lexflow import balanced_flow, verify_certificate
 from lexflow.model import MAX_DECIMAL_EXPONENT
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 F = Fraction
 
@@ -66,6 +69,18 @@ def d4_json(tmp_path):
 class TestParsing:
     def test_json_and_text_agree(self):
         assert parse_instance(D4_JSON) == parse_instance(D4_TEXT)
+
+    def test_readme_instances_agree_and_solve(self, tmp_path, capsys):
+        with open(README, encoding="utf-8") as f:
+            readme = f.read()
+        json_text = re.search(r"```json\n(\{\n.*?)```", readme, re.S)[1]
+        text = re.search(r"```\n(c diamond instance\n.*?)```", readme, re.S)[1]
+        assert parse_instance(json_text) == parse_instance(text)
+        for name, body in (("readme.json", json_text), ("readme.txt", text)):
+            path = tmp_path / name
+            path.write_text(body)
+            assert main(["solve", str(path)]) == 0
+            assert json.loads(capsys.readouterr().out)["r0"] == "4/3"
 
     def test_json_decimal_strings_are_exact(self):
         p = parse_instance(

@@ -22,12 +22,14 @@ from lexflow import (
     total_integer_capacity,
     validate_problem,
 )
-from conftest import diamond_problem, random_problem, single_arc_problem
+from conftest import (
+    deep_problem,
+    mixed_rational,
+    random_problem,
+    single_arc_problem,
+)
 
 F = Fraction
-
-# Primes just above 10**4, the denominators of deep-denominator instances.
-PRIMES = [q for q in range(10_001, 10_400) if all(q % k for k in range(2, 102))]
 
 
 def two_pole_cut_capacity(two_pole, source_nodes: set[str]) -> int:
@@ -276,45 +278,17 @@ def _reference_total_integer_capacity(problem):
     return max(int(sum((a.capacity for a in problem.arcs), F(0)) * scale), 1)
 
 
-def _deep_rational(rng):
-    return F(rng.randint(1, 10**6), rng.choice(PRIMES))
-
-
-def _mixed_rational(rng):
-    if rng.random() < 0.7:
-        return _deep_rational(rng)
-    return F(rng.randint(1, 9), rng.randint(1, 4))
-
-
-def _deep_problem(rng):
-    """Random instance whose numbers mostly have prime denominators near
-    10**4, so the common denominator runs to kilobits."""
-    n = rng.randint(2, 9)
-    ids = [f"n{i}" for i in range(n)]
-    balances = {v: F(0) for v in ids}
-    for _ in range(rng.randint(1, n)):
-        u, w = rng.sample(ids, 2)
-        amount = _mixed_rational(rng)
-        balances[u] += amount
-        balances[w] -= amount
-    arcs = []
-    for j in range(rng.randint(1, 14)):
-        tail, head = rng.sample(ids, 2)
-        arcs.append((f"e{j}", tail, head, _mixed_rational(rng)))
-    return validate_problem([(v, balances[v]) for v in ids], arcs)
-
-
 class TestAgainstFractionKernel:
     def cases(self, seed):
         """(rng, problem, z) triples, a third of them on small denominators."""
         rng = random.Random(seed)
         for k in range(60):
             if k % 3:
-                p = _deep_problem(rng)
+                p = deep_problem(rng)
             else:
                 p = random_problem(rng, max_nodes=8, max_arcs=12)
             for _ in range(4):
-                yield rng, p, _mixed_rational(rng)
+                yield rng, p, mixed_rational(rng)
 
     def test_network_is_an_integer_multiple(self):
         for _, p, z in self.cases(105):

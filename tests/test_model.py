@@ -9,10 +9,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lexflow.balancer as balancer
 from lexflow import (
     BalanceSumNonzero,
     Cut,
     DuplicateId,
+    FatalCutPresent,
     Flow,
     InvalidPartition,
     KeyMismatch,
@@ -21,15 +23,24 @@ from lexflow import (
     NonpositiveCapacity,
     Ordering,
     SelfLoop,
+    balanced_flow,
     cut_stats,
     format_rational,
     lexmin_compare,
     node_balance_residual,
     parse_rational,
     validate_problem,
+    verify_certificate,
 )
 from lexflow.model import MAX_DECIMAL_EXPONENT, fix_arcs
-from conftest import diamond_problem, random_problem, random_solvable_problem
+from conftest import (
+    deep_problem,
+    diamond_problem,
+    disjoint_union,
+    random_problem,
+    random_solvable_problem,
+    reference_step,
+)
 
 F = Fraction
 
@@ -174,14 +185,82 @@ class TestValidateProblem:
 
 class TestFixArcs:
     def test_moves_fixed_values_and_drops_arcs(self, d4):
-        stage = fix_arcs(d4, {"sb": F(4), "sa": F(0)}, ["at"])
+        # Cut {s, a}: forward sb (3) and at (2), deficiency 4, ratio 4/5.
+        stage = fix_arcs(d4, Cut.from_source_side(d4, {"s", "a"}), F(4, 5))
         assert stage.node_ids == d4.node_ids
-        assert stage.balances == {"s": F(0), "a": F(0), "b": F(4), "t": F(-4)}
-        assert stage.arc_ids == ("bt",)
+        assert stage.balances == {
+            "s": F(8, 5), "a": F(-8, 5), "b": F(12, 5), "t": F(-12, 5)
+        }
+        assert stage.arc_ids == ("sa", "bt")
+        assert stage.integer_view == (5, (8, -8, 12, -12), (5, 10))
         assert stage.total_supply == F(4)
 
-    def test_no_arcs_fixed_keeps_the_problem(self, d4):
-        assert fix_arcs(d4, {}, []) == d4
+    def test_reverse_arcs_are_dropped_unloaded(self, d4):
+        # Cut {a}: forward at, reverse sa; a's deficiency is 0.
+        stage = fix_arcs(d4, Cut.from_source_side(d4, {"a"}), F(1, 3))
+        assert stage.balances == {"s": F(4), "a": F(-2, 3), "b": F(0), "t": F(-10, 3)}
+        assert stage.arc_ids == ("sb", "bt")
+        assert stage.integer_view == (3, (12, -2, 0, -10), (9, 6))
+
+    def test_no_arcs_fixed_keeps_the_problem(self):
+        p = validate_problem(
+            [("u", F(1, 2)), ("w", F(-1, 2)), ("x", 0), ("y", 0)],
+            [("uw", "u", "w", 1), ("xy", "x", "y", F(1, 3))],
+        )
+        assert fix_arcs(p, Cut.from_source_side(p, {"u", "w"}), F(7, 2)) == p
+
+
+class TestGridStep:
+    """`fix_arcs` steps the integer grid; the reference rebuilds it from
+    `Fraction`s with an lcm. They must agree exactly, L included."""
+
+    def instances(self, rng):
+        for _ in range(150):
+            yield random_problem(rng)
+            yield disjoint_union(
+                [random_problem(rng, max_nodes=5, max_arcs=7) for _ in range(rng.randint(2, 3))]
+            )
+            yield deep_problem(rng)
+
+    def test_every_stage_equals_the_lcm_build(self, monkeypatch):
+        steps = []
+
+        def recording(problem, cut, ratio):
+            stage = fix_arcs(problem, cut, ratio)
+            steps.append((problem, cut, ratio, stage))
+            return stage
+
+        monkeypatch.setattr(balancer, "fix_arcs", recording)
+        solved = 0
+        for p in self.instances(random.Random(1201)):
+            try:
+                sol = balanced_flow(p)
+            except FatalCutPresent:
+                continue
+            assert verify_certificate(p, sol).accepted
+            solved += 1
+        assert solved >= 150
+        # Each stage is stepped twice: by the solver and by the verifier.
+        assert len(steps) >= 600
+        for problem, cut, ratio, stage in steps:
+            assert stage.integer_view == reference_step(problem, cut, ratio)
+            assert stage.arcs == tuple(
+                a for a in problem.arcs
+                if (a.tail in cut.source_side) == (a.head in cut.source_side)
+            )
+
+    def test_uncrossed_cut_leaves_the_view(self):
+        rng = random.Random(1202)
+        for _ in range(100):
+            parts = [random_problem(rng, max_nodes=5, max_arcs=7) for _ in range(2)]
+            if rng.random() < 0.5:
+                parts[0] = deep_problem(rng)
+            p = disjoint_union(parts)
+            side = {f"c0_{v}" for v in parts[0].node_ids}
+            cut = Cut.from_source_side(p, side)
+            ratio = F(rng.randint(1, 10**6), rng.randint(1, 10**4))
+            assert reference_step(p, cut, ratio) == p.integer_view
+            assert fix_arcs(p, cut, ratio) == p
 
 
 class TestNodeBalanceResidual:

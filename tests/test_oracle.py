@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +142,39 @@ class TestOracleLexmin:
                 other = _random_weakly_feasible_flow(p, rng)
                 verdict = lexmin_compare(best_ratios, other.ratio_vector(p))
                 assert verdict in (Ordering.LESS, Ordering.EQUIVALENT)
+
+    def test_no_tight_arc_raises_under_python_O(self):
+        # Every probe LP reports an optimum below the bound, so no arc is
+        # pinned; the check must stop the round loop even under -O.
+        script = textwrap.dedent(
+            '''
+            import dataclasses, sys
+            from lexflow import oracle, validate_problem
+
+            solve = oracle.lp_solve
+
+            def untight(lp):
+                result = solve(lp)
+                if len(lp.objective) == 1:  # a probe LP: x alone, no bound t
+                    return dataclasses.replace(result, value=result.value - 1)
+                return result
+
+            oracle.lp_solve = untight
+            p = validate_problem([("u", 5), ("w", -5)], [("uw", "u", "w", 2)])
+            try:
+                oracle.oracle_lexmin(p)
+            except AssertionError as exc:
+                print(sys.flags.optimize, exc)
+            '''
+        )
+        src = str(Path(oracle_lexmin.__code__.co_filename).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "1 some arc must be tight at the optimal bound\n"
 
 
 def _random_weakly_feasible_flow(p, rng) -> Flow:
