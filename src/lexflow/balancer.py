@@ -19,12 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
-from .gale_hoffman import (
-    InvariantViolation,
-    has_fatal_cut,
-    is_feasible,
-    total_integer_capacity,
-)
+from .gale_hoffman import InvariantViolation, is_feasible, total_integer_capacity
+# has_fatal_cut is not called here; perfbench/tracer.py wraps it in this module.
+from .gale_hoffman import has_fatal_cut  # noqa: F401
 from .model import (
     Cut,
     Flow,
@@ -37,7 +34,6 @@ from .model import (
     restrict,
 )
 from .ratio_search import (
-    FatalCutPresent,
     IterationCapExceeded,
     RatioResult,
     minmax_ratio,
@@ -159,20 +155,16 @@ def balanced_flow(
     tied blocks' canonical cuts, which is the cut the whole-stage search
     gives; untied blocks lie on its sink side and keep their results.
     """
-    # The first Newton search finds a fatal cut itself (`minmax_ratio`).
-    if mode != "dinkelbach" and (fatal := has_fatal_cut(problem)).fatal:
-        raise FatalCutPresent(fatal.witness_cut)
     values = dict.fromkeys(problem.arc_ids, Fraction(0))
     levels: list[Level] = []
     result: RatioResult | None = None
     current = problem
     while current.total_supply:
-        # Reduced stages of a solvable problem stay solvable; skip re-checks.
         last = result
         if mode == "dinkelbach":
             result = minmax_ratio(current, previous=last)
         else:
-            result = minmax_ratio_dichotomy(current, check_fatal=False)
+            result = minmax_ratio_dichotomy(current)
         if result.r0 <= 0 or result.critical_cut is None:
             raise InvariantViolation("unbalanced stage without a critical cut")
         if last is not None and result.r0 > last.r0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .maxflow import FlowNetwork, max_flow
-from .model import Cut, CutStats, Problem, cut_stats
+from .model import Arc, Cut, CutStats, IntegerView, Problem, cut_stats
 
 
 class InvariantViolation(Exception):
@@ -124,22 +124,81 @@ def is_feasible(problem: Problem, z: Fraction) -> FeasibilityReport:
 def has_fatal_cut(problem: Problem) -> FatalCutReport:
     """Detect a positive-deficiency cut with no outgoing arcs.
 
-    Tests feasibility at M = total supply / minimum capacity (any M without
-    arcs): with that much slack, any cut with an outgoing arc is satisfied,
-    so only an arcless cut can still be violated and any witness is fatal.
+    Such a cut's source side is closed under successors, so it is a union of
+    strongly connected components (SCCs) closed in the condensation. The
+    test runs on the condensation: one node per SCC carrying the summed
+    balances on the same grid L, and only the arcs between SCCs. There
+    `is_feasible` at M = supply / minimum capacity (both contracted) returns
+    the least maximizer of D(T) - M·C(T), if positive. A non-closed T has
+    C(T) >= that minimum, so M·C(T) >= supply >= D(T) and T scores <= 0; a
+    closed T scores D(T), the deficiency of its members' union, and every
+    closed set of the problem is such a union. So the least positive
+    maximizer lifts unchanged: its members form the least closed set of
+    largest deficiency, the witness the same test on the whole problem at
+    its own M gives. With a single SCC every contracted balance is 0, and
+    `is_feasible` answers without a max-flow.
     """
     if problem.total_supply == 0:
         return FatalCutReport(False)
-    _, balances, capacities = problem.integer_view
-    factor = Fraction(sum(d for d in balances if d > 0), min(capacities, default=1))
-    report = is_feasible(problem, factor)
+    node_ids, position = problem.node_ids, problem.node_position
+    denominator, balances, capacities = problem.integer_view
+    ends = [(position[a.tail], position[a.head]) for a in problem.arcs]
+    root = _strong_components(len(node_ids), ends)
+    summed: dict[str, int] = {}
+    for r, d in zip(root, balances):
+        summed[node_ids[r]] = summed.get(node_ids[r], 0) + d
+    arcs, kept = [], []
+    for arc, c, (tail, head) in zip(problem.arcs, capacities, ends):
+        if root[tail] != root[head]:
+            tail, head = node_ids[root[tail]], node_ids[root[head]]
+            arcs.append(Arc(arc.arc_id, tail, head, arc.capacity))
+            kept.append(c)
+    view = IntegerView(denominator, tuple(summed.values()), tuple(kept))
+    factor = Fraction(sum(d for d in view.balances if d > 0), min(kept, default=1))
+    report = is_feasible(Problem(tuple(summed), tuple(arcs), view), factor)
     if report.feasible:
         return FatalCutReport(False)
     if report.witness_stats is None or report.witness_stats.capacity != 0:
         raise InvariantViolation(
             "witness at the fatal-test factor must have an empty arc set"
         )
-    return FatalCutReport(True, report.witness_cut, report.witness_stats)
+    side = report.witness_cut.source_side
+    cut = Cut.from_source_side(
+        problem, (v for v, r in zip(node_ids, root) if node_ids[r] in side)
+    )
+    return FatalCutReport(True, cut, report.witness_stats)
+
+
+def _strong_components(n: int, ends: list[tuple[int, int]]) -> list[int]:
+    """Label each of n nodes with the first-reached node of its SCC.
+
+    Tarjan's algorithm over the (tail, head) pairs `ends`, run from an extra
+    node n with an arc to every node, on an explicit stack of successor
+    iterators, so no recursion limit caps the input.
+    """
+    successors: list[list[int]] = [[] for _ in range(n)]
+    for tail, head in ends:
+        successors[tail].append(head)
+    order, low, root = [-1] * n + [0], [0] * (n + 1), [-1] * (n + 1)
+    stack, path, count = [n], [(n, iter(range(n)))], 1
+    while path:
+        v, pending = path[-1]
+        for w in pending:
+            if order[w] < 0:
+                order[w] = low[w] = count
+                count += 1
+                stack.append(w)
+                path.append((w, iter(successors[w])))
+                break
+            if root[w] < 0 and order[w] < low[v]:
+                low[v] = order[w]  # w is still on the stack
+        else:
+            path.pop()
+            if path and low[v] < low[path[-1][0]]:
+                low[path[-1][0]] = low[v]
+            while low[v] == order[v] and root[v] < 0:
+                root[stack.pop()] = v
+    return root[:n]
 
 
 def total_integer_capacity(problem: Problem) -> int:

@@ -314,9 +314,7 @@ def _probe_last_piece(problem: Problem, r0: Fraction) -> RatioResult:
     return RatioResult(r0, report.witness_cut, (SearchStep(below, report.witness_cut, r0),))
 
 
-def minmax_ratio_dichotomy(
-    problem: Problem, *, check_fatal: bool = True
-) -> RatioResult:
+def minmax_ratio_dichotomy(problem: Problem) -> RatioResult:
     """Bisection on the capacity factor with exact rational reconstruction.
 
     Cut ratios are ΣD/ΣC with ΣC <= λ = `total_integer_capacity`, so their
@@ -325,9 +323,10 @@ def minmax_ratio_dichotomy(
     fraction with denominator at most λ is then farther from hi than r0, so
     r0 = hi.limit_denominator(λ). A critical cut is read off an infeasible
     probe half the separation below r0, where every minimum cut is critical.
-    Cross-checking mode for `minmax_ratio`.
+    Cross-checking mode for `minmax_ratio`; a fatal cut is found first, by
+    `has_fatal_cut`.
     """
-    if check_fatal and (report := has_fatal_cut(problem)).fatal:
+    if (report := has_fatal_cut(problem)).fatal:
         raise FatalCutPresent(report.witness_cut)
     if problem.total_supply == 0:
         return RatioResult(Fraction(0), None, ())

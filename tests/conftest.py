@@ -14,12 +14,14 @@ import lexflow.balancer as balancer
 from lexflow import (
     BalancedSolution,
     Cut,
+    FatalCutReport,
     FeasibilityReport,
     FlowNetwork,
     Problem,
     VerificationResult,
     build_two_pole,
     cut_stats,
+    is_feasible,
     validate_problem,
     verify_certificate,
 )
@@ -266,6 +268,20 @@ def sink_side_is_feasible(problem: Problem, z: Fraction) -> FeasibilityReport:
     n = len(problem.node_ids)
     cut = Cut.from_source_side(problem, (problem.node_ids[i] for i in maximal if i < n))
     return FeasibilityReport(False, z, cut, cut_stats(problem, cut))
+
+
+def two_pole_has_fatal_cut(problem: Problem) -> FatalCutReport:
+    """`has_fatal_cut` as one feasibility test on the whole problem at
+    M = supply / minimum capacity, with no SCC contraction. The reference
+    the condensation must agree with, witness and stats included."""
+    if problem.total_supply == 0:
+        return FatalCutReport(False)
+    _, balances, capacities = problem.integer_view
+    factor = Fraction(sum(d for d in balances if d > 0), min(capacities, default=1))
+    report = is_feasible(problem, factor)
+    if report.feasible:
+        return FatalCutReport(False)
+    return FatalCutReport(True, report.witness_cut, report.witness_stats)
 
 
 def whole_stage_verify(problem: Problem, solution: BalancedSolution) -> VerificationResult:

@@ -155,6 +155,13 @@ class TestCheck:
         assert main(["check", str(path)]) == 10
         assert capsys.readouterr().out.splitlines()[0] == "INFEASIBLE_WEAKLY"
 
+    def test_witness_expands_a_strong_component(self, tmp_path, capsys):
+        path = tmp_path / "scc.txt"
+        path.write_text("n u -2\nn w 1\nn x 1\na uw u w 1\na wx w x 1\na xw x w 1\n")
+        assert main(["check", str(path)]) == 10
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["INFEASIBLE_WEAKLY", "witness: w x", "deficiency: 2", "capacity: 0"]
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"nodes": [{"id": "u", "d": 1}], "arcs": []}')

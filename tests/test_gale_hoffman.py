@@ -22,11 +22,14 @@ from lexflow import (
     total_integer_capacity,
     validate_problem,
 )
+import lexflow.gale_hoffman as gale_hoffman
 from conftest import (
     deep_problem,
+    disjoint_union,
     mixed_rational,
     random_problem,
     single_arc_problem,
+    two_pole_has_fatal_cut,
 )
 
 F = Fraction
@@ -199,6 +202,53 @@ class TestHasFatalCut:
                 fatal_seen += 1
                 assert report.witness_stats.is_fatal
         assert fatal_seen > 5
+
+    def test_same_report_as_the_two_pole_test(self):
+        # Unions of random parts have several SCCs each, closed ones and not.
+        rng = random.Random(108)
+        verdicts = set()
+        for k in range(300):
+            if k % 2:
+                parts = rng.randint(2, 4)
+                p = disjoint_union(
+                    [random_problem(rng, max_nodes=5, max_arcs=7) for _ in range(parts)]
+                )
+            else:
+                p = random_problem(rng, max_nodes=9, max_arcs=14)
+            report = has_fatal_cut(p)
+            assert report == two_pole_has_fatal_cut(p)
+            verdicts.add(report.fatal)
+        assert verdicts == {True, False}
+
+    def test_long_path_does_not_recurse(self):
+        n = 20_000
+        balances = [0] * n
+        balances[0], balances[-1] = -1, 1
+        p = validate_problem(
+            [(f"v{i}", d) for i, d in enumerate(balances)],
+            [(f"e{i}", f"v{i}", f"v{i + 1}", 1) for i in range(n - 1)],
+        )
+        report = has_fatal_cut(p)
+        assert report.fatal
+        assert report.witness_cut.source_side == frozenset({f"v{n - 1}"})
+
+    def test_long_cycle_needs_no_max_flow(self, monkeypatch):
+        n = 20_000
+        calls = []
+
+        def counting(network):
+            calls.append(network)
+            return max_flow(network)
+
+        monkeypatch.setattr(gale_hoffman, "max_flow", counting)
+        balances = [0] * n
+        balances[0], balances[-1] = 1, -1
+        p = validate_problem(
+            [(f"v{i}", d) for i, d in enumerate(balances)],
+            [(f"e{i}", f"v{i}", f"v{(i + 1) % n}", 1) for i in range(n)],
+        )
+        assert not has_fatal_cut(p).fatal
+        assert calls == []
 
 
 class TestTotalIntegerCapacity:
