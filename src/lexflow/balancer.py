@@ -268,7 +268,6 @@ def verify_certificate(
     suboptimal: VerificationResult | None = None
     current = problem
     # block[i] is the position of the first node of node i's block.
-    position = problem.node_position
     block = [0] * len(problem.node_ids)
     for k, level in enumerate(certificate.levels):
         where = f"level {k}"
@@ -303,11 +302,10 @@ def verify_certificate(
 
         # Once a probe has failed, no later probe runs and the labels lapse.
         if suboptimal is None:
-            crossed = {block[position[a.tail]] for a in (*forward.values(), *reverse)}
+            side = current.side(level.cut.source_side)
+            crossed = {block[tail] for tail, head in current.ends if side[tail] != side[head]}
             nodes = [i for i, b in enumerate(block) if b in crossed]
-            inside = [
-                j for j, a in enumerate(current.arcs) if block[position[a.tail]] in crossed
-            ]
+            inside = [j for j, (tail, _) in enumerate(current.ends) if block[tail] in crossed]
             touched = restrict(current, nodes, inside)
             if not is_feasible(touched, level.ratio).feasible:
                 suboptimal = reject("stage_optimality", f"{where}: ratio is not sufficient")
@@ -318,8 +316,7 @@ def verify_certificate(
                     suboptimal = reject("stage_optimality", f"{where}: ratio is not minimal")
             first: dict[tuple[int, bool], int] = {}
             for i in nodes:
-                side = problem.node_ids[i] in level.cut.source_side
-                block[i] = first.setdefault((block[i], side), i)
+                block[i] = first.setdefault((block[i], side[i]), i)
         # The replay showed the level's arcs are the cut's, loaded at its ratio.
         current = fix_arcs(current, level.cut, level.ratio)
 

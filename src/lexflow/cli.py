@@ -217,38 +217,55 @@ def solution_document(
     return document
 
 
+def _typed(container: Any, key: str, kind: type) -> Any:
+    """`container[key]`, which must be a JSON list or object as `kind` says."""
+    value = container[key]
+    if type(value) is not kind:
+        raise TypeError(f"'{key}' must be {'a list' if kind is list else 'an object'}")
+    return value
+
+
+def _id(value: Any, key: str) -> str:
+    if type(value) not in _ID_TYPES:
+        raise TypeError(f"'{key}' holds an id that is not a string or an integer")
+    return str(value)
+
+
+def _ids(container: Any, key: str) -> tuple[str, ...]:
+    return tuple(_id(v, key) for v in _typed(container, key, list))
+
+
 def solution_from_document(
     problem: Problem, document: dict[str, Any]
 ) -> BalancedSolution:
-    """Rebuild a BalancedSolution from its serialized form."""
+    """Rebuild a BalancedSolution from its serialized form.
+
+    Lists must be lists, `flow` an object, and ids strings or integers;
+    anything else is a malformed document.
+    """
     try:
         flow = Flow(
             {
-                str(arc_id): parse_rational(value)
-                for arc_id, value in document["flow"].items()
+                arc_id: parse_rational(value)
+                for arc_id, value in _typed(document, "flow", dict).items()
             }
         )
         levels = []
-        for entry in document["certificate"]["levels"]:
+        for entry in _typed(document["certificate"], "levels", list):
             levels.append(
                 Level(
                     ratio=parse_rational(entry["ratio"]),
-                    cut=Cut.from_source_side(problem, (str(v) for v in entry["cut"])),
+                    cut=Cut(frozenset(_ids(entry, "cut"))),
                     fixed_forward=tuple(
-                        (str(item["arc"]), parse_rational(item["value"]))
-                        for item in entry["fixed_forward"]
+                        (_id(item["arc"], "arc"), parse_rational(item["value"]))
+                        for item in _typed(entry, "fixed_forward", list)
                     ),
-                    zeroed_reverse=tuple(
-                        str(a) for a in entry["zeroed_reverse"]
-                    ),
+                    zeroed_reverse=_ids(entry, "zeroed_reverse"),
                 )
             )
-        certificate = Certificate(
-            tuple(levels),
-            tuple(str(a) for a in document["certificate"]["zero_tail"]),
-        )
-        ratios = tuple(parse_rational(r) for r in document["sorted_ratios"])
-    except (KeyError, TypeError, AttributeError, ModelError) as exc:
+        certificate = Certificate(tuple(levels), _ids(document["certificate"], "zero_tail"))
+        ratios = tuple(parse_rational(r) for r in _typed(document, "sorted_ratios", list))
+    except (KeyError, TypeError, ModelError) as exc:
         raise CliError(f"malformed solution document: {exc}") from exc
     return BalancedSolution(flow, certificate, ratios)
 

@@ -38,9 +38,9 @@ class TwoPole:
     integerizing `scale` so the flow engine can stay integer-only. For
     z = p/q in lowest terms the scale is q*L, L being the denominator of the
     problem's integer view; it need not be the least common denominator of
-    the capacities. For any cut
-    (V', V'') of the problem, the matching two-pole cut has capacity
-    scale * (D + z*capacity - deficiency), D being the total supply.
+    the capacities. For any cut of the problem, the two-pole cut of its
+    source side plus s has capacity scale * (D + z*capacity - deficiency),
+    D being the total supply.
     """
 
     problem: Problem
@@ -81,7 +81,6 @@ def build_two_pole(problem: Problem, z: Fraction) -> TwoPole:
         raise ValueError("capacity factor z must be positive")
     n = len(problem.node_ids)
     s, t = n, n + 1
-    position = problem.node_position
     denominator, balances, capacities = problem.integer_view
     p, q = z.numerator, z.denominator
 
@@ -91,8 +90,7 @@ def build_two_pole(problem: Problem, z: Fraction) -> TwoPole:
             arcs.append((s, i, q * d))
         elif d < 0:
             arcs.append((i, t, -q * d))
-    for arc, c in zip(problem.arcs, capacities):
-        arcs.append((position[arc.tail], position[arc.head], p * c))
+    arcs += [(tail, head, p * c) for (tail, head), c in zip(problem.ends, capacities)]
 
     network = FlowNetwork(n + 2, tuple(arcs), s, t)
     return TwoPole(problem, z, network, problem.total_supply, q * denominator)
@@ -115,9 +113,7 @@ def is_feasible(problem: Problem, z: Fraction) -> FeasibilityReport:
         return FeasibilityReport(True, z)
 
     n = len(problem.node_ids)
-    cut = Cut.from_source_side(
-        problem, (problem.node_ids[i] for i in result.min_cut_source_side if i < n)
-    )
+    cut = Cut(frozenset(problem.node_ids[i] for i in result.min_cut_source_side if i < n))
     return FeasibilityReport(False, z, cut, cut_stats(problem, cut))
 
 
@@ -140,36 +136,37 @@ def has_fatal_cut(problem: Problem) -> FatalCutReport:
     """
     if problem.total_supply == 0:
         return FatalCutReport(False)
-    node_ids, position = problem.node_ids, problem.node_position
+    node_ids = problem.node_ids
     denominator, balances, capacities = problem.integer_view
-    ends = [(position[a.tail], position[a.head]) for a in problem.arcs]
-    root = _strong_components(len(node_ids), ends)
-    summed: dict[str, int] = {}
-    for r, d in zip(root, balances):
-        summed[node_ids[r]] = summed.get(node_ids[r], 0) + d
-    arcs, kept = [], []
-    for arc, c, (tail, head) in zip(problem.arcs, capacities, ends):
-        if root[tail] != root[head]:
-            tail, head = node_ids[root[tail]], node_ids[root[head]]
-            arcs.append(Arc(arc.arc_id, tail, head, arc.capacity))
+    root = _strong_components(len(node_ids), problem.ends)
+    index: dict[int, int] = {}  # an SCC's root -> its contracted node
+    component = [index.setdefault(r, len(index)) for r in root]
+    summed = [0] * len(index)
+    for k, d in zip(component, balances):
+        summed[k] += d
+    arcs, ends, kept = [], [], []
+    for arc, c, (tail, head) in zip(problem.arcs, capacities, problem.ends):
+        if component[tail] != component[head]:
+            tail_id, head_id = node_ids[root[tail]], node_ids[root[head]]
+            arcs.append(Arc(arc.arc_id, tail_id, head_id, arc.capacity))
+            ends.append((component[tail], component[head]))
             kept.append(c)
-    view = IntegerView(denominator, tuple(summed.values()), tuple(kept))
-    factor = Fraction(sum(d for d in view.balances if d > 0), min(kept, default=1))
-    report = is_feasible(Problem(tuple(summed), tuple(arcs), view), factor)
+    view = IntegerView(denominator, tuple(summed), tuple(kept))
+    contracted = Problem(tuple(node_ids[r] for r in index), tuple(arcs), view, tuple(ends))
+    factor = Fraction(sum(d for d in summed if d > 0), min(kept, default=1))
+    report = is_feasible(contracted, factor)
     if report.feasible:
         return FatalCutReport(False)
     if report.witness_stats is None or report.witness_stats.capacity != 0:
         raise InvariantViolation(
             "witness at the fatal-test factor must have an empty arc set"
         )
-    side = report.witness_cut.source_side
-    cut = Cut.from_source_side(
-        problem, (v for v, r in zip(node_ids, root) if node_ids[r] in side)
-    )
+    inside = contracted.side(report.witness_cut.source_side)
+    cut = Cut(frozenset(v for v, k in zip(node_ids, component) if inside[k]))
     return FatalCutReport(True, cut, report.witness_stats)
 
 
-def _strong_components(n: int, ends: list[tuple[int, int]]) -> list[int]:
+def _strong_components(n: int, ends: tuple[tuple[int, int], ...]) -> list[int]:
     """Label each of n nodes with the first-reached node of its SCC.
 
     Tarjan's algorithm over the (tail, head) pairs `ends`, run from an extra

@@ -16,6 +16,7 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 RationalLike = Fraction | int | str
@@ -56,7 +57,7 @@ class KeyMismatch(ModelError):
 
 
 class InvalidPartition(ModelError):
-    """A cut is not a proper ordered bipartition of the problem's nodes."""
+    """A cut's source side is empty, holds every node, or holds a foreign id."""
 
 
 class LengthMismatch(ModelError):
@@ -169,14 +170,15 @@ class Problem:
     """A transshipment instance: a digraph with node balances and capacities.
 
     Balances, kept only on the grid `integer_view`, sum to zero; capacities
-    are positive, parallel arcs are allowed and self-loops are not. Every
-    iteration order derives from the input order of nodes and arcs, which
-    makes all results deterministic. Construct through `validate_problem`.
+    are positive, parallel arcs are allowed and self-loops are not. Arc k
+    joins the node positions `ends[k]` (tail, head). Orders follow the input
+    order, so results are deterministic. Construct via `validate_problem`.
     """
 
     node_ids: tuple[str, ...]
     arcs: tuple[Arc, ...]
     integer_view: IntegerView
+    ends: tuple[tuple[int, int], ...]
 
     @cached_property
     def node_position(self) -> dict[str, int]:
@@ -202,6 +204,14 @@ class Problem:
         members = set(subset)
         return tuple(v for v in self.node_ids if v in members)
 
+    def side(self, nodes: Iterable[str]) -> bytearray:
+        """A mask with 1 at the position of each of `nodes` it has, else 0."""
+        mask, position = bytearray(len(self.node_ids)), self.node_position
+        for v in nodes:
+            if v in position:
+                mask[position[v]] = 1
+        return mask
+
 
 @dataclass(frozen=True)
 class Flow:
@@ -216,32 +226,21 @@ class Flow:
 
 @dataclass(frozen=True)
 class Cut:
-    """Ordered proper bipartition (source_side, sink_side) of the nodes.
+    """A cut, given by its source side; the sink side is the rest.
 
-    The cut's arc set contains exactly the arcs from source_side to
-    sink_side; arcs going the other way are its reverse arcs and do not
-    count toward its capacity.
+    Its arcs are those leaving the source side; arcs entering it are its
+    reverse arcs and do not count toward its capacity.
     """
 
     source_side: frozenset[str]
-    sink_side: frozenset[str]
-
-    @classmethod
-    def from_source_side(cls, problem: Problem, nodes: Iterable[str]) -> "Cut":
-        side = frozenset(nodes)
-        return cls(side, frozenset(problem.node_ids) - side)
 
     def forward_arcs(self, problem: Problem) -> tuple[Arc, ...]:
-        return tuple(
-            a for a in problem.arcs
-            if a.tail in self.source_side and a.head in self.sink_side
-        )
+        side = self.source_side
+        return tuple(a for a in problem.arcs if a.tail in side and a.head not in side)
 
     def reverse_arcs(self, problem: Problem) -> tuple[Arc, ...]:
-        return tuple(
-            a for a in problem.arcs
-            if a.tail in self.sink_side and a.head in self.source_side
-        )
+        side = self.source_side
+        return tuple(a for a in problem.arcs if a.tail not in side and a.head in side)
 
 
 @dataclass(frozen=True)
@@ -297,7 +296,9 @@ def validate_problem(
     if not balances:
         raise ModelError("instance has no nodes")
 
+    position = dict(zip(balances, range(len(balances))))
     built: list[Arc] = []
+    ends: list[tuple[int, int]] = []
     seen: set[str] = set()
     for arc_id, tail, head, raw_cap in arcs:
         arc_id, tail, head = str(arc_id), str(tail), str(head)
@@ -316,6 +317,7 @@ def validate_problem(
                 f"arc {arc_id!r} has capacity {format_rational(capacity)}"
             )
         built.append(Arc(arc_id, tail, head, capacity))
+        ends.append((position[tail], position[head]))
 
     numbers = [*balances.values(), *(a.capacity for a in built)]
     lcm = math.lcm(*(x.denominator for x in numbers))
@@ -324,11 +326,11 @@ def validate_problem(
     if total := Fraction(sum(view.balances), lcm):
         raise BalanceSumNonzero(f"balances sum to {format_rational(total)}, expected 0")
 
-    return Problem(tuple(balances), tuple(built), view)
+    return Problem(tuple(balances), tuple(built), view, tuple(ends))
 
 
 def fix_arcs(problem: Problem, cut: Cut, ratio: Fraction) -> Problem:
-    """The next stage after loading `cut`, a proper bipartition, at `ratio`:
+    """The next stage after loading `cut`, a proper cut, at `ratio`:
     forward arcs carry ratio × capacity tail to head; crossing arcs are dropped.
 
     The grid is stepped on the least L without an lcm. With ratio = p/q, the
@@ -338,16 +340,17 @@ def fix_arcs(problem: Problem, cut: Cut, ratio: Fraction) -> Problem:
     becomes x/h·f with f = q·h/g, and t becomes t/g.
     """
     denominator, balances, capacities = problem.integer_view
-    position, source = problem.node_position, cut.source_side
+    inside = problem.side(cut.source_side)
     net = [0] * len(balances)
-    arcs, kept = [], []
-    for arc, c in zip(problem.arcs, capacities):
-        if (tail_side := arc.tail in source) == (arc.head in source):
+    arcs, ends, kept = [], [], []
+    for arc, (tail, head), c in zip(problem.arcs, problem.ends, capacities):
+        if inside[tail] == inside[head]:
             arcs.append(arc)
+            ends.append((tail, head))
             kept.append(c)
-        elif tail_side:
-            net[position[arc.tail]] -= c
-            net[position[arc.head]] += c
+        elif inside[tail]:
+            net[tail] -= c
+            net[head] += c
     p, q = ratio.numerator, ratio.denominator
     h = math.gcd(denominator, *(d for d, e in zip(balances, net) if not e), *kept)
     moved = {i: q * balances[i] + p * e for i, e in enumerate(net) if e}
@@ -357,7 +360,7 @@ def fix_arcs(problem: Problem, cut: Cut, ratio: Fraction) -> Problem:
         balances, kept = [d // h * f for d in balances], [c // h * f for c in kept]
     stepped = tuple(moved[i] // g if e else d for i, (d, e) in enumerate(zip(balances, net)))
     view = IntegerView(denominator // h * f, stepped, tuple(kept))
-    return Problem(problem.node_ids, tuple(arcs), view)
+    return Problem(problem.node_ids, tuple(arcs), view, tuple(ends))
 
 
 def restrict(problem: Problem, nodes: Sequence[int], arcs: Sequence[int]) -> Problem:
@@ -372,7 +375,10 @@ def restrict(problem: Problem, nodes: Sequence[int], arcs: Sequence[int]) -> Pro
         denominator, tuple(balances[i] for i in nodes), tuple(capacities[k] for k in arcs)
     )
     node_ids = tuple(problem.node_ids[i] for i in nodes)
-    return Problem(node_ids, tuple(problem.arcs[k] for k in arcs), view)
+    index = dict(zip(nodes, range(len(nodes))))
+    kept = map(problem.ends.__getitem__, arcs)
+    ends = tuple([(index[tail], index[head]) for tail, head in kept])
+    return Problem(node_ids, tuple(problem.arcs[k] for k in arcs), view, ends)
 
 
 def node_balance_residual(problem: Problem, flow: Flow) -> dict[str, Fraction]:
@@ -391,23 +397,17 @@ def node_balance_residual(problem: Problem, flow: Flow) -> dict[str, Fraction]:
 
 
 def cut_stats(problem: Problem, cut: Cut) -> CutStats:
-    """Exact deficiency and capacity of `cut`."""
-    nodes = frozenset(problem.node_ids)
-    if (
-        not cut.source_side
-        or not cut.sink_side
-        or cut.source_side & cut.sink_side
-        or cut.source_side | cut.sink_side != nodes
-    ):
-        raise InvalidPartition("cut is not a proper bipartition of the nodes")
+    """Exact deficiency and capacity of `cut`.
 
+    Raises InvalidPartition unless its source side S has 0 < |S| < n and
+    holds only the problem's nodes.
+    """
+    inside = problem.side(cut.source_side)
+    if not 0 < len(cut.source_side) == sum(inside) < len(inside):
+        raise InvalidPartition("cut is not a proper bipartition of the nodes")
     denominator, balances, capacities = problem.integer_view
-    position = problem.node_position
-    deficiency = sum(balances[position[v]] for v in cut.source_side)
-    capacity = 0
-    for arc, c in zip(problem.arcs, capacities):
-        if arc.tail in cut.source_side and arc.head in cut.sink_side:
-            capacity += c
+    forward = [inside[tail] and not inside[head] for tail, head in problem.ends]
+    deficiency, capacity = sum(compress(balances, inside)), sum(compress(capacities, forward))
     return CutStats(Fraction(deficiency, denominator), Fraction(capacity, denominator))
 
 

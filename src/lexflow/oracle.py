@@ -313,12 +313,10 @@ def enumerate_cuts(problem: Problem) -> CutCensus:
         raise TooLarge(f"{n} nodes exceed the enumeration guard of {MAX_CENSUS_NODES}")
 
     ids = problem.node_ids
-    all_nodes = frozenset(ids)
     balances = [problem.balances[v] for v in ids]
-    position = problem.node_position
     arc_bits = [
-        (1 << position[a.tail], 1 << position[a.head], a.capacity)
-        for a in problem.arcs
+        (1 << tail, 1 << head, a.capacity)
+        for a, (tail, head) in zip(problem.arcs, problem.ends)
     ]
 
     entries: list[tuple[Cut, CutStats]] = []
@@ -332,7 +330,6 @@ def enumerate_cuts(problem: Problem) -> CutCensus:
         for tail_bit, head_bit, cap in arc_bits:
             if mask & tail_bit and not mask & head_bit:
                 capacity += cap
-        side = frozenset(ids[i] for i in range(n) if mask >> i & 1)
-        cut = Cut(side, all_nodes - side)
+        cut = Cut(frozenset(ids[i] for i in range(n) if mask >> i & 1))
         entries.append((cut, CutStats(deficiency, capacity)))
     return CutCensus(tuple(entries))

@@ -81,11 +81,13 @@ class Block(NamedTuple):
     of each tied one, split by the previous level's cut; a side whose
     balances are all zero is dropped.
 
+    `nodes` are its node positions in order, the same in every stage.
     `problem` is the stage restricted to the block by `model.restrict`, on
     its stage's integer grid, and `result` is the Newton search on it: the
     block's ratio, its canonical critical cut, and its witnesses.
     """
 
+    nodes: list[int]
     problem: Problem
     result: RatioResult
 
@@ -102,16 +104,14 @@ def _candidate_ratios(
 
     The other candidates are the single-node cuts, each producer {u} with
     ratio d_u / out(u) and each consumer's complement V - {w} with ratio
-    -d_w / in(w) (balances sum to zero), and the source side of every cut in
-    `seeds`, each a set of `problem`'s node ids. Sums are taken on the
-    integer view, in one pass over the arcs plus one per seed; candidates
-    without forward capacity have no ratio and are skipped, and the best
-    other ratio is 0 if none has.
+    -d_w / in(w) (balances sum to zero), and the nodes of `problem` in each
+    of the `seeds`, sets of node ids. Sums are taken on the integer view, in
+    one pass over the arcs plus one per seed; candidates without forward
+    capacity have no ratio and are skipped, and the best other ratio is 0 if
+    none has.
     """
     _, balances, capacities = problem.integer_view
-    position = problem.node_position
-    ends = [(position[a.tail], position[a.head]) for a in problem.arcs]
-
+    ends = problem.ends
     out = [0] * len(balances)
     into = [0] * len(balances)
     producer_out = 0
@@ -132,9 +132,7 @@ def _candidate_ratios(
             deficiency, capacity = d, c
     best = Fraction(deficiency, capacity)
     for seed in seeds:
-        inside = bytearray(len(balances))
-        for v in seed:
-            inside[position[v]] = 1
+        inside = problem.side(seed)
         forward = sum(
             c for (tail, head), c in zip(ends, capacities)
             if inside[tail] and not inside[head]
@@ -220,8 +218,7 @@ def _newton(problem: Problem, seeds: Iterable[Iterable[str]]) -> RatioResult:
     cut: Cut | None = None
     if producer is None or z <= producer:
         balances = problem.integer_view.balances
-        producers = (v for v, d in zip(problem.node_ids, balances) if d > 0)
-        cut = Cut.from_source_side(problem, producers)
+        cut = Cut(frozenset(v for v, d in zip(problem.node_ids, balances) if d > 0))
         if producer is None:
             raise FatalCutPresent(cut)
         z = producer
@@ -256,29 +253,24 @@ def _search_blocks(problem: Problem, previous: RatioResult) -> RatioResult:
     if previous.blocks:
         kept = [b for b in previous.blocks if b.result.r0 != previous.r0]
         tied = [
-            (b.problem.node_ids, b.result.steps)
-            for b in previous.blocks
-            if b.result.r0 == previous.r0
+            (b.nodes, b.result.steps) for b in previous.blocks if b.result.r0 == previous.r0
         ]
     else:
-        kept, tied = [], [(problem.node_ids, previous.steps)]
+        kept, tied = [], [(range(len(problem.node_ids)), previous.steps)]
 
     # Tied block k splits into cells 2k and 2k + 1, its nodes on the sink
     # and on the source side of the previous cut; no stage arc may leave a
     # cell. Block nodes are in stage order, and so are each cell's.
-    position = problem.node_position
-    split_side = previous.critical_cut.source_side
+    split = problem.side(previous.critical_cut.source_side)
     cell = [-1] * len(problem.node_ids)
     cell_nodes: dict[int, list[int]] = {}
     for k, (nodes, _) in enumerate(tied):
-        for v in nodes:
-            i = position[v]
-            cell[i] = 2 * k + (v in split_side)
+        for i in nodes:
+            cell[i] = 2 * k + split[i]
             cell_nodes.setdefault(cell[i], []).append(i)
     cell_arcs: dict[int, list[int]] = {c: [] for c in cell_nodes}
-    for j, arc in enumerate(problem.arcs):
-        c = cell[position[arc.tail]]
-        if c != cell[position[arc.head]]:
+    for j, (tail, head) in enumerate(problem.ends):
+        if (c := cell[tail]) != cell[head]:
             raise InvariantViolation("a stage arc leaves its block")
         if c >= 0:
             cell_arcs[c].append(j)
@@ -290,17 +282,13 @@ def _search_blocks(problem: Problem, previous: RatioResult) -> RatioResult:
         if not any(balances[i] for i in nodes):
             continue
         block = restrict(problem, nodes, cell_arcs[c])
-        inside = frozenset(block.node_ids)
-        witnesses = tied[c // 2][1]
-        result = _newton(block, (inside & step.cut.source_side for step in witnesses))
-        blocks.append(Block(block, result))
+        result = _newton(block, (step.cut.source_side for step in tied[c // 2][1]))
+        blocks.append(Block(nodes, block, result))
         steps += result.steps
 
     r0 = max(b.result.r0 for b in blocks)
-    source_side = frozenset().union(
-        *(b.result.critical_cut.source_side for b in blocks if b.result.r0 == r0)
-    )
-    cut = Cut(source_side, frozenset(problem.node_ids) - source_side)
+    tied_sides = (b.result.critical_cut.source_side for b in blocks if b.result.r0 == r0)
+    cut = Cut(frozenset().union(*tied_sides))
     return RatioResult(r0, cut, tuple(steps), tuple(blocks))
 
 

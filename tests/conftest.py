@@ -266,7 +266,7 @@ def sink_side_is_feasible(problem: Problem, z: Fraction) -> FeasibilityReport:
     if value == two_pole.total_supply * two_pole.scale:
         return FeasibilityReport(True, z)
     n = len(problem.node_ids)
-    cut = Cut.from_source_side(problem, (problem.node_ids[i] for i in maximal if i < n))
+    cut = Cut(frozenset(problem.node_ids[i] for i in maximal if i < n))
     return FeasibilityReport(False, z, cut, cut_stats(problem, cut))
 
 

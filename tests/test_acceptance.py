@@ -313,7 +313,7 @@ def test_criterion_9_certificate_soundness(solvable_solutions):
             (
                 Level(
                     F(1),
-                    Cut.from_source_side(d4, ["s"]),
+                    Cut(frozenset(["s"])),
                     (("sa", F(1)), ("sb", F(3))),
                     (),
                 ),

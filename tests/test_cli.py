@@ -322,6 +322,77 @@ class TestVerify:
         assert verify_certificate(problem, rebuilt).accepted
 
 
+class TestMalformedSolution:
+    """`lexflow verify` reads each field of a solution document only in its
+    documented shape; any other shape exits 2 with nothing on stdout."""
+
+    INSTANCE = "n s 2\nn t -2\na e s t 1\n"
+
+    def verify(self, tmp_path, capsys, mutate, instance=INSTANCE):
+        path = tmp_path / "instance.txt"
+        path.write_text(instance)
+        cert = tmp_path / "solution.json"
+        assert main(["solve", str(path), "--certificate", str(cert)]) == 0
+        capsys.readouterr()
+        doc = json.loads(cert.read_text())
+        mutate(doc, doc["certificate"], doc["certificate"]["levels"][0])
+        cert.write_text(json.dumps(doc))
+        code = main(["verify", str(path), "--solution", str(cert)])
+        return code, capsys.readouterr()
+
+    def test_strings_for_lists_are_malformed(self, tmp_path, capsys):
+        # Iterated as they come, "s", "" and "2" read as a valid certificate.
+        def mutate(doc, certificate, level):
+            level["cut"], level["zeroed_reverse"], doc["sorted_ratios"] = "s", "", "2"
+
+        code, out = self.verify(tmp_path, capsys, mutate)
+        assert (code, out.out) == (2, "")
+        assert out.err.startswith("error: malformed solution document: 'cut' must be a list")
+
+    @pytest.mark.parametrize(
+        "where,key,value",
+        [
+            ("certificate", "levels", {}),
+            ("level", "cut", "s"),
+            ("level", "cut", {"s": 1}),
+            ("level", "fixed_forward", {}),
+            ("level", "zeroed_reverse", ""),
+            ("certificate", "zero_tail", ""),
+            ("document", "sorted_ratios", "2"),
+            ("document", "flow", [["e", "2"]]),
+            ("level", "cut", [True]),
+            ("level", "cut", [["s"]]),
+            ("level", "zeroed_reverse", [None]),
+            ("certificate", "zero_tail", [{"e": 0}]),
+            ("fixed", "arc", False),
+            ("fixed", "arc", ["e"]),
+        ],
+    )
+    def test_field_of_another_shape_is_malformed(self, where, key, value, tmp_path, capsys):
+        def mutate(doc, certificate, level):
+            fixed = level["fixed_forward"][0]
+            parent = {"document": doc, "certificate": certificate, "level": level, "fixed": fixed}
+            parent[where][key] = value
+
+        code, out = self.verify(tmp_path, capsys, mutate)
+        assert (code, out.out) == (2, "")
+        assert out.err.startswith("error: malformed solution document: ")
+
+    def test_integer_ids_are_accepted(self, tmp_path, capsys):
+        instance = json.dumps(
+            {
+                "nodes": [{"id": 1, "d": 2}, {"id": 2, "d": -2}],
+                "arcs": [{"id": 3, "tail": 1, "head": 2, "capacity": 1}],
+            }
+        )
+
+        def mutate(doc, certificate, level):
+            level["cut"], level["fixed_forward"][0]["arc"] = [1], 3
+
+        code, out = self.verify(tmp_path, capsys, mutate, instance)
+        assert (code, out.out) == (0, "ACCEPT\n")
+
+
 class TestRatioAndOracle:
     def test_ratio(self, d4_json, capsys):
         assert main(["ratio", d4_json]) == 0

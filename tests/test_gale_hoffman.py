@@ -82,7 +82,7 @@ class TestBuildTwoPole:
             for _ in range(10):
                 k = rng.randint(1, len(ids) - 1)
                 side = set(rng.sample(ids, k))
-                stats = cut_stats(p, Cut.from_source_side(p, side))
+                stats = cut_stats(p, Cut(frozenset(side)))
                 expected = tp.scale * (
                     tp.total_supply + z * stats.capacity - stats.deficiency
                 )
@@ -305,18 +305,21 @@ def _reference_witness(problem, z):
 
 
 def _reference_cut_stats(problem, cut):
+    """Stats from `Fraction`s, with the sink side taken as the complement of
+    the source side and the bipartition checked by set algebra."""
     nodes = frozenset(problem.node_ids)
+    sink_side = nodes - cut.source_side
     if (
         not cut.source_side
-        or not cut.sink_side
-        or cut.source_side & cut.sink_side
-        or cut.source_side | cut.sink_side != nodes
+        or not sink_side
+        or cut.source_side & sink_side
+        or cut.source_side | sink_side != nodes
     ):
         raise InvalidPartition("cut is not a proper bipartition of the nodes")
     deficiency = sum((problem.balances[v] for v in cut.source_side), F(0))
     capacity = F(0)
     for arc in problem.arcs:
-        if arc.tail in cut.source_side and arc.head in cut.sink_side:
+        if arc.tail in cut.source_side and arc.head in sink_side:
             capacity += arc.capacity
     return CutStats(deficiency, capacity)
 
@@ -372,5 +375,26 @@ class TestAgainstFractionKernel:
             ids = list(p.node_ids)
             for _ in range(3):
                 side = rng.sample(ids, rng.randint(1, len(ids) - 1))
-                cut = Cut.from_source_side(p, side)
+                cut = Cut(frozenset(side))
                 assert cut_stats(p, cut) == _reference_cut_stats(p, cut)
+
+    def test_partition_check_equals_the_set_algebra(self):
+        # Source sides of any size, some with an id the problem lacks.
+        verdicts = {"valid": 0, "invalid": 0}
+        for rng, p, _ in self.cases(108):
+            ids = list(p.node_ids)
+            for _ in range(4):
+                side = set(rng.sample(ids, rng.choice([0, 1, len(ids) - 1, len(ids)])))
+                if rng.random() < 0.3:
+                    side.add(rng.choice(["zz", "n99", ""]))
+                cut = Cut(frozenset(side))
+                try:
+                    expected = _reference_cut_stats(p, cut)
+                except InvalidPartition:
+                    verdicts["invalid"] += 1
+                    with pytest.raises(InvalidPartition):
+                        cut_stats(p, cut)
+                else:
+                    verdicts["valid"] += 1
+                    assert cut_stats(p, cut) == expected
+        assert min(verdicts.values()) >= 100, verdicts

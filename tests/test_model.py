@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lexflow.balancer as balancer
+import lexflow.gale_hoffman as gale_hoffman
+import lexflow.ratio_search as ratio_search
 from lexflow import (
     BalanceSumNonzero,
     Cut,
@@ -26,13 +28,14 @@ from lexflow import (
     balanced_flow,
     cut_stats,
     format_rational,
+    has_fatal_cut,
     lexmin_compare,
     node_balance_residual,
     parse_rational,
     validate_problem,
     verify_certificate,
 )
-from lexflow.model import MAX_DECIMAL_EXPONENT, fix_arcs
+from lexflow.model import MAX_DECIMAL_EXPONENT, fix_arcs, restrict
 from conftest import (
     deep_problem,
     diamond_problem,
@@ -186,7 +189,7 @@ class TestValidateProblem:
 class TestFixArcs:
     def test_moves_fixed_values_and_drops_arcs(self, d4):
         # Cut {s, a}: forward sb (3) and at (2), deficiency 4, ratio 4/5.
-        stage = fix_arcs(d4, Cut.from_source_side(d4, {"s", "a"}), F(4, 5))
+        stage = fix_arcs(d4, Cut(frozenset({"s", "a"})), F(4, 5))
         assert stage.node_ids == d4.node_ids
         assert stage.balances == {
             "s": F(8, 5), "a": F(-8, 5), "b": F(12, 5), "t": F(-12, 5)
@@ -197,7 +200,7 @@ class TestFixArcs:
 
     def test_reverse_arcs_are_dropped_unloaded(self, d4):
         # Cut {a}: forward at, reverse sa; a's deficiency is 0.
-        stage = fix_arcs(d4, Cut.from_source_side(d4, {"a"}), F(1, 3))
+        stage = fix_arcs(d4, Cut(frozenset({"a"})), F(1, 3))
         assert stage.balances == {"s": F(4), "a": F(-2, 3), "b": F(0), "t": F(-10, 3)}
         assert stage.arc_ids == ("sb", "bt")
         assert stage.integer_view == (3, (12, -2, 0, -10), (9, 6))
@@ -207,7 +210,7 @@ class TestFixArcs:
             [("u", F(1, 2)), ("w", F(-1, 2)), ("x", 0), ("y", 0)],
             [("uw", "u", "w", 1), ("xy", "x", "y", F(1, 3))],
         )
-        assert fix_arcs(p, Cut.from_source_side(p, {"u", "w"}), F(7, 2)) == p
+        assert fix_arcs(p, Cut(frozenset({"u", "w"})), F(7, 2)) == p
 
 
 class TestGridStep:
@@ -257,10 +260,64 @@ class TestGridStep:
                 parts[0] = deep_problem(rng)
             p = disjoint_union(parts)
             side = {f"c0_{v}" for v in parts[0].node_ids}
-            cut = Cut.from_source_side(p, side)
+            cut = Cut(frozenset(side))
             ratio = F(rng.randint(1, 10**6), rng.randint(1, 10**4))
             assert reference_step(p, cut, ratio) == p.integer_view
             assert fix_arcs(p, cut, ratio) == p
+
+
+class TestEnds:
+    """`Problem.ends` holds each arc's endpoint positions on every problem
+    built: validated, stepped by `fix_arcs`, cut out by `restrict` (the
+    search's blocks and the verifier's probed blocks), and contracted by
+    `has_fatal_cut`."""
+
+    def test_ends_are_the_positions_of_the_arc_names(self, monkeypatch):
+        # Each problem built, with the node count of the instance it came from.
+        built: dict[str, list] = {"validated": [], "stage": [], "block": [], "contracted": []}
+        n = 0
+
+        def recorder(kind, build):
+            def recorded(*args):
+                problem = build(*args)
+                built[kind].append((problem, n))
+                return problem
+            return recorded
+
+        monkeypatch.setattr(balancer, "fix_arcs", recorder("stage", fix_arcs))
+        monkeypatch.setattr(balancer, "restrict", recorder("block", restrict))
+        monkeypatch.setattr(ratio_search, "restrict", recorder("block", restrict))
+        is_feasible = gale_hoffman.is_feasible
+
+        def contracted(problem, z):
+            built["contracted"].append((problem, n))
+            return is_feasible(problem, z)
+
+        monkeypatch.setattr(gale_hoffman, "is_feasible", contracted)
+        rng = random.Random(1401)
+        for _ in range(150):
+            if rng.random() < 0.5:
+                p = random_problem(rng)
+            else:
+                parts = [random_problem(rng, max_nodes=5, max_arcs=7) for _ in range(3)]
+                p = disjoint_union(parts[: rng.randint(2, 3)])
+            n = len(p.node_ids)
+            built["validated"].append((p, n))
+            has_fatal_cut(p)
+            try:
+                verify_certificate(p, balanced_flow(p))
+            except FatalCutPresent:
+                pass
+        for kind, problems in built.items():
+            assert len(problems) >= 100, kind
+            for problem, _ in problems:
+                position = problem.node_position
+                assert problem.ends == tuple(
+                    (position[a.tail], position[a.head]) for a in problem.arcs
+                ), kind
+        # Blocks and contractions renumber the nodes they keep.
+        for kind in ("block", "contracted"):
+            assert any(p.arcs and len(p.node_ids) < n for p, n in built[kind]), kind
 
 
 class TestNodeBalanceResidual:
@@ -288,25 +345,27 @@ class TestNodeBalanceResidual:
 
 class TestCutStats:
     def test_diamond_sb(self, d4):
-        stats = cut_stats(d4, Cut.from_source_side(d4, ["s", "b"]))
+        stats = cut_stats(d4, Cut(frozenset(["s", "b"])))
         assert (stats.deficiency, stats.capacity) == (F(4), F(3))
         assert stats.ratio == F(4, 3)
         assert not stats.is_fatal and stats.is_deficient
 
     def test_fatal_cut(self):
         p = validate_problem([("u", -1), ("w", 1)], [("uw", "u", "w", 2)])
-        stats = cut_stats(p, Cut.from_source_side(p, ["w"]))
+        stats = cut_stats(p, Cut(frozenset(["w"])))
         assert stats.deficiency == F(1) and stats.capacity == F(0)
         assert stats.is_fatal and stats.ratio is None
 
     def test_with_flow(self, d4):
-        stats = cut_stats(d4, Cut.from_source_side(d4, ["s"]))
+        stats = cut_stats(d4, Cut(frozenset(["s"])))
         assert (stats.deficiency, stats.capacity) == (F(4), F(4))
         assert stats.ratio == F(1)
 
-    @pytest.mark.parametrize("side", [[], ["s", "a", "b", "t"], ["s", "zz"]])
+    @pytest.mark.parametrize(
+        "side", [[], ["s", "a", "b", "t"], ["s", "zz"], ["zz"], ["s", "a", "b", "t", "zz"]]
+    )
     def test_invalid_partition(self, d4, side):
-        cut = Cut(frozenset(side), frozenset(d4.node_ids) - frozenset(side))
+        cut = Cut(frozenset(side))
         with pytest.raises(InvalidPartition):
             cut_stats(d4, cut)
 
@@ -318,9 +377,9 @@ class TestCutStats:
             for _ in range(10):
                 k = rng.randint(1, len(ids) - 1)
                 side = rng.sample(ids, k)
-                fwd = cut_stats(p, Cut.from_source_side(p, side))
+                fwd = cut_stats(p, Cut(frozenset(side)))
                 rev = cut_stats(
-                    p, Cut.from_source_side(p, set(ids) - set(side))
+                    p, Cut(frozenset(set(ids) - set(side)))
                 )
                 assert fwd.deficiency == -rev.deficiency
 
@@ -335,7 +394,7 @@ class TestCutStats:
             ids = list(p.node_ids)
             for _ in range(8):
                 k = rng.randint(1, len(ids) - 1)
-                cut = Cut.from_source_side(p, rng.sample(ids, k))
+                cut = Cut(frozenset(rng.sample(ids, k)))
                 forward = sum(
                     (x.values[a.arc_id] for a in cut.forward_arcs(p)), F(0)
                 )
