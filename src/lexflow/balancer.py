@@ -27,6 +27,7 @@ from .model import (
     Flow,
     InvalidPartition,
     Problem,
+    cut_arcs,
     cut_stats,
     fix_arcs,
     format_rational,
@@ -120,8 +121,9 @@ def reduce_problem(
     """
     if ratio <= 0:
         raise ValueError("level ratio must be positive")
-    stats = cut_stats(problem, cut)
-    forward = cut.forward_arcs(problem)
+    arcs = cut_arcs(problem, cut)
+    stats = cut_stats(problem, cut, arcs)
+    _, _, forward, reverse = arcs
     if not forward:
         raise EmptyCutArcSet("cut has no forward arcs in the current problem")
     if stats.ratio != ratio:
@@ -129,9 +131,12 @@ def reduce_problem(
             f"cut ratio is {format_rational(stats.ratio)}, expected {format_rational(ratio)}"
         )
 
-    fixed = tuple((arc.arc_id, ratio * arc.capacity) for arc in forward)
-    zeroed = tuple(a.arc_id for a in cut.reverse_arcs(problem))
-    return fix_arcs(problem, cut, ratio), Level(ratio, cut, fixed, zeroed)
+    # ratio × C/L for grid value C on grid L. Reducing C/L first keeps a
+    # kilobit ratio's terms out of the gcd that Fraction(p·C, q·L) would take.
+    arc_ids, (denominator, _, capacities) = problem.arc_ids, problem.integer_view
+    fixed = tuple((arc_ids[k], ratio * Fraction(capacities[k], denominator)) for k in forward)
+    zeroed = tuple(arc_ids[k] for k in reverse)
+    return fix_arcs(problem, arcs, ratio), Level(ratio, cut, fixed, zeroed)
 
 
 def balanced_flow(
@@ -181,7 +186,7 @@ def balanced_flow(
     # Fixed arcs carry their level's ratio, the rest zero, and the ratios
     # never increase: this is the flow's ratio vector sorted descending.
     ratios = [level.ratio for level in levels for _ in level.fixed_forward]
-    ratios += [Fraction(0)] * (len(problem.arcs) - len(ratios))
+    ratios += [Fraction(0)] * (len(problem.arc_ids) - len(ratios))
     certificate = Certificate(tuple(levels), current.arc_ids)
     return BalancedSolution(Flow(values), certificate, tuple(ratios))
 
@@ -271,8 +276,9 @@ def verify_certificate(
     block = [0] * len(problem.node_ids)
     for k, level in enumerate(certificate.levels):
         where = f"level {k}"
+        arcs = cut_arcs(current, level.cut)
         try:
-            stats = cut_stats(current, level.cut)
+            stats = cut_stats(current, level.cut, arcs)
         except InvalidPartition:
             return reject("level_replay", f"{where}: cut is not a proper partition")
         if stats.capacity == 0:
@@ -283,18 +289,18 @@ def verify_certificate(
                 f"{where}: cut ratio differs from {format_rational(level.ratio)}",
             )
 
-        forward = {a.arc_id: a for a in level.cut.forward_arcs(current)}
+        side, _, forward, reverse = arcs
+        arc_ids, (denominator, _, capacities) = current.arc_ids, current.integer_view
+        capacity = {arc_ids[k]: Fraction(capacities[k], denominator) for k in forward}
         fixed_ids = [arc_id for arc_id, _ in level.fixed_forward]
-        if len(fixed_ids) != len(set(fixed_ids)) or set(fixed_ids) != set(forward):
+        if len(fixed_ids) != len(set(fixed_ids)) or set(fixed_ids) != set(capacity):
             return reject("level_replay", f"{where}: fixed arcs differ from the cut arcs")
         for arc_id, value in level.fixed_forward:
-            if value != level.ratio * forward[arc_id].capacity:
+            if value != level.ratio * capacity[arc_id]:
                 return reject("level_replay", f"{where}: fixed value wrong on {arc_id!r}")
             if flow.values[arc_id] != value:
                 return reject("level_replay", f"{where}: flow differs on {arc_id!r}")
-        reverse = level.cut.reverse_arcs(current)
-        reverse_ids = {a.arc_id for a in reverse}
-        if set(level.zeroed_reverse) != reverse_ids:
+        if set(level.zeroed_reverse) != {arc_ids[k] for k in reverse}:
             return reject("level_replay", f"{where}: zeroed arcs differ from the reverse arcs")
         for arc_id in level.zeroed_reverse:
             if flow.values[arc_id] != 0:
@@ -302,10 +308,10 @@ def verify_certificate(
 
         # Once a probe has failed, no later probe runs and the labels lapse.
         if suboptimal is None:
-            side = current.side(level.cut.source_side)
-            crossed = {block[tail] for tail, head in current.ends if side[tail] != side[head]}
+            ends = current.ends
+            crossed = {block[ends[k][0]] for k in (*forward, *reverse)}
             nodes = [i for i, b in enumerate(block) if b in crossed]
-            inside = [j for j, (tail, _) in enumerate(current.ends) if block[tail] in crossed]
+            inside = [j for j, (tail, _) in enumerate(ends) if block[tail] in crossed]
             touched = restrict(current, nodes, inside)
             if not is_feasible(touched, level.ratio).feasible:
                 suboptimal = reject("stage_optimality", f"{where}: ratio is not sufficient")
@@ -318,7 +324,7 @@ def verify_certificate(
             for i in nodes:
                 block[i] = first.setdefault((block[i], side[i]), i)
         # The replay showed the level's arcs are the cut's, loaded at its ratio.
-        current = fix_arcs(current, level.cut, level.ratio)
+        current = fix_arcs(current, arcs, level.ratio)
 
     if suboptimal is not None:
         return suboptimal
@@ -343,7 +349,7 @@ def verify_certificate(
     # zero, so with the ratios non-increasing, this is the flow's ratio
     # vector sorted descending, found without a division or a sort.
     ratios = [level.ratio for level in certificate.levels for _ in level.fixed_forward]
-    ratios += [Fraction(0)] * (len(problem.arcs) - len(ratios))
+    ratios += [Fraction(0)] * (len(problem.arc_ids) - len(ratios))
     if solution.sorted_ratios != tuple(ratios):
         return reject("summary", "sorted ratios differ from the flow's")
     return VerificationResult(True)

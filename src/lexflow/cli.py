@@ -370,9 +370,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     problem = parse_instance(read_source(args.instance), args.instance)
-    if len(problem.arcs) > LEXMIN_SOFT_ARC_LIMIT:
+    if len(problem.arc_ids) > LEXMIN_SOFT_ARC_LIMIT:
         print(
-            f"warning: {len(problem.arcs)} arcs exceed the oracle's soft "
+            f"warning: {len(problem.arc_ids)} arcs exceed the oracle's soft "
             f"limit of {LEXMIN_SOFT_ARC_LIMIT}; this may be slow",
             file=sys.stderr,
         )

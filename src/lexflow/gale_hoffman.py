@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .maxflow import FlowNetwork, max_flow
-from .model import Arc, Cut, CutStats, IntegerView, Problem, cut_stats
+from .model import Cut, CutStats, IntegerView, Problem, cut_stats
 
 
 class InvariantViolation(Exception):
@@ -144,15 +144,14 @@ def has_fatal_cut(problem: Problem) -> FatalCutReport:
     summed = [0] * len(index)
     for k, d in zip(component, balances):
         summed[k] += d
-    arcs, ends, kept = [], [], []
-    for arc, c, (tail, head) in zip(problem.arcs, capacities, problem.ends):
+    arc_ids, ends, kept = [], [], []
+    for arc_id, c, (tail, head) in zip(problem.arc_ids, capacities, problem.ends):
         if component[tail] != component[head]:
-            tail_id, head_id = node_ids[root[tail]], node_ids[root[head]]
-            arcs.append(Arc(arc.arc_id, tail_id, head_id, arc.capacity))
+            arc_ids.append(arc_id)
             ends.append((component[tail], component[head]))
             kept.append(c)
     view = IntegerView(denominator, tuple(summed), tuple(kept))
-    contracted = Problem(tuple(node_ids[r] for r in index), tuple(arcs), view, tuple(ends))
+    contracted = Problem(tuple(node_ids[r] for r in index), tuple(arc_ids), view, tuple(ends))
     factor = Fraction(sum(d for d in summed if d > 0), min(kept, default=1))
     report = is_feasible(contracted, factor)
     if report.feasible:

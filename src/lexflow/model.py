@@ -1,10 +1,11 @@
 """Exact domain model for transshipment balancing: problems, flows, cuts.
 
-A problem's numbers live on one integer grid (`Problem.integer_view`), built
-by `validate_problem` and stepped by `fix_arcs`; `fractions.Fraction`s only
-enter and leave there. The solver path never touches floating point.
-Instances are immutable after construction, so they can be shared freely
-between threads, and all operations here are pure.
+A problem's numbers live on one integer grid (`Problem.integer_view`),
+written by `validate_problem` straight from the input and stepped by
+`fix_arcs`; `fractions.Fraction`s only enter and leave there. The solver
+path never touches floating point. Instances are immutable after
+construction, so they can be shared freely between threads, and all
+operations here are pure.
 """
 
 from __future__ import annotations
@@ -70,23 +71,19 @@ def parse_rational(value: RationalLike) -> Fraction:
     Strings may be integers ("42"), fractions ("5/3"), or finite decimals
     with an optional exponent ("0.25", "1e-3"), with any number of digits;
     all are normalized to lowest terms with a positive denominator. A bare
-    ASCII integer or "p/q" is read with `int()`, faster than `Fraction(str)`
-    and to the same value. An
-    exponent may be at most MAX_DECIMAL_EXPONENT in absolute value. Floats
-    are rejected because binary floats do not represent decimal input
-    exactly.
+    ASCII integer or "p/q" is read by `_plain_terms`, faster than
+    `Fraction(str)` and to the same value. An exponent may be at most
+    MAX_DECIMAL_EXPONENT in absolute value. Floats are rejected because
+    binary floats do not represent decimal input exactly.
     """
     if isinstance(value, Fraction):
         return value
+    terms = _plain_terms(value)
+    if terms is not None:
+        return Fraction(*terms)
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        plain = _PLAIN_RATIONAL.fullmatch(value)
-        if plain is not None:
-            try:
-                return Fraction(int(plain[1]), int(plain[2] or 1))
-            except (ValueError, ZeroDivisionError):
-                pass  # past int(str)'s digit limit, or "p/0": the path below decides
         text = value.strip()
         exponent = _EXPONENT.search(text)
         if exponent is not None:
@@ -112,6 +109,26 @@ def parse_rational(value: RationalLike) -> Fraction:
     raise ModelError(
         f"cannot parse rational from {value!r} (quote decimals as strings)"
     )
+
+
+def _plain_terms(value: RationalLike) -> tuple[int, int] | None:
+    """An int, or a bare ASCII integer or "p/q" string, as (numerator,
+    denominator) in lowest terms, read with int() alone. None for any other
+    value, for "p/0", and past int(str)'s digit limit: `parse_rational`
+    decides those."""
+    if type(value) is int:
+        return value, 1
+    plain = _PLAIN_RATIONAL.fullmatch(value) if type(value) is str else None
+    if plain is None:
+        return None
+    try:
+        p, q = int(plain[1]), int(plain[2] or 1)
+    except ValueError:
+        return None
+    if q == 1:
+        return p, 1
+    g = math.gcd(p, q)
+    return (p // g, q // g) if q else None
 
 
 def format_rational(value: Fraction) -> str:
@@ -155,9 +172,10 @@ class IntegerView(NamedTuple):
     denominator: the least one for a problem built by `validate_problem` or
     `fix_arcs`, and its stage's L for a block cut out by `restrict`.
     `balances[i]` is L times the balance of node i in node order and
-    `capacities[a]` is L times the capacity of arc a in arc order. Every cut
-    sum on the grid is exact whichever common multiple L is, so every bound
-    derived from it (such as `total_integer_capacity`'s separations) holds.
+    `capacities[a]` is L times the capacity of arc a in arc order; a problem
+    keeps its numbers nowhere else. Every cut sum on the grid is exact
+    whichever common multiple L is, so every bound derived from it (such as
+    `total_integer_capacity`'s separations) holds.
     """
 
     denominator: int
@@ -169,14 +187,17 @@ class IntegerView(NamedTuple):
 class Problem:
     """A transshipment instance: a digraph with node balances and capacities.
 
-    Balances, kept only on the grid `integer_view`, sum to zero; capacities
-    are positive, parallel arcs are allowed and self-loops are not. Arc k
-    joins the node positions `ends[k]` (tail, head). Orders follow the input
-    order, so results are deterministic. Construct via `validate_problem`.
+    Its numbers are kept only on the grid `integer_view`: balances sum to
+    zero and capacities are positive. Arc k, named `arc_ids[k]`, joins the
+    node positions `ends[k]` (tail, head); parallel arcs are allowed and
+    self-loops are not. Orders follow the input order, so results are
+    deterministic. `arcs` and `balances` are `Fraction` views built on first
+    use, for the oracle and the tests; the solver reads neither. Construct
+    via `validate_problem`.
     """
 
     node_ids: tuple[str, ...]
-    arcs: tuple[Arc, ...]
+    arc_ids: tuple[str, ...]
     integer_view: IntegerView
     ends: tuple[tuple[int, int], ...]
 
@@ -185,8 +206,12 @@ class Problem:
         return {v: i for i, v in enumerate(self.node_ids)}
 
     @cached_property
-    def arc_ids(self) -> tuple[str, ...]:
-        return tuple(a.arc_id for a in self.arcs)
+    def arcs(self) -> tuple[Arc, ...]:
+        node_ids, (denominator, _, capacities) = self.node_ids, self.integer_view
+        return tuple(
+            Arc(arc_id, node_ids[tail], node_ids[head], Fraction(c, denominator))
+            for arc_id, (tail, head), c in zip(self.arc_ids, self.ends, capacities)
+        )
 
     @cached_property
     def balances(self) -> dict[str, Fraction]:
@@ -234,14 +259,6 @@ class Cut:
 
     source_side: frozenset[str]
 
-    def forward_arcs(self, problem: Problem) -> tuple[Arc, ...]:
-        side = self.source_side
-        return tuple(a for a in problem.arcs if a.tail in side and a.head not in side)
-
-    def reverse_arcs(self, problem: Problem) -> tuple[Arc, ...]:
-        side = self.source_side
-        return tuple(a for a in problem.arcs if a.tail not in side and a.head in side)
-
 
 @dataclass(frozen=True)
 class CutStats:
@@ -272,6 +289,10 @@ class CutStats:
         return self.deficiency / self.capacity
 
 
+def _terms(x: Fraction) -> tuple[int, int]:
+    return x.numerator, x.denominator
+
+
 def validate_problem(
     nodes: Iterable[tuple[str, RationalLike]] | Mapping[str, RationalLike],
     arcs: Iterable[tuple[str, str, str, RationalLike]],
@@ -283,21 +304,24 @@ def validate_problem(
     strings. Input order is preserved and becomes the canonical order.
 
     Raises DuplicateId, SelfLoop, NonpositiveCapacity, BalanceSumNonzero, or
-    plain ModelError for unknown endpoints and malformed numbers.
+    plain ModelError for unknown endpoints and malformed numbers. Each number
+    is read as (numerator, denominator) in lowest terms and written straight
+    onto the grid of their least common denominator.
     """
     node_items = nodes.items() if isinstance(nodes, Mapping) else nodes
 
-    balances: dict[str, Fraction] = {}
+    position: dict[str, int] = {}
+    terms: list[tuple[int, int]] = []
     for node_id, raw in node_items:
         node_id = str(node_id)
-        if node_id in balances:
+        if node_id in position:
             raise DuplicateId(f"duplicate node id {node_id!r}")
-        balances[node_id] = parse_rational(raw)
-    if not balances:
+        position[node_id] = len(terms)
+        terms.append(_plain_terms(raw) or _terms(parse_rational(raw)))
+    if not position:
         raise ModelError("instance has no nodes")
 
-    position = dict(zip(balances, range(len(balances))))
-    built: list[Arc] = []
+    arc_ids: list[str] = []
     ends: list[tuple[int, int]] = []
     seen: set[str] = set()
     for arc_id, tail, head, raw_cap in arcs:
@@ -305,33 +329,37 @@ def validate_problem(
         if arc_id in seen:
             raise DuplicateId(f"duplicate arc id {arc_id!r}")
         seen.add(arc_id)
-        if tail not in balances:
+        if tail not in position:
             raise ModelError(f"arc {arc_id!r} has unknown tail {tail!r}")
-        if head not in balances:
+        if head not in position:
             raise ModelError(f"arc {arc_id!r} has unknown head {head!r}")
         if tail == head:
             raise SelfLoop(f"arc {arc_id!r} is a self-loop on {tail!r}")
-        capacity = parse_rational(raw_cap)
-        if capacity.numerator <= 0:
+        p, q = _plain_terms(raw_cap) or _terms(parse_rational(raw_cap))
+        if p <= 0:
             raise NonpositiveCapacity(
-                f"arc {arc_id!r} has capacity {format_rational(capacity)}"
+                f"arc {arc_id!r} has capacity {format_rational(Fraction(p, q))}"
             )
-        built.append(Arc(arc_id, tail, head, capacity))
+        terms.append((p, q))
+        arc_ids.append(arc_id)
         ends.append((position[tail], position[head]))
 
-    numbers = [*balances.values(), *(a.capacity for a in built)]
-    lcm = math.lcm(*(x.denominator for x in numbers))
-    grid = [lcm // x.denominator * x.numerator for x in numbers]
-    view = IntegerView(lcm, tuple(grid[: len(balances)]), tuple(grid[len(balances) :]))
-    if total := Fraction(sum(view.balances), lcm):
-        raise BalanceSumNonzero(f"balances sum to {format_rational(total)}, expected 0")
+    lcm = math.lcm(*(q for _, q in terms))
+    grid = [lcm // q * p for p, q in terms]
+    n = len(position)
+    view = IntegerView(lcm, tuple(grid[:n]), tuple(grid[n:]))
+    if total := sum(view.balances):
+        raise BalanceSumNonzero(
+            f"balances sum to {format_rational(Fraction(total, lcm))}, expected 0"
+        )
 
-    return Problem(tuple(balances), tuple(built), view, tuple(ends))
+    return Problem(tuple(position), tuple(arc_ids), view, tuple(ends))
 
 
-def fix_arcs(problem: Problem, cut: Cut, ratio: Fraction) -> Problem:
-    """The next stage after loading `cut`, a proper cut, at `ratio`:
-    forward arcs carry ratio × capacity tail to head; crossing arcs are dropped.
+def fix_arcs(problem: Problem, arcs: CutArcs, ratio: Fraction) -> Problem:
+    """The next stage after loading a proper cut, read as `arcs` =
+    `cut_arcs(problem, cut)`, at `ratio`: forward arcs carry ratio × capacity
+    tail to head; crossing arcs are dropped.
 
     The grid is stepped on the least L without an lcm. With ratio = p/q, the
     numbers on grid q·L are q·x, except each balance with a net forward
@@ -340,17 +368,13 @@ def fix_arcs(problem: Problem, cut: Cut, ratio: Fraction) -> Problem:
     becomes x/h·f with f = q·h/g, and t becomes t/g.
     """
     denominator, balances, capacities = problem.integer_view
-    inside = problem.side(cut.source_side)
+    _, stay, forward, _ = arcs
     net = [0] * len(balances)
-    arcs, ends, kept = [], [], []
-    for arc, (tail, head), c in zip(problem.arcs, problem.ends, capacities):
-        if inside[tail] == inside[head]:
-            arcs.append(arc)
-            ends.append((tail, head))
-            kept.append(c)
-        elif inside[tail]:
-            net[tail] -= c
-            net[head] += c
+    for k in forward:
+        tail, head = problem.ends[k]
+        net[tail] -= capacities[k]
+        net[head] += capacities[k]
+    kept = [capacities[k] for k in stay]
     p, q = ratio.numerator, ratio.denominator
     h = math.gcd(denominator, *(d for d, e in zip(balances, net) if not e), *kept)
     moved = {i: q * balances[i] + p * e for i, e in enumerate(net) if e}
@@ -360,7 +384,8 @@ def fix_arcs(problem: Problem, cut: Cut, ratio: Fraction) -> Problem:
         balances, kept = [d // h * f for d in balances], [c // h * f for c in kept]
     stepped = tuple(moved[i] // g if e else d for i, (d, e) in enumerate(zip(balances, net)))
     view = IntegerView(denominator // h * f, stepped, tuple(kept))
-    return Problem(problem.node_ids, tuple(arcs), view, tuple(ends))
+    arc_ids = tuple([problem.arc_ids[k] for k in stay])
+    return Problem(problem.node_ids, arc_ids, view, tuple([problem.ends[k] for k in stay]))
 
 
 def restrict(problem: Problem, nodes: Sequence[int], arcs: Sequence[int]) -> Problem:
@@ -378,7 +403,7 @@ def restrict(problem: Problem, nodes: Sequence[int], arcs: Sequence[int]) -> Pro
     index = dict(zip(nodes, range(len(nodes))))
     kept = map(problem.ends.__getitem__, arcs)
     ends = tuple([(index[tail], index[head]) for tail, head in kept])
-    return Problem(node_ids, tuple(problem.arcs[k] for k in arcs), view, ends)
+    return Problem(node_ids, tuple(problem.arc_ids[k] for k in arcs), view, ends)
 
 
 def node_balance_residual(problem: Problem, flow: Flow) -> dict[str, Fraction]:
@@ -388,26 +413,53 @@ def node_balance_residual(problem: Problem, flow: Flow) -> dict[str, Fraction]:
     """
     if set(flow.values) != set(problem.arc_ids):
         raise KeyMismatch("flow keys do not match the problem's arcs")
-    residual = {v: -problem.balances[v] for v in problem.node_ids}
-    for arc in problem.arcs:
-        x = flow.values[arc.arc_id]
-        residual[arc.tail] += x
-        residual[arc.head] -= x
-    return residual
+    denominator, balances, _ = problem.integer_view
+    residual = [Fraction(-d, denominator) for d in balances]
+    for arc_id, (tail, head) in zip(problem.arc_ids, problem.ends):
+        x = flow.values[arc_id]
+        residual[tail] += x
+        residual[head] -= x
+    return dict(zip(problem.node_ids, residual))
 
 
-def cut_stats(problem: Problem, cut: Cut) -> CutStats:
-    """Exact deficiency and capacity of `cut`.
+class CutArcs(NamedTuple):
+    """A cut read by position: `inside` is `Problem.side` of its source side,
+    and `kept`, `forward` and `reverse` hold, in arc order, the positions of
+    the arcs within one side, leaving the source side and entering it."""
+
+    inside: bytearray
+    kept: list[int]
+    forward: list[int]
+    reverse: list[int]
+
+
+def cut_arcs(problem: Problem, cut: Cut) -> CutArcs:
+    """`cut`'s mask and arc positions in `problem`, in one pass over its arcs."""
+    inside = problem.side(cut.source_side)
+    kept: list[int] = []
+    forward: list[int] = []
+    reverse: list[int] = []
+    for k, (tail, head) in enumerate(problem.ends):
+        if inside[tail] == inside[head]:
+            kept.append(k)
+        else:
+            (forward if inside[tail] else reverse).append(k)
+    return CutArcs(inside, kept, forward, reverse)
+
+
+def cut_stats(problem: Problem, cut: Cut, arcs: CutArcs | None = None) -> CutStats:
+    """Exact deficiency and capacity of `cut`; `arcs`, if given, is
+    `cut_arcs(problem, cut)`.
 
     Raises InvalidPartition unless its source side S has 0 < |S| < n and
     holds only the problem's nodes.
     """
-    inside = problem.side(cut.source_side)
+    inside, _, forward, _ = arcs or cut_arcs(problem, cut)
     if not 0 < len(cut.source_side) == sum(inside) < len(inside):
         raise InvalidPartition("cut is not a proper bipartition of the nodes")
     denominator, balances, capacities = problem.integer_view
-    forward = [inside[tail] and not inside[head] for tail, head in problem.ends]
-    deficiency, capacity = sum(compress(balances, inside)), sum(compress(capacities, forward))
+    deficiency = sum(compress(balances, inside))
+    capacity = sum(map(capacities.__getitem__, forward))
     return CutStats(Fraction(deficiency, denominator), Fraction(capacity, denominator))
 
 

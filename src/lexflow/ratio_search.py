@@ -224,7 +224,7 @@ def _newton(problem: Problem, seeds: Iterable[Iterable[str]]) -> RatioResult:
         z = producer
 
     steps: list[SearchStep] = []
-    cap = max(1, len(problem.arcs) * len(problem.node_ids))
+    cap = max(1, len(problem.arc_ids) * len(problem.node_ids))
     for _ in range(cap):
         report = is_feasible(problem, z)
         if report.feasible:

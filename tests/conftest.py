@@ -12,6 +12,7 @@ import pytest
 
 import lexflow.balancer as balancer
 from lexflow import (
+    Arc,
     BalancedSolution,
     Cut,
     FatalCutReport,
@@ -168,17 +169,29 @@ def deep_problem(rng: random.Random) -> Problem:
     return validate_problem([(v, balances[v]) for v in ids], arcs)
 
 
+def forward_arcs(cut: Cut, problem: Problem) -> tuple[Arc, ...]:
+    """The arcs leaving the cut's source side, read by node id."""
+    side = cut.source_side
+    return tuple(a for a in problem.arcs if a.tail in side and a.head not in side)
+
+
+def reverse_arcs(cut: Cut, problem: Problem) -> tuple[Arc, ...]:
+    """The arcs entering the cut's source side, read by node id."""
+    side = cut.source_side
+    return tuple(a for a in problem.arcs if a.tail not in side and a.head in side)
+
+
 def reference_step(problem: Problem, cut: Cut, ratio: Fraction) -> IntegerView:
     """The reference for `fix_arcs`' stepped view, rebuilt from `Fraction`s:
     move ratio × capacity along the cut's forward arcs in a balance dict,
     drop the forward and reverse arcs, and put what is left on the lcm of
     its denominators."""
     balances = dict(problem.balances)
-    forward = cut.forward_arcs(problem)
+    forward = forward_arcs(cut, problem)
     for arc in forward:
         balances[arc.tail] -= ratio * arc.capacity
         balances[arc.head] += ratio * arc.capacity
-    dropped = {a.arc_id for a in (*forward, *cut.reverse_arcs(problem))}
+    dropped = {a.arc_id for a in (*forward, *reverse_arcs(cut, problem))}
     numbers = [balances[v] for v in problem.node_ids]
     numbers += [a.capacity for a in problem.arcs if a.arc_id not in dropped]
     lcm = math.lcm(*(x.denominator for x in numbers))

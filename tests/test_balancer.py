@@ -31,14 +31,16 @@ from lexflow import (
 )
 import lexflow.balancer as balancer
 import lexflow.ratio_search as ratio_search
-from lexflow.model import fix_arcs
+from lexflow.model import cut_arcs, fix_arcs
 from conftest import (
     diamond_problem,
     disjoint_union,
+    forward_arcs,
     grid_problem,
     random_problem,
     random_rational,
     random_solvable_problem,
+    reverse_arcs,
     single_arc_problem,
     sink_side_is_feasible,
     two_cycle_problem,
@@ -191,9 +193,9 @@ class TestBalancedFlow:
             if result.critical_cut is None:
                 continue
             sol = balanced_flow(p)
-            for arc in result.critical_cut.forward_arcs(p):
+            for arc in forward_arcs(result.critical_cut, p):
                 assert sol.flow.values[arc.arc_id] == result.r0 * arc.capacity
-            for arc in result.critical_cut.reverse_arcs(p):
+            for arc in reverse_arcs(result.critical_cut, p):
                 assert sol.flow.values[arc.arc_id] == 0
 
     def test_nested_critical_cuts_share_the_ratio(self):
@@ -227,7 +229,7 @@ class TestBalancedFlow:
             fresh = [
                 cut
                 for cut in census.critical_cuts
-                if {a.arc_id for a in cut.forward_arcs(p)} - own_arcs
+                if {a.arc_id for a in forward_arcs(cut, p)} - own_arcs
             ]
             if not fresh:
                 continue
@@ -449,8 +451,8 @@ class TestProbeScope:
             stage, blocks = p, [frozenset(p.node_ids)]
             for k, level in enumerate(levels):
                 assert all((a.tail in b) == (a.head in b) for b in blocks for a in stage.arcs)
-                cut_arcs = (*level.cut.forward_arcs(stage), *level.cut.reverse_arcs(stage))
-                tails = {a.tail for a in cut_arcs}
+                crossing = (*forward_arcs(level.cut, stage), *reverse_arcs(level.cut, stage))
+                tails = {a.tail for a in crossing}
                 touched = [b for b in blocks if b & tails]
                 nodes = frozenset().union(*touched)
                 arcs = {a.arc_id for a in stage.arcs if a.tail in nodes}
@@ -465,7 +467,7 @@ class TestProbeScope:
                     for part in (b & level.cut.source_side, b - level.cut.source_side)
                     if part
                 ]
-                stage = fix_arcs(stage, level.cut, level.ratio)
+                stage = fix_arcs(stage, cut_arcs(stage, level.cut), level.ratio)
         assert smaller and several
 
 
@@ -481,9 +483,9 @@ def noncritical_cut(rng, p, sol):
         stats = cut_stats(p, cut)
         if not stats.capacity or stats.deficiency <= 0:
             continue
-        fixed = tuple((a.arc_id, stats.ratio * a.capacity) for a in cut.forward_arcs(p))
-        zeroed = tuple(a.arc_id for a in cut.reverse_arcs(p))
-        reduced = fix_arcs(p, cut, stats.ratio)
+        fixed = tuple((a.arc_id, stats.ratio * a.capacity) for a in forward_arcs(cut, p))
+        zeroed = tuple(a.arc_id for a in reverse_arcs(cut, p))
+        reduced = fix_arcs(p, cut_arcs(p, cut), stats.ratio)
         try:
             rest = balanced_flow(reduced)
         except FatalCutPresent:

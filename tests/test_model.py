@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 import time
+from collections import deque
+from decimal import Decimal
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +17,7 @@ import lexflow.balancer as balancer
 import lexflow.gale_hoffman as gale_hoffman
 import lexflow.ratio_search as ratio_search
 from lexflow import (
+    Arc,
     BalanceSumNonzero,
     Cut,
     DuplicateId,
@@ -29,20 +34,24 @@ from lexflow import (
     cut_stats,
     format_rational,
     has_fatal_cut,
+    is_feasible,
     lexmin_compare,
+    minmax_ratio,
     node_balance_residual,
     parse_rational,
     validate_problem,
     verify_certificate,
 )
-from lexflow.model import MAX_DECIMAL_EXPONENT, fix_arcs, restrict
+from lexflow.model import MAX_DECIMAL_EXPONENT, IntegerView, cut_arcs, fix_arcs, restrict
 from conftest import (
     deep_problem,
     diamond_problem,
     disjoint_union,
+    forward_arcs,
     random_problem,
     random_solvable_problem,
     reference_step,
+    reverse_arcs,
 )
 
 F = Fraction
@@ -186,10 +195,171 @@ class TestValidateProblem:
         assert len(p.arcs) == 2
 
 
+def reference_validate(nodes, arcs):
+    """`validate_problem` built from `Fraction`s: every number through
+    `parse_rational`, one `Arc` per arc, then the grid on the lcm of the
+    denominators. Returns the integer view and the arcs."""
+    balances = {}
+    for node_id, raw in nodes:
+        node_id = str(node_id)
+        if node_id in balances:
+            raise DuplicateId(f"duplicate node id {node_id!r}")
+        balances[node_id] = parse_rational(raw)
+    if not balances:
+        raise ModelError("instance has no nodes")
+    built, seen = [], set()
+    for arc_id, tail, head, raw in arcs:
+        arc_id, tail, head = str(arc_id), str(tail), str(head)
+        if arc_id in seen:
+            raise DuplicateId(f"duplicate arc id {arc_id!r}")
+        seen.add(arc_id)
+        if tail not in balances:
+            raise ModelError(f"arc {arc_id!r} has unknown tail {tail!r}")
+        if head not in balances:
+            raise ModelError(f"arc {arc_id!r} has unknown head {head!r}")
+        if tail == head:
+            raise SelfLoop(f"arc {arc_id!r} is a self-loop on {tail!r}")
+        capacity = parse_rational(raw)
+        if capacity <= 0:
+            raise NonpositiveCapacity(f"arc {arc_id!r} has capacity {format_rational(capacity)}")
+        built.append(Arc(arc_id, tail, head, capacity))
+    if total := sum(balances.values()):
+        raise BalanceSumNonzero(f"balances sum to {format_rational(total)}, expected 0")
+    numbers = [*balances.values(), *(a.capacity for a in built)]
+    lcm = math.lcm(*(x.denominator for x in numbers))
+    grid = [lcm // x.denominator * x.numerator for x in numbers]
+    n = len(balances)
+    return IntegerView(lcm, tuple(grid[:n]), tuple(grid[n:])), tuple(built)
+
+
+def outcome(validate, nodes, arcs):
+    """What `validate` makes of the instance: (view, arcs), or the class and
+    message of the error it raises."""
+    try:
+        result = validate(nodes, arcs)
+    except ModelError as exc:
+        return type(exc), str(exc)
+    return result if isinstance(result, tuple) else (result.integer_view, result.arcs)
+
+
+HUGE = 10**4400 + 7  # past int(str)'s default limit of 4300 digits
+
+
+def digits(n: int) -> str:
+    """str(n), also past the digit limit."""
+    return format_rational(Fraction(n))
+
+
+@st.composite
+def spelling(draw, value: Fraction):
+    """One of the forms `validate_problem` reads `value` from."""
+    p, q = value.numerator, value.denominator
+    forms = [value, f"{digits(p)}/{digits(q)}"]
+    k = draw(st.integers(1, 40))
+    sign = "+" if p >= 0 and draw(st.booleans()) else ""
+    forms.append(f"{sign}{digits(k * p)}/{'0' * draw(st.integers(0, 2))}{digits(k * q)}")
+    if q == 1:
+        forms += [p, digits(p), f"{digits(p)}e0"]
+    j = next((j for j in range(9) if 10**j % q == 0), None)
+    if j is not None and abs(p) < 10**4000:
+        scaled = p * 10**j // q
+        forms += [str(Decimal(scaled).scaleb(-j)), f"{scaled}e-{j}", f"{scaled * 10}E-{j + 1}"]
+    # Indexed rather than sampled: hypothesis cannot repr the huge ints.
+    return forms[draw(st.integers(0, len(forms) - 1))]
+
+
+# A rational whose numerator or denominator is now and then HUGE.
+numbers = st.builds(
+    lambda p, huge, q: Fraction(p * HUGE if huge else p, q or HUGE),
+    st.integers(-(10**6), 10**6),
+    st.integers(0, 9).map(lambda k: k == 0),
+    st.sampled_from([1, 2, 3, 4, 5, 8, 12, 25, 100, 9973, 0]),
+)
+
+
+@st.composite
+def raw_instances(draw):
+    """Spelled nodes and arcs: mostly valid, sometimes with a nonzero balance
+    sum, a nonpositive capacity, an unknown endpoint, a self-loop or a
+    repeated id."""
+    values = draw(st.lists(numbers, min_size=1, max_size=5))
+    if draw(st.integers(0, 9)):
+        values.append(-sum(values))
+    ids = [f"n{i}" for i in range(len(values))]
+    if len(ids) > 2 and not draw(st.integers(0, 19)):
+        ids[-1] = ids[0]
+    nodes = [(v, draw(spelling(x))) for v, x in zip(ids, values)]
+    arcs = []
+    for j in range(draw(st.integers(0, 6)) if len(set(ids)) > 1 else 0):
+        tail, head = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+        while head == tail:
+            head = draw(st.sampled_from(ids))
+        arc_id, capacity = f"e{j}", abs(draw(numbers.filter(bool)))
+        flaw = draw(st.integers(0, 39))
+        if flaw == 0:
+            capacity = -capacity if draw(st.booleans()) else Fraction(0)
+        elif flaw == 1:
+            tail = "zz"
+        elif flaw == 2:
+            head = tail
+        elif flaw == 3:
+            arc_id = "e0"
+        arcs.append((arc_id, tail, head, draw(spelling(capacity))))
+    return nodes, arcs
+
+
+class TestGridFirstParse:
+    """`validate_problem` writes each number straight onto the grid; the
+    reference builds a `Fraction` per number and takes the lcm. Views, arcs
+    and errors must be the same."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_instances())
+    def test_same_as_the_lcm_of_fractions(self, instance):
+        nodes, arcs = instance
+        assert outcome(validate_problem, nodes, arcs) == outcome(reference_validate, nodes, arcs)
+
+    @pytest.mark.parametrize(
+        "nodes,arcs",
+        [
+            ([("u", 0), ("w", 0)], [("e", "u", "w", "0/7")]),
+            ([("u", 0), ("w", 0)], [("e", "u", "w", "-4/6")]),
+            ([("u", 0), ("w", 0)], [("e", "u", "w", -3)]),
+            ([("u", 0), ("w", 0)], [("e", "u", "w", f"-{digits(HUGE)}/3")]),
+            ([("u", "3/0"), ("w", 0)], []),
+            ([("u", 0), ("w", 0)], [("e", "u", "w", "1/0")]),
+            ([("u", True), ("w", 0)], []),
+            ([("u", 0), ("w", 0)], [("e", "u", "w", True)]),
+            ([("u", 0), ("w", 0)], [("e", "u", "x", 1)]),
+            ([("u", 0), ("w", 0)], [("e", "x", "w", 1)]),
+            ([("u", 0), ("w", 0)], [("e", "u", "u", 1)]),
+            ([("u", "1/2"), ("u", "-1/2")], []),
+            ([("u", 0), ("w", 0)], [("e", "u", "w", 1), ("e", "w", "u", "x")]),
+            ([("u", "2/4"), ("w", "-1/3")], []),
+            ([("u", digits(HUGE)), ("w", 0)], []),
+            ([], []),
+        ],
+    )
+    def test_errors_keep_their_class_and_message(self, nodes, arcs):
+        ours = outcome(validate_problem, nodes, arcs)
+        assert issubclass(ours[0], ModelError)
+        assert ours == outcome(reference_validate, nodes, arcs)
+
+    def test_check_and_ratio_build_no_fraction_views(self):
+        # The oneshot path: `lexflow check` then `lexflow ratio`.
+        rng = random.Random(1501)
+        for _ in range(40):
+            p = random_solvable_problem(rng, max_nodes=8, max_arcs=14)
+            has_fatal_cut(p)
+            is_feasible(p, F(1))
+            minmax_ratio(p)
+            assert "arcs" not in vars(p) and "balances" not in vars(p)
+
+
 class TestFixArcs:
     def test_moves_fixed_values_and_drops_arcs(self, d4):
         # Cut {s, a}: forward sb (3) and at (2), deficiency 4, ratio 4/5.
-        stage = fix_arcs(d4, Cut(frozenset({"s", "a"})), F(4, 5))
+        stage = fix_arcs(d4, cut_arcs(d4, Cut(frozenset({"s", "a"}))), F(4, 5))
         assert stage.node_ids == d4.node_ids
         assert stage.balances == {
             "s": F(8, 5), "a": F(-8, 5), "b": F(12, 5), "t": F(-12, 5)
@@ -200,7 +370,7 @@ class TestFixArcs:
 
     def test_reverse_arcs_are_dropped_unloaded(self, d4):
         # Cut {a}: forward at, reverse sa; a's deficiency is 0.
-        stage = fix_arcs(d4, Cut(frozenset({"a"})), F(1, 3))
+        stage = fix_arcs(d4, cut_arcs(d4, Cut(frozenset({"a"}))), F(1, 3))
         assert stage.balances == {"s": F(4), "a": F(-2, 3), "b": F(0), "t": F(-10, 3)}
         assert stage.arc_ids == ("sb", "bt")
         assert stage.integer_view == (3, (12, -2, 0, -10), (9, 6))
@@ -210,7 +380,7 @@ class TestFixArcs:
             [("u", F(1, 2)), ("w", F(-1, 2)), ("x", 0), ("y", 0)],
             [("uw", "u", "w", 1), ("xy", "x", "y", F(1, 3))],
         )
-        assert fix_arcs(p, Cut(frozenset({"u", "w"})), F(7, 2)) == p
+        assert fix_arcs(p, cut_arcs(p, Cut(frozenset({"u", "w"}))), F(7, 2)) == p
 
 
 class TestGridStep:
@@ -227,10 +397,12 @@ class TestGridStep:
 
     def test_every_stage_equals_the_lcm_build(self, monkeypatch):
         steps = []
+        p = None
 
-        def recording(problem, cut, ratio):
-            stage = fix_arcs(problem, cut, ratio)
-            steps.append((problem, cut, ratio, stage))
+        def recording(problem, arcs, ratio):
+            stage = fix_arcs(problem, arcs, ratio)
+            cut = Cut(frozenset(compress(problem.node_ids, arcs.inside)))
+            steps.append((p, problem, cut, ratio, stage))
             return stage
 
         monkeypatch.setattr(balancer, "fix_arcs", recording)
@@ -245,11 +417,14 @@ class TestGridStep:
         assert solved >= 150
         # Each stage is stepped twice: by the solver and by the verifier.
         assert len(steps) >= 600
-        for problem, cut, ratio, stage in steps:
+        for source, problem, cut, ratio, stage in steps:
             assert stage.integer_view == reference_step(problem, cut, ratio)
+            # The stage keeps the validated arcs its cut does not cross.
+            given = {a.arc_id: a for a in source.arcs}
+            side = cut.source_side
             assert stage.arcs == tuple(
-                a for a in problem.arcs
-                if (a.tail in cut.source_side) == (a.head in cut.source_side)
+                given[k] for k in problem.arc_ids
+                if (given[k].tail in side) == (given[k].head in side)
             )
 
     def test_uncrossed_cut_leaves_the_view(self):
@@ -263,35 +438,53 @@ class TestGridStep:
             cut = Cut(frozenset(side))
             ratio = F(rng.randint(1, 10**6), rng.randint(1, 10**4))
             assert reference_step(p, cut, ratio) == p.integer_view
-            assert fix_arcs(p, cut, ratio) == p
+            assert fix_arcs(p, cut_arcs(p, cut), ratio) == p
+
+
+def strong_components(problem):
+    """Each node's strongly connected component, by breadth-first search."""
+    successors = {v: [] for v in problem.node_ids}
+    for a in problem.arcs:
+        successors[a.tail].append(a.head)
+    reach = {}
+    for v in problem.node_ids:
+        seen, queue = {v}, deque([v])
+        while queue:
+            for w in successors[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        reach[v] = seen
+    return {v: frozenset(w for w in reach[v] if v in reach[w]) for v in problem.node_ids}
 
 
 class TestEnds:
     """`Problem.ends` holds each arc's endpoint positions on every problem
-    built: validated, stepped by `fix_arcs`, cut out by `restrict` (the
-    search's blocks and the verifier's probed blocks), and contracted by
-    `has_fatal_cut`."""
+    built from a validated one: stepped by `fix_arcs`, cut out by `restrict`
+    (the search's blocks and the verifier's probed blocks), and contracted by
+    `has_fatal_cut`. The arcs read off them must be the validated arcs of the
+    same ids."""
 
     def test_ends_are_the_positions_of_the_arc_names(self, monkeypatch):
-        # Each problem built, with the node count of the instance it came from.
-        built: dict[str, list] = {"validated": [], "stage": [], "block": [], "contracted": []}
-        n = 0
+        # Each problem built, with the validated instance it came from.
+        built: dict[str, list] = {"stage": [], "block": [], "contracted": []}
+        p = None
 
         def recorder(kind, build):
             def recorded(*args):
                 problem = build(*args)
-                built[kind].append((problem, n))
+                built[kind].append((problem, p))
                 return problem
             return recorded
 
         monkeypatch.setattr(balancer, "fix_arcs", recorder("stage", fix_arcs))
         monkeypatch.setattr(balancer, "restrict", recorder("block", restrict))
         monkeypatch.setattr(ratio_search, "restrict", recorder("block", restrict))
-        is_feasible = gale_hoffman.is_feasible
+        probe = gale_hoffman.is_feasible
 
         def contracted(problem, z):
-            built["contracted"].append((problem, n))
-            return is_feasible(problem, z)
+            built["contracted"].append((problem, p))
+            return probe(problem, z)
 
         monkeypatch.setattr(gale_hoffman, "is_feasible", contracted)
         rng = random.Random(1401)
@@ -301,8 +494,6 @@ class TestEnds:
             else:
                 parts = [random_problem(rng, max_nodes=5, max_arcs=7) for _ in range(3)]
                 p = disjoint_union(parts[: rng.randint(2, 3)])
-            n = len(p.node_ids)
-            built["validated"].append((p, n))
             has_fatal_cut(p)
             try:
                 verify_certificate(p, balanced_flow(p))
@@ -310,14 +501,24 @@ class TestEnds:
                 pass
         for kind, problems in built.items():
             assert len(problems) >= 100, kind
-            for problem, _ in problems:
-                position = problem.node_position
-                assert problem.ends == tuple(
-                    (position[a.tail], position[a.head]) for a in problem.arcs
-                ), kind
+            for problem, source in problems:
+                given = {a.arc_id: a for a in source.arcs}
+                if kind != "contracted":
+                    assert problem.arcs == tuple(given[k] for k in problem.arc_ids), kind
+                    continue
+                # A contracted node is named by a member of its component.
+                component = strong_components(source)
+                assert len({component[v] for v in problem.node_ids}) == len(problem.node_ids)
+                for arc in problem.arcs:
+                    a = given[arc.arc_id]
+                    assert arc.capacity == a.capacity
+                    assert component[arc.tail] == component[a.tail] != component[a.head]
+                    assert component[arc.head] == component[a.head]
         # Blocks and contractions renumber the nodes they keep.
         for kind in ("block", "contracted"):
-            assert any(p.arcs and len(p.node_ids) < n for p, n in built[kind]), kind
+            assert any(
+                q.arcs and len(q.node_ids) < len(source.node_ids) for q, source in built[kind]
+            ), kind
 
 
 class TestNodeBalanceResidual:
@@ -369,6 +570,22 @@ class TestCutStats:
         with pytest.raises(InvalidPartition):
             cut_stats(d4, cut)
 
+    def test_cut_arcs_match_the_arcs_by_id(self):
+        rng = random.Random(1203)
+        for _ in range(50):
+            p = random_problem(rng, max_nodes=6)
+            ids = list(p.node_ids)
+            cut = Cut(frozenset(rng.sample(ids, rng.randint(1, len(ids) - 1))))
+            inside, kept, forward, reverse = cut_arcs(p, cut)
+            assert [p.node_ids[i] for i in range(len(ids)) if inside[i]] == [
+                v for v in ids if v in cut.source_side
+            ]
+            arcs = p.arcs
+            assert [arcs[k] for k in forward] == list(forward_arcs(cut, p))
+            assert [arcs[k] for k in reverse] == list(reverse_arcs(cut, p))
+            assert sorted(kept + forward + reverse) == list(range(len(arcs)))
+            assert cut_stats(p, cut, cut_arcs(p, cut)) == cut_stats(p, cut)
+
     def test_antisymmetry_of_deficiency(self):
         rng = random.Random(7)
         for _ in range(25):
@@ -396,10 +613,10 @@ class TestCutStats:
                 k = rng.randint(1, len(ids) - 1)
                 cut = Cut(frozenset(rng.sample(ids, k)))
                 forward = sum(
-                    (x.values[a.arc_id] for a in cut.forward_arcs(p)), F(0)
+                    (x.values[a.arc_id] for a in forward_arcs(cut, p)), F(0)
                 )
                 reverse = sum(
-                    (x.values[a.arc_id] for a in cut.reverse_arcs(p)), F(0)
+                    (x.values[a.arc_id] for a in reverse_arcs(cut, p)), F(0)
                 )
                 assert forward - reverse == cut_stats(p, cut).deficiency
 
