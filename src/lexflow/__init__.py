@@ -38,27 +38,21 @@ from .model import (
     Flow,
     InvalidPartition,
     KeyMismatch,
-    LengthMismatch,
     ModelError,
     NonpositiveCapacity,
-    Ordering,
     Problem,
     SelfLoop,
     cut_stats,
     format_rational,
-    lexmin_compare,
     node_balance_residual,
     parse_rational,
     validate_problem,
 )
 from .oracle import (
-    CutCensus,
     LinearProgram,
     LPResult,
     LPStatus,
     OracleInfeasible,
-    TooLarge,
-    enumerate_cuts,
     lp_solve,
     oracle_lexmin,
 )
@@ -79,7 +73,6 @@ __all__ = [
     "BalancedSolution",
     "Certificate",
     "Cut",
-    "CutCensus",
     "CutStats",
     "DuplicateId",
     "EmptyCutArcSet",
@@ -94,7 +87,6 @@ __all__ = [
     "KeyMismatch",
     "LPResult",
     "LPStatus",
-    "LengthMismatch",
     "Level",
     "LinearProgram",
     "MaxFlowResult",
@@ -103,22 +95,18 @@ __all__ = [
     "NonpositiveCapacity",
     "NotCritical",
     "OracleInfeasible",
-    "Ordering",
     "Problem",
     "RatioResult",
     "SearchStep",
     "SelfLoop",
-    "TooLarge",
     "TwoPole",
     "VerificationResult",
     "balanced_flow",
     "build_two_pole",
     "cut_stats",
-    "enumerate_cuts",
     "format_rational",
     "has_fatal_cut",
     "is_feasible",
-    "lexmin_compare",
     "lp_solve",
     "max_flow",
     "minmax_ratio",

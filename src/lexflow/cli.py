@@ -26,7 +26,7 @@ from .balancer import (
     balanced_flow,
     verify_certificate,
 )
-from .gale_hoffman import FeasibilityReport, has_fatal_cut, is_feasible
+from .gale_hoffman import FatalCutReport, FeasibilityReport, has_fatal_cut, is_feasible
 from .model import (
     MAX_DECIMAL_EXPONENT,
     Cut,
@@ -290,7 +290,7 @@ def _emit(document: dict[str, Any]) -> None:
     print(json.dumps(document, indent=2))
 
 
-def _print_witness(report: FeasibilityReport | Any, problem: Problem) -> None:
+def _print_witness(report: FeasibilityReport | FatalCutReport, problem: Problem) -> None:
     cut = report.witness_cut
     stats = report.witness_stats
     if cut is None or stats is None:

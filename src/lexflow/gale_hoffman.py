@@ -43,10 +43,7 @@ class TwoPole:
     D being the total supply.
     """
 
-    problem: Problem
-    z: Fraction
     network: FlowNetwork
-    total_supply: Fraction
     scale: int
 
 
@@ -61,7 +58,6 @@ class FeasibilityReport:
     """
 
     feasible: bool
-    z: Fraction
     witness_cut: Cut | None = None
     witness_stats: CutStats | None = None
 
@@ -93,7 +89,7 @@ def build_two_pole(problem: Problem, z: Fraction) -> TwoPole:
     arcs += [(tail, head, p * c) for (tail, head), c in zip(problem.ends, capacities)]
 
     network = FlowNetwork(n + 2, tuple(arcs), s, t)
-    return TwoPole(problem, z, network, problem.total_supply, q * denominator)
+    return TwoPole(network, q * denominator)
 
 
 def is_feasible(problem: Problem, z: Fraction) -> FeasibilityReport:
@@ -106,15 +102,15 @@ def is_feasible(problem: Problem, z: Fraction) -> FeasibilityReport:
     It is the inclusion-minimal min cut, the same for every maximum flow.
     """
     if problem.total_supply == 0:
-        return FeasibilityReport(True, z)
+        return FeasibilityReport(True)
     two_pole = build_two_pole(problem, z)
     result = max_flow(two_pole.network)
-    if result.value == two_pole.total_supply * two_pole.scale:
-        return FeasibilityReport(True, z)
+    if result.value == problem.total_supply * two_pole.scale:
+        return FeasibilityReport(True)
 
     n = len(problem.node_ids)
     cut = Cut(frozenset(problem.node_ids[i] for i in result.min_cut_source_side if i < n))
-    return FeasibilityReport(False, z, cut, cut_stats(problem, cut))
+    return FeasibilityReport(False, cut, cut_stats(problem, cut))
 
 
 def has_fatal_cut(problem: Problem) -> FatalCutReport:

@@ -14,7 +14,6 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
@@ -59,10 +58,6 @@ class KeyMismatch(ModelError):
 
 class InvalidPartition(ModelError):
     """A cut's source side is empty, holds every node, or holds a foreign id."""
-
-
-class LengthMismatch(ModelError):
-    """Ratio vectors of different lengths cannot be compared."""
 
 
 def parse_rational(value: RationalLike) -> Fraction:
@@ -145,14 +140,6 @@ def _digits(n: int) -> str:
         return str(n)
     except ValueError:
         return str(Decimal(n))
-
-
-class Ordering(Enum):
-    """Outcome of a lexmin comparison of two ratio vectors."""
-
-    LESS = "less"
-    EQUIVALENT = "equivalent"
-    GREATER = "greater"
 
 
 @dataclass(frozen=True)
@@ -244,10 +231,6 @@ class Flow:
 
     values: Mapping[str, Fraction]
 
-    def ratio_vector(self, problem: Problem) -> tuple[Fraction, ...]:
-        """Utilizations value/capacity per arc, in arc input order."""
-        return tuple(self.values[a.arc_id] / a.capacity for a in problem.arcs)
-
 
 @dataclass(frozen=True)
 class Cut:
@@ -271,10 +254,6 @@ class CutStats:
     def is_fatal(self) -> bool:
         """Positive deficiency with no outgoing arcs: no weak solution exists."""
         return self.deficiency > 0 and self.capacity == 0
-
-    @property
-    def is_deficient(self) -> bool:
-        return self.deficiency > self.capacity
 
     @property
     def ratio(self) -> Fraction | None:
@@ -461,23 +440,3 @@ def cut_stats(problem: Problem, cut: Cut, arcs: CutArcs | None = None) -> CutSta
     deficiency = sum(compress(balances, inside))
     capacity = sum(map(capacities.__getitem__, forward))
     return CutStats(Fraction(deficiency, denominator), Fraction(capacity, denominator))
-
-
-def lexmin_compare(
-    r1: Sequence[Fraction], r2: Sequence[Fraction]
-) -> Ordering:
-    """Compare two ratio vectors in the balanced (lexmin) pre-order.
-
-    A vector precedes another when, at the largest threshold where the
-    counts of components at or above it differ, it keeps fewer components
-    there; this is the same as comparing the descending-sorted vectors
-    lexicographically. Vectors that are permutations of each other are
-    Equivalent.
-    """
-    if len(r1) != len(r2):
-        raise LengthMismatch(f"vector lengths differ: {len(r1)} vs {len(r2)}")
-    a = sorted(r1, reverse=True)
-    b = sorted(r2, reverse=True)
-    if a == b:
-        return Ordering.EQUIVALENT
-    return Ordering.LESS if a < b else Ordering.GREATER

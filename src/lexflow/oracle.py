@@ -1,8 +1,8 @@
-"""Desk-scale ground truth: exact simplex, sequential-LP lexmin, cut census.
+"""Desk-scale ground truth: exact simplex and sequential-LP lexmin.
 
 Everything here exists to check the main solver from the outside, through
-linear programming and exhaustive enumeration instead of flow theory. Tests
-and the `oracle` CLI subcommand use it; the solver itself never does.
+linear programming instead of flow theory. Tests and the `oracle` CLI
+subcommand use it; the solver itself never does.
 """
 
 from __future__ import annotations
@@ -12,18 +12,13 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .model import Cut, CutStats, Flow, Problem
+from .model import Flow, Problem
 
-MAX_CENSUS_NODES = 20
 LEXMIN_SOFT_ARC_LIMIT = 15  # documented guidance, not enforced
 
 
 class OracleInfeasible(Exception):
     """The instance admits no weakly feasible flow."""
-
-
-class TooLarge(Exception):
-    """The instance exceeds the enumeration guard."""
 
 
 class LPStatus(Enum):
@@ -262,74 +257,3 @@ def oracle_lexmin(problem: Problem) -> Flow:
         fixed.update(pinned_now)
 
     return Flow({arc_id: fixed[arc_id] for arc_id in problem.arc_ids})
-
-
-@dataclass(frozen=True)
-class CutCensus:
-    """Every ordered proper bipartition of a problem, with exact stats."""
-
-    entries: tuple[tuple[Cut, CutStats], ...]
-
-    @property
-    def max_ratio(self) -> Fraction:
-        """Largest finite cut ratio, floored at zero.
-
-        Matches the solver's convention: zero when no cut has positive
-        deficiency. Fatal cuts (infinite ratio) are not folded in; consult
-        `fatal_cuts` first.
-        """
-        best = Fraction(0)
-        for _, stats in self.entries:
-            if stats.capacity > 0:
-                ratio = stats.deficiency / stats.capacity
-                if ratio > best:
-                    best = ratio
-        return best
-
-    @property
-    def critical_cuts(self) -> tuple[Cut, ...]:
-        top = self.max_ratio
-        if top == 0:
-            return ()
-        return tuple(
-            cut
-            for cut, stats in self.entries
-            if stats.capacity > 0 and stats.deficiency == top * stats.capacity
-        )
-
-    @property
-    def fatal_cuts(self) -> tuple[Cut, ...]:
-        return tuple(cut for cut, stats in self.entries if stats.is_fatal)
-
-    @property
-    def deficient_cuts(self) -> tuple[Cut, ...]:
-        return tuple(cut for cut, stats in self.entries if stats.is_deficient)
-
-
-def enumerate_cuts(problem: Problem) -> CutCensus:
-    """Brute-force census of all 2^n - 2 ordered cuts (guarded to 20 nodes)."""
-    n = len(problem.node_ids)
-    if n > MAX_CENSUS_NODES:
-        raise TooLarge(f"{n} nodes exceed the enumeration guard of {MAX_CENSUS_NODES}")
-
-    ids = problem.node_ids
-    balances = [problem.balances[v] for v in ids]
-    arc_bits = [
-        (1 << tail, 1 << head, a.capacity)
-        for a, (tail, head) in zip(problem.arcs, problem.ends)
-    ]
-
-    entries: list[tuple[Cut, CutStats]] = []
-    zero = Fraction(0)
-    for mask in range(1, (1 << n) - 1):
-        deficiency = zero
-        for i in range(n):
-            if mask >> i & 1:
-                deficiency += balances[i]
-        capacity = zero
-        for tail_bit, head_bit, cap in arc_bits:
-            if mask & tail_bit and not mask & head_bit:
-                capacity += cap
-        cut = Cut(frozenset(ids[i] for i in range(n) if mask >> i & 1))
-        entries.append((cut, CutStats(deficiency, capacity)))
-    return CutCensus(tuple(entries))

@@ -81,14 +81,13 @@ class Block(NamedTuple):
     of each tied one, split by the previous level's cut; a side whose
     balances are all zero is dropped.
 
-    `nodes` are its node positions in order, the same in every stage.
-    `problem` is the stage restricted to the block by `model.restrict`, on
-    its stage's integer grid, and `result` is the Newton search on it: the
-    block's ratio, its canonical critical cut, and its witnesses.
+    `nodes` are its node positions in order, the same in every stage, and
+    `result` is the Newton search on the stage restricted to them by
+    `model.restrict`: the block's ratio, its canonical critical cut, and its
+    witnesses.
     """
 
     nodes: list[int]
-    problem: Problem
     result: RatioResult
 
 
@@ -283,7 +282,7 @@ def _search_blocks(problem: Problem, previous: RatioResult) -> RatioResult:
             continue
         block = restrict(problem, nodes, cell_arcs[c])
         result = _newton(block, (step.cut.source_side for step in tied[c // 2][1]))
-        blocks.append(Block(nodes, block, result))
+        blocks.append(Block(nodes, result))
         steps += result.steps
 
     r0 = max(b.result.r0 for b in blocks)

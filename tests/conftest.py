@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from unittest import mock
 
@@ -15,8 +16,10 @@ from lexflow import (
     Arc,
     BalancedSolution,
     Cut,
+    CutStats,
     FatalCutReport,
     FeasibilityReport,
+    Flow,
     FlowNetwork,
     Problem,
     VerificationResult,
@@ -200,6 +203,94 @@ def reference_step(problem: Problem, cut: Cut, ratio: Fraction) -> IntegerView:
     return IntegerView(lcm, tuple(grid[:n]), tuple(grid[n:]))
 
 
+def sorted_utilizations(flow: Flow, problem: Problem) -> tuple[Fraction, ...]:
+    """The flow's utilizations value/capacity, one per arc, sorted
+    descending. One flow is balanced against another exactly when this
+    tuple is lexicographically smaller or equal."""
+    ratios = (flow.values[a.arc_id] / a.capacity for a in problem.arcs)
+    return tuple(sorted(ratios, reverse=True))
+
+
+MAX_CENSUS_NODES = 20
+
+
+class TooLarge(Exception):
+    """The instance exceeds the enumeration guard."""
+
+
+@dataclass(frozen=True)
+class CutCensus:
+    """Every ordered proper bipartition of a problem, with exact stats."""
+
+    entries: tuple[tuple[Cut, CutStats], ...]
+
+    @property
+    def max_ratio(self) -> Fraction:
+        """Largest finite cut ratio, floored at zero.
+
+        Matches the solver's convention: zero when no cut has positive
+        deficiency. Fatal cuts (infinite ratio) are not folded in; consult
+        `fatal_cuts` first.
+        """
+        best = Fraction(0)
+        for _, stats in self.entries:
+            if stats.capacity > 0:
+                ratio = stats.deficiency / stats.capacity
+                if ratio > best:
+                    best = ratio
+        return best
+
+    @property
+    def critical_cuts(self) -> tuple[Cut, ...]:
+        top = self.max_ratio
+        if top == 0:
+            return ()
+        return tuple(
+            cut
+            for cut, stats in self.entries
+            if stats.capacity > 0 and stats.deficiency == top * stats.capacity
+        )
+
+    @property
+    def fatal_cuts(self) -> tuple[Cut, ...]:
+        return tuple(cut for cut, stats in self.entries if stats.is_fatal)
+
+    @property
+    def deficient_cuts(self) -> tuple[Cut, ...]:
+        return tuple(
+            cut for cut, stats in self.entries if stats.deficiency > stats.capacity
+        )
+
+
+def enumerate_cuts(problem: Problem) -> CutCensus:
+    """Brute-force census of all 2^n - 2 ordered cuts (guarded to 20 nodes)."""
+    n = len(problem.node_ids)
+    if n > MAX_CENSUS_NODES:
+        raise TooLarge(f"{n} nodes exceed the enumeration guard of {MAX_CENSUS_NODES}")
+
+    ids = problem.node_ids
+    balances = [problem.balances[v] for v in ids]
+    arc_bits = [
+        (1 << tail, 1 << head, a.capacity)
+        for a, (tail, head) in zip(problem.arcs, problem.ends)
+    ]
+
+    entries: list[tuple[Cut, CutStats]] = []
+    zero = Fraction(0)
+    for mask in range(1, (1 << n) - 1):
+        deficiency = zero
+        for i in range(n):
+            if mask >> i & 1:
+                deficiency += balances[i]
+        capacity = zero
+        for tail_bit, head_bit, cap in arc_bits:
+            if mask & tail_bit and not mask & head_bit:
+                capacity += cap
+        cut = Cut(frozenset(ids[i] for i in range(n) if mask >> i & 1))
+        entries.append((cut, CutStats(deficiency, capacity)))
+    return CutCensus(tuple(entries))
+
+
 def reference_max_flow(net: FlowNetwork) -> tuple[int, frozenset, frozenset]:
     """Reference Dinic with levels counted from the source, each augmenting
     walk restarting at the source. Returns the flow value, the nodes the
@@ -273,14 +364,14 @@ def sink_side_is_feasible(problem: Problem, z: Fraction) -> FeasibilityReport:
     `ratio_search.is_feasible`, it lets levels take other critical cuts
     where a stage has several, which must not change the flow."""
     if problem.total_supply == 0:
-        return FeasibilityReport(True, z)
+        return FeasibilityReport(True)
     two_pole = build_two_pole(problem, z)
     value, _, maximal = reference_max_flow(two_pole.network)
-    if value == two_pole.total_supply * two_pole.scale:
-        return FeasibilityReport(True, z)
+    if value == problem.total_supply * two_pole.scale:
+        return FeasibilityReport(True)
     n = len(problem.node_ids)
     cut = Cut(frozenset(problem.node_ids[i] for i in maximal if i < n))
-    return FeasibilityReport(False, z, cut, cut_stats(problem, cut))
+    return FeasibilityReport(False, cut, cut_stats(problem, cut))
 
 
 def two_pole_has_fatal_cut(problem: Problem) -> FatalCutReport:

@@ -21,7 +21,6 @@ from lexflow import (
     Flow,
     Level,
     balanced_flow,
-    enumerate_cuts,
     is_feasible,
     minmax_ratio,
     oracle_lexmin,
@@ -32,6 +31,7 @@ from lexflow import (
 import lexflow.ratio_search as ratio_search
 from conftest import (
     diamond_problem,
+    enumerate_cuts,
     random_problem,
     random_solvable_problem,
     sink_side_is_feasible,
@@ -77,7 +77,7 @@ def solvable_solutions(solvable_corpus):
 def test_criterion_1_gale_hoffman_equivalence(censused):
     failures = []
     for p, census in censused:
-        brute = all(not stats.is_deficient for _, stats in census.entries)
+        brute = not census.deficient_cuts
         if is_feasible(p, F(1)).feasible != brute:
             failures.append(p)
     _conclude(
@@ -203,9 +203,7 @@ def test_criterion_6_feasible_instances_stay_within_capacity(censused):
     failures = []
     checked = 0
     for p, census in censused:
-        if census.fatal_cuts or any(
-            stats.is_deficient for _, stats in census.entries
-        ):
+        if census.fatal_cuts or census.deficient_cuts:
             continue
         checked += 1
         solution = balanced_flow(p)

@@ -22,7 +22,6 @@ from lexflow import (
     Problem,
     balanced_flow,
     cut_stats,
-    enumerate_cuts,
     minmax_ratio,
     node_balance_residual,
     reduce_problem,
@@ -35,6 +34,7 @@ from lexflow.model import cut_arcs, fix_arcs
 from conftest import (
     diamond_problem,
     disjoint_union,
+    enumerate_cuts,
     forward_arcs,
     grid_problem,
     random_problem,
@@ -43,6 +43,7 @@ from conftest import (
     reverse_arcs,
     single_arc_problem,
     sink_side_is_feasible,
+    sorted_utilizations,
     two_cycle_problem,
     whole_stage_verify,
 )
@@ -326,7 +327,7 @@ class TestVerifyCertificate:
         candidate = BalancedSolution(
             flow,
             Certificate((level0,), ("at", "bt")),
-            tuple(sorted(flow.ratio_vector(d4), reverse=True)),
+            sorted_utilizations(flow, d4),
         )
         verdict = verify_certificate(d4, candidate)
         assert not verdict.accepted
@@ -351,7 +352,7 @@ class TestVerifyCertificate:
         candidate = BalancedSolution(
             flow,
             Certificate((level0, level1), ()),
-            tuple(sorted(flow.ratio_vector(d4), reverse=True)),
+            sorted_utilizations(flow, d4),
         )
         verdict = verify_certificate(d4, candidate)
         assert (verdict.failed_check, verdict.detail) == (
@@ -384,7 +385,7 @@ class TestVerifyCertificate:
                 (level0,) + rest.certificate.levels,
                 rest.certificate.zero_tail,
             ),
-            tuple(sorted(flow.ratio_vector(d4), reverse=True)),
+            sorted_utilizations(flow, d4),
         )
         verdict = verify_certificate(d4, candidate)
         assert not verdict.accepted
@@ -498,7 +499,7 @@ def noncritical_cut(rng, p, sol):
             certificate = Certificate(
                 (level, *rest.certificate.levels), rest.certificate.zero_tail
             )
-        ratios = tuple(sorted(flow.ratio_vector(p), reverse=True))
+        ratios = sorted_utilizations(flow, p)
         return BalancedSolution(flow, certificate, ratios)
     return None
 

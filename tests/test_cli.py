@@ -280,6 +280,35 @@ class TestVerify:
         assert main(["verify", d4_json, "--solution", str(cert)]) == 12
         assert "REJECT conservation" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "arc_id,value,detail",
+        [
+            ("sa", None, "flow keys do not match the arcs"),
+            ("zz", "0", "flow keys do not match the arcs"),
+            ("sa", "-1", "arc 'sa' carries negative flow"),
+        ],
+        ids=["missing_key", "extra_key", "negative_value"],
+    )
+    def test_conservation_verdicts(self, arc_id, value, detail, d4_json, tmp_path, capsys):
+        cert = tmp_path / "solution.json"
+        main(["solve", d4_json, "--certificate", str(cert)])
+        capsys.readouterr()
+        doc = json.loads(cert.read_text())
+        if value is None:
+            del doc["flow"][arc_id]
+        else:
+            doc["flow"][arc_id] = value
+        cert.write_text(json.dumps(doc))
+        problem = parse_instance(D4_JSON)
+        verdict = verify_certificate(problem, solution_from_document(problem, doc))
+        assert (verdict.accepted, verdict.failed_check, verdict.detail) == (
+            False,
+            "conservation",
+            detail,
+        )
+        assert main(["verify", d4_json, "--solution", str(cert)]) == 12
+        assert capsys.readouterr().out == f"REJECT conservation: {detail}\n"
+
     def test_tampered_level_order_rejected(self, d4_json, tmp_path, capsys):
         cert = tmp_path / "solution.json"
         main(["solve", d4_json, "--certificate", str(cert)])
