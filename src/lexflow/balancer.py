@@ -26,6 +26,7 @@ from .model import (
     Cut,
     Flow,
     InvalidPartition,
+    KeyMismatch,
     Problem,
     cut_arcs,
     cut_stats,
@@ -35,8 +36,10 @@ from .model import (
     restrict,
 )
 from .ratio_search import (
+    Block,
     IterationCapExceeded,
     RatioResult,
+    Stage,
     minmax_ratio,
     minmax_ratio_dichotomy,
 )
@@ -109,34 +112,72 @@ class VerificationResult:
     detail: str | None = None
 
 
-def reduce_problem(
-    problem: Problem, cut: Cut, ratio: Fraction
-) -> tuple[Problem, Level]:
-    """Fix the uniform load on a critical cut and strip all its arcs.
+def reduce_problem(result: RatioResult) -> tuple[Stage, Level]:
+    """Fix the uniform load on a stage's critical cut and strip all its arcs.
 
-    Forward arcs get ratio * capacity, with both endpoint balances updated;
-    reverse arcs get zero, which needs no balance update. Nodes are kept, so
-    later cuts live on the same node set, and the new balances still sum to
-    zero.
+    `result` is `minmax_ratio`'s for a stage of `balanced_flow`; only its
+    tied blocks, those of ratio r0, change. In each, forward arcs of the
+    block's critical cut get r0 * capacity, with both endpoint balances
+    updated on the block's grid, and reverse arcs get zero, which needs no
+    balance update. The stepped block splits into blocks (see `Block`); the
+    arcs of a dropped one stay idle to the end. The level lists the fixed and
+    zeroed arcs in input order, and its cut is the union of the tied ones.
     """
+    ratio = result.r0
     if ratio <= 0:
         raise ValueError("level ratio must be positive")
-    arcs = cut_arcs(problem, cut)
-    stats = cut_stats(problem, cut, arcs)
-    _, _, forward, reverse = arcs
-    if not forward:
-        raise EmptyCutArcSet("cut has no forward arcs in the current problem")
-    if stats.ratio != ratio:
-        raise NotCritical(
-            f"cut ratio is {format_rational(stats.ratio)}, expected {format_rational(ratio)}"
-        )
+    kept = list(result.blocks)
+    split: list[Block] = []
+    fixed: list[tuple[int, str, Fraction]] = []
+    zeroed: list[tuple[int, str]] = []
+    # The blocks are in ascending order of ratio, so the tied ones are last.
+    while kept and kept[-1].result.r0 == ratio:
+        problem, positions, found = kept.pop()
+        cut = found.critical_cut
+        arcs = cut_arcs(problem, cut)
+        stats = cut_stats(problem, cut, arcs)
+        inside, stay, forward, reverse = arcs
+        if not forward:
+            raise EmptyCutArcSet("cut has no forward arcs in the current problem")
+        if stats.ratio != ratio:
+            raise NotCritical(
+                f"cut ratio is {format_rational(stats.ratio)}, expected {format_rational(ratio)}"
+            )
 
-    # ratio × C/L for grid value C on grid L. Reducing C/L first keeps a
-    # kilobit ratio's terms out of the gcd that Fraction(p·C, q·L) would take.
-    arc_ids, (denominator, _, capacities) = problem.arc_ids, problem.integer_view
-    fixed = tuple((arc_ids[k], ratio * Fraction(capacities[k], denominator)) for k in forward)
-    zeroed = tuple(arc_ids[k] for k in reverse)
-    return fix_arcs(problem, arcs, ratio), Level(ratio, cut, fixed, zeroed)
+        # ratio × C/L for grid value C on grid L. Reducing C/L first keeps a
+        # kilobit ratio's terms out of the gcd that Fraction(p·C, q·L) would take.
+        arc_ids, (denominator, _, capacities) = problem.arc_ids, problem.integer_view
+        for k in forward:
+            fixed.append((positions[k], arc_ids[k], ratio * Fraction(capacities[k], denominator)))
+        zeroed += [(positions[k], arc_ids[k]) for k in reverse]
+        stepped = fix_arcs(problem, arcs, ratio)
+        # The weakly connected components of the arcs left, by union-find.
+        label = list(range(len(inside)))
+        for tail, head in stepped.ends:
+            if inside[tail] != inside[head]:
+                raise InvariantViolation("a stage arc leaves its block")
+            label[_root(label, tail)] = _root(label, head)
+        roots = [_root(label, i) for i in range(len(label))]
+        parts: dict[int, tuple[list[int], list[int]]] = {root: ([], []) for root in roots}
+        for i, root in enumerate(roots):
+            parts[root][0].append(i)
+        for j, (tail, _) in enumerate(stepped.ends):
+            parts[roots[tail]][1].append(j)
+        balances = stepped.integer_view.balances
+        for nodes, part_arcs in parts.values():
+            if any(balances[i] for i in nodes):
+                part = restrict(stepped, nodes, part_arcs)
+                split.append(Block(part, [positions[stay[j]] for j in part_arcs], found))
+    fixed_forward = tuple([(arc_id, value) for _, arc_id, value in sorted(fixed)])
+    level = Level(ratio, result.critical_cut, fixed_forward, tuple([a for _, a in sorted(zeroed)]))
+    return Stage(kept, split), level
+
+
+def _root(label: list[int], i: int) -> int:
+    """The root of node i's tree in the union-find forest `label`."""
+    while label[i] != i:
+        label[i] = i = label[label[i]]
+    return i
 
 
 def balanced_flow(
@@ -152,24 +193,28 @@ def balanced_flow(
     graph on n nodes has at most n of them. `mode` selects the ratio search;
     it exists for cross-checking and does not change the resulting flow.
 
-    Each Newton search gets the previous stage's result: the first stage is
-    searched as one block, the whole problem, and every later one block by
-    block (`minmax_ratio`), re-searching only the blocks the previous level
-    split. g(z) = max_S D(S) - z·C(S) is the sum of the blocks' own, so r0
-    is the largest block ratio, and the level's cut is the union of the
-    tied blocks' canonical cuts, which is the cut the whole-stage search
-    gives; untied blocks lie on its sink side and keep their results.
+    The stage is a list of blocks (`ratio_search.Block`), each its own
+    problem on its own integer grid; the first is the whole problem. g(z) =
+    max_S D(S) - z·C(S) is the sum of the blocks' own, so r0 is the largest
+    block ratio, and the level's cut is the union of the tied blocks'
+    canonical cuts, which is the cut the whole-stage search gives
+    (`minmax_ratio`). A level steps and splits only the tied blocks
+    (`reduce_problem`), the next search runs only on their parts, and the
+    untied blocks, on the cut's sink side, carry over with their results.
+    Fixed arcs carry positive values, so the zero tail is the arcs left at
+    zero that no level zeroed, in input order.
     """
     values = dict.fromkeys(problem.arc_ids, Fraction(0))
     levels: list[Level] = []
     result: RatioResult | None = None
-    current = problem
-    while current.total_supply:
+    whole = Block(problem, range(len(problem.arc_ids)), RatioResult(Fraction(0), None, ()))
+    stage = Stage((), [whole] if problem.total_supply else [])
+    while stage.kept or stage.split:
         last = result
         if mode == "dinkelbach":
-            result = minmax_ratio(current, previous=last)
+            result = minmax_ratio(problem, stage=stage)
         else:
-            result = minmax_ratio_dichotomy(current)
+            result = minmax_ratio_dichotomy(problem, stage=stage)
         if result.r0 <= 0 or result.critical_cut is None:
             raise InvariantViolation("unbalanced stage without a critical cut")
         if last is not None and result.r0 > last.r0:
@@ -177,7 +222,7 @@ def balanced_flow(
                 f"level ratio rose from {format_rational(last.r0)} "
                 f"to {format_rational(result.r0)}"
             )
-        current, level = reduce_problem(current, result.critical_cut, result.r0)
+        stage, level = reduce_problem(result)
         values.update(level.fixed_forward)
         levels.append(level)
         if len(levels) >= len(problem.node_ids):
@@ -187,8 +232,9 @@ def balanced_flow(
     # never increase: this is the flow's ratio vector sorted descending.
     ratios = [level.ratio for level in levels for _ in level.fixed_forward]
     ratios += [Fraction(0)] * (len(problem.arc_ids) - len(ratios))
-    certificate = Certificate(tuple(levels), current.arc_ids)
-    return BalancedSolution(Flow(values), certificate, tuple(ratios))
+    zeroed = {arc_id for level in levels for arc_id in level.zeroed_reverse}
+    tail = tuple(a for a, value in values.items() if not value and a not in zeroed)
+    return BalancedSolution(Flow(values), Certificate(tuple(levels), tail), tuple(ratios))
 
 
 def verify_certificate(
@@ -249,12 +295,13 @@ def verify_certificate(
         return VerificationResult(False, check, detail)
 
     # Conservation (and nonnegativity, which weak feasibility presumes).
-    if set(flow.values) != set(problem.arc_ids):
+    try:
+        residual = node_balance_residual(problem, flow)
+    except KeyMismatch:
         return reject("conservation", "flow keys do not match the arcs")
     negative = next((a for a, v in flow.values.items() if v < 0), None)
     if negative is not None:
         return reject("conservation", f"arc {negative!r} carries negative flow")
-    residual = node_balance_residual(problem, flow)
     violated = next((v for v in problem.node_ids if residual[v] != 0), None)
     if violated is not None:
         return reject("conservation", f"conservation fails at node {violated!r}")

@@ -157,7 +157,8 @@ class IntegerView(NamedTuple):
 
     `denominator` is a common multiple L of every balance and capacity
     denominator: the least one for a problem built by `validate_problem` or
-    `fix_arcs`, and its stage's L for a block cut out by `restrict`.
+    `fix_arcs`, and the L of the problem it was cut from for a block cut out
+    by `restrict`, so each of the solver's blocks has a grid of its own.
     `balances[i]` is L times the balance of node i in node order and
     `capacities[a]` is L times the capacity of arc a in arc order; a problem
     keeps its numbers nowhere else. Every cut sum on the grid is exact

@@ -17,9 +17,11 @@ recovers the ratio with `Fraction.limit_denominator` is a cross-check.
 from __future__ import annotations
 
 import warnings
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from itertools import takewhile
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .gale_hoffman import (
     FeasibilityReport,
@@ -28,7 +30,7 @@ from .gale_hoffman import (
     is_feasible,
     total_integer_capacity,
 )
-from .model import Cut, Problem, restrict
+from .model import Cut, Problem
 # cut_stats is not called here; perfbench/tracer.py wraps it in this module.
 from .model import cut_stats  # noqa: F401
 
@@ -60,11 +62,10 @@ class RatioResult:
 
     `critical_cut` is None exactly when r0 is zero, i.e. when no cut has
     positive deficiency. `steps` lists the infeasible probes the search
-    made. `blocks` is empty when the problem was searched as one block, and
-    then the z values along `steps` strictly increase; otherwise it holds
-    every block of the stage (see `minmax_ratio`), and `steps` lists the
-    probes of the blocks searched in this call, block by block, each over
-    its block's sub-problem.
+    made. `blocks` is empty when one problem was searched as one block, and
+    then the z values along `steps` strictly increase; for a stage of
+    `balanced_flow` it holds every block (see `Block`) in ascending order of
+    ratio, and `steps` lists the probes of the blocks searched in this call.
     """
 
     r0: Fraction
@@ -76,19 +77,29 @@ class RatioResult:
 class Block(NamedTuple):
     """A set of a stage's nodes that no stage arc enters or leaves.
 
-    The first stage is searched as one block, the whole problem. A later
-    stage's blocks are the previous stage's untied blocks and the two sides
-    of each tied one, split by the previous level's cut; a side whose
-    balances are all zero is dropped.
+    The first stage of `balanced_flow` is one block, the whole problem. A
+    level steps each tied block, one whose ratio it attains, and splits it
+    into the weakly connected components of the arcs left, each on one side
+    of the level's cut (`balancer.reduce_problem`); a component whose
+    balances are all zero is dropped. Every other block carries over as is.
 
-    `nodes` are its node positions in order, the same in every stage, and
-    `result` is the Newton search on the stage restricted to them by
-    `model.restrict`: the block's ratio, its canonical critical cut, and its
-    witnesses.
+    `problem` is the stage restricted to the block, on its own integer grid,
+    `arcs` the input positions of its arcs in order, and `result` the Newton
+    search on `problem`: the block's ratio, its canonical critical cut and
+    its witnesses. A block not yet searched holds its parent's result.
     """
 
-    nodes: list[int]
+    problem: Problem
+    arcs: Sequence[int]
     result: RatioResult
+
+
+class Stage(NamedTuple):
+    """A stage of `balanced_flow`: the blocks searched, and those to search,
+    the whole problem at first and then the blocks the last level split off."""
+
+    kept: Sequence[Block]
+    split: Sequence[Block]
 
 
 def _witness_ratio(report: FeasibilityReport) -> Fraction | None:
@@ -142,20 +153,18 @@ def _candidate_ratios(
     return producer, best
 
 
-def minmax_ratio(
-    problem: Problem, *, previous: RatioResult | None = None
-) -> RatioResult:
+def minmax_ratio(problem: Problem, *, stage: Stage | None = None) -> RatioResult:
     """Largest deficiency/capacity over all cuts, by discrete Newton steps.
 
     Seeds with the largest ratio among the all-producers cut, the single-node
-    cuts ({u} for a producer u, V - {w} for a consumer w), and the witnesses
-    of `previous`, found with one pass over the arcs and no max-flow; then
-    alternates a feasibility test at the current candidate with a jump to the
-    witness cut's ratio. Candidates are always ratios of actual cuts, so the
-    first feasible candidate equals the maximum and the preceding witness is
-    a critical cut. The producer cut wins ties; then the search is the one
-    seeded with the producer cut alone, step for step, and it returns the
-    producer cut itself when that is already critical.
+    cuts ({u} for a producer u, V - {w} for a consumer w), and the parent
+    block's witnesses (see `stage`), found with one pass over the arcs and no
+    max-flow; then alternates a feasibility test at the current candidate
+    with a jump to the witness cut's ratio. Candidates are always ratios of
+    actual cuts, so the first feasible candidate equals the maximum and the
+    preceding witness is a critical cut. The producer cut wins ties; then the
+    search is the one seeded with the producer cut alone, step for step, and
+    it returns the producer cut itself when that is already critical.
 
     Raises FatalCutPresent with `has_fatal_cut`'s witness when a cut F has
     positive deficiency and no forward capacity. Then g >= D(F) > 0, no
@@ -181,34 +190,32 @@ def minmax_ratio(
     from r0, the probe falls inside the last piece, and its witness is the
     critical cut.
 
-    `previous` is the result for the stage that `problem` was reduced from by
-    that result's critical cut (balanced_flow passes it); without it the whole
-    problem is searched as one block, as a one-shot query is. With it, the
-    search runs per block (see `Block`). No stage arc crosses a block, so g is
-    the sum of the blocks' own, r0 is the largest block ratio, and just below
-    r0 the inclusion-minimal min cut is the union of the blocks' own: empty
-    for an untied block, whose g is zero there, and the block's critical cut
-    for a tied one, because g's last piece lies inside the block's. A block's
-    search returns that cut also when it stops at its producer cut with no
-    step: a critical producer cut has the largest deficiency of all cuts, so
-    the largest capacity of all critical cuts, and the critical cuts of that
-    capacity, which are the min cuts just below r0, all contain it. The union
-    is therefore the cut the whole-stage search returns, the all-producers cut
-    included.
+    `stage` is the stage of `balanced_flow` that `problem` was reduced to;
+    without it the whole problem is searched as one block, as a one-shot
+    query is. With it, only the blocks the last level split off are searched
+    (see `Block`), and the result holds every block. No stage arc crosses a
+    block, so g is the sum of the blocks' own, r0 is the largest block ratio,
+    and just below r0 the inclusion-minimal min cut is the union of the
+    blocks' own: empty for an untied block, whose g is zero there, and the
+    block's critical cut for a tied one, because g's last piece lies inside
+    the block's. A block's search returns that cut also when it stops at its
+    producer cut with no step: a critical producer cut has the largest
+    deficiency of all cuts, so the largest capacity of all critical cuts, and
+    the critical cuts of that capacity, which are the min cuts just below r0,
+    all contain it. The union is therefore the cut the whole-stage search
+    returns, the all-producers cut included.
 
-    The previous level split only its tied blocks: each splits into its
-    nodes on the source side and on the sink side of that level's cut, which
-    no remaining arc joins. A side whose balances are all zero is dropped,
-    and every other side is searched, seeded with its parent block's
-    witnesses restricted to it. An untied block lies wholly on the sink side
-    of that level's cut, so its arcs and balances are unchanged, and its
-    result is reused with no probe.
+    The previous level split only its tied blocks, into the weakly connected
+    components of their remaining arcs, each on one side of its cut. Each is
+    searched seeded with its parent's witnesses restricted to it. An untied
+    block lies wholly on the sink side of that level's cut, so its arcs and
+    balances are unchanged, and its result is reused with no probe.
     """
+    if stage is not None:
+        return _search_blocks(stage, _newton)
     if problem.total_supply == 0:
         return RatioResult(Fraction(0), None, ())
-    if previous is None:
-        return _newton(problem, ())
-    return _search_blocks(problem, previous)
+    return _newton(problem, ())
 
 
 def _newton(problem: Problem, seeds: Iterable[Iterable[str]]) -> RatioResult:
@@ -247,47 +254,19 @@ def _newton(problem: Problem, seeds: Iterable[Iterable[str]]) -> RatioResult:
     return minmax_ratio_dichotomy(problem)
 
 
-def _search_blocks(problem: Problem, previous: RatioResult) -> RatioResult:
+def _search_blocks(
+    stage: Stage, search: Callable[[Problem, Iterable[Iterable[str]]], RatioResult]
+) -> RatioResult:
     """The search of a stage, block by block; see `minmax_ratio`."""
-    if previous.blocks:
-        kept = [b for b in previous.blocks if b.result.r0 != previous.r0]
-        tied = [
-            (b.nodes, b.result.steps) for b in previous.blocks if b.result.r0 == previous.r0
-        ]
-    else:
-        kept, tied = [], [(range(len(problem.node_ids)), previous.steps)]
-
-    # Tied block k splits into cells 2k and 2k + 1, its nodes on the sink
-    # and on the source side of the previous cut; no stage arc may leave a
-    # cell. Block nodes are in stage order, and so are each cell's.
-    split = problem.side(previous.critical_cut.source_side)
-    cell = [-1] * len(problem.node_ids)
-    cell_nodes: dict[int, list[int]] = {}
-    for k, (nodes, _) in enumerate(tied):
-        for i in nodes:
-            cell[i] = 2 * k + split[i]
-            cell_nodes.setdefault(cell[i], []).append(i)
-    cell_arcs: dict[int, list[int]] = {c: [] for c in cell_nodes}
-    for j, (tail, head) in enumerate(problem.ends):
-        if (c := cell[tail]) != cell[head]:
-            raise InvariantViolation("a stage arc leaves its block")
-        if c >= 0:
-            cell_arcs[c].append(j)
-
-    balances = problem.integer_view.balances
-    blocks = list(kept)
+    blocks = list(stage.kept)
     steps: list[SearchStep] = []
-    for c, nodes in cell_nodes.items():
-        if not any(balances[i] for i in nodes):
-            continue
-        block = restrict(problem, nodes, cell_arcs[c])
-        result = _newton(block, (step.cut.source_side for step in tied[c // 2][1]))
-        blocks.append(Block(nodes, result))
+    for problem, arcs, parent in stage.split:
+        result = search(problem, (step.cut.source_side for step in parent.steps))
+        insort(blocks, Block(problem, arcs, result), key=lambda b: b.result.r0)
         steps += result.steps
-
-    r0 = max(b.result.r0 for b in blocks)
-    tied_sides = (b.result.critical_cut.source_side for b in blocks if b.result.r0 == r0)
-    cut = Cut(frozenset().union(*tied_sides))
+    r0 = blocks[-1].result.r0
+    tied = takewhile(lambda b: b.result.r0 == r0, reversed(blocks))
+    cut = Cut(frozenset().union(*(b.result.critical_cut.source_side for b in tied)))
     return RatioResult(r0, cut, tuple(steps), tuple(blocks))
 
 
@@ -301,7 +280,7 @@ def _probe_last_piece(problem: Problem, r0: Fraction) -> RatioResult:
     return RatioResult(r0, report.witness_cut, (SearchStep(below, report.witness_cut, r0),))
 
 
-def minmax_ratio_dichotomy(problem: Problem) -> RatioResult:
+def minmax_ratio_dichotomy(problem: Problem, *, stage: Stage | None = None) -> RatioResult:
     """Bisection on the capacity factor with exact rational reconstruction.
 
     Cut ratios are ΣD/ΣC with ΣC <= λ = `total_integer_capacity`, so their
@@ -310,9 +289,11 @@ def minmax_ratio_dichotomy(problem: Problem) -> RatioResult:
     fraction with denominator at most λ is then farther from hi than r0, so
     r0 = hi.limit_denominator(λ). A critical cut is read off an infeasible
     probe half the separation below r0, where every minimum cut is critical.
-    Cross-checking mode for `minmax_ratio`; a fatal cut is found first, by
-    `has_fatal_cut`.
+    Cross-checking mode for `minmax_ratio`, with the same `stage`; a fatal
+    cut is found first, by `has_fatal_cut`.
     """
+    if stage is not None:
+        return _search_blocks(stage, lambda block, _: minmax_ratio_dichotomy(block))
     if (report := has_fatal_cut(problem)).fatal:
         raise FatalCutPresent(report.witness_cut)
     if problem.total_supply == 0:

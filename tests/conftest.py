@@ -7,6 +7,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -15,21 +16,29 @@ import lexflow.balancer as balancer
 from lexflow import (
     Arc,
     BalancedSolution,
+    Certificate,
     Cut,
     CutStats,
     FatalCutReport,
     FeasibilityReport,
     Flow,
     FlowNetwork,
+    InvariantViolation,
+    Level,
     Problem,
+    RatioResult,
+    SearchStep,
     VerificationResult,
     build_two_pole,
     cut_stats,
     is_feasible,
+    minmax_ratio,
+    minmax_ratio_dichotomy,
     validate_problem,
     verify_certificate,
 )
-from lexflow.model import IntegerView
+from lexflow.model import IntegerView, cut_arcs, fix_arcs, restrict
+from lexflow.ratio_search import _newton
 
 
 def diamond_problem(supply: int = 4) -> Problem:
@@ -395,6 +404,104 @@ def whole_stage_verify(problem: Problem, solution: BalancedSolution) -> Verifica
     agree with."""
     with mock.patch.object(balancer, "restrict", lambda stage, nodes, arcs: stage):
         return verify_certificate(problem, solution)
+
+
+class StageBlock(NamedTuple):
+    """A block of a whole stage: its node positions in stage order and the
+    Newton search on the stage restricted to them."""
+
+    nodes: list[int]
+    result: RatioResult
+
+
+def whole_stage_search(problem: Problem, previous: RatioResult | None) -> RatioResult:
+    """The per-block Newton search of a whole stage, found by scanning the
+    stage: the first stage whole, and later ones by re-searching the two
+    sides of each block `previous` tied, as cells of the whole stage cut
+    out with `restrict` on its grid."""
+    if previous is None:
+        return minmax_ratio(problem)
+    if previous.blocks:
+        kept = [b for b in previous.blocks if b.result.r0 != previous.r0]
+        tied = [
+            (b.nodes, b.result.steps) for b in previous.blocks if b.result.r0 == previous.r0
+        ]
+    else:
+        kept, tied = [], [(range(len(problem.node_ids)), previous.steps)]
+
+    # Tied block k splits into cells 2k and 2k + 1, its nodes on the sink
+    # and on the source side of the previous cut.
+    split = problem.side(previous.critical_cut.source_side)
+    cell = [-1] * len(problem.node_ids)
+    cell_nodes: dict[int, list[int]] = {}
+    for k, (nodes, _) in enumerate(tied):
+        for i in nodes:
+            cell[i] = 2 * k + split[i]
+            cell_nodes.setdefault(cell[i], []).append(i)
+    cell_arcs: dict[int, list[int]] = {c: [] for c in cell_nodes}
+    for j, (tail, head) in enumerate(problem.ends):
+        if (c := cell[tail]) != cell[head]:
+            raise InvariantViolation("a stage arc leaves its block")
+        if c >= 0:
+            cell_arcs[c].append(j)
+
+    balances = problem.integer_view.balances
+    blocks = list(kept)
+    steps: list[SearchStep] = []
+    for c, nodes in cell_nodes.items():
+        if not any(balances[i] for i in nodes):
+            continue
+        block = restrict(problem, nodes, cell_arcs[c])
+        result = _newton(block, (step.cut.source_side for step in tied[c // 2][1]))
+        blocks.append(StageBlock(nodes, result))
+        steps += result.steps
+
+    r0 = max(b.result.r0 for b in blocks)
+    tied_sides = (b.result.critical_cut.source_side for b in blocks if b.result.r0 == r0)
+    cut = Cut(frozenset().union(*tied_sides))
+    return RatioResult(r0, cut, tuple(steps), tuple(blocks))
+
+
+def whole_stage_reduce(problem: Problem, cut: Cut, ratio: Fraction) -> tuple[Problem, Level]:
+    """One level on a whole stage: load `cut` at `ratio` and strip its arcs."""
+    arcs = cut_arcs(problem, cut)
+    stats = cut_stats(problem, cut, arcs)
+    _, _, forward, reverse = arcs
+    if not forward or stats.ratio != ratio:
+        raise InvariantViolation("the level's cut is not critical in its stage")
+    arc_ids, (denominator, _, capacities) = problem.arc_ids, problem.integer_view
+    fixed = tuple((arc_ids[k], ratio * Fraction(capacities[k], denominator)) for k in forward)
+    zeroed = tuple(arc_ids[k] for k in reverse)
+    return fix_arcs(problem, arcs, ratio), Level(ratio, cut, fixed, zeroed)
+
+
+def whole_stage_balanced_flow(problem: Problem, search=whole_stage_search) -> BalancedSolution:
+    """`balanced_flow` on whole stages: every level steps the whole stage and
+    `search(stage, previous result)` searches it, by default block by block
+    as `whole_stage_search` finds the blocks. The reference the solver's
+    list of blocks must agree with, byte for byte; with
+    `whole_stage_dichotomy` it is the bisection mode's."""
+    values = dict.fromkeys(problem.arc_ids, Fraction(0))
+    levels: list[Level] = []
+    result: RatioResult | None = None
+    current = problem
+    while current.total_supply:
+        last = result
+        result = search(current, last)
+        if result.r0 <= 0 or (last is not None and result.r0 > last.r0):
+            raise InvariantViolation("level ratio is not positive or rose")
+        current, level = whole_stage_reduce(current, result.critical_cut, result.r0)
+        values.update(level.fixed_forward)
+        levels.append(level)
+    ratios = [level.ratio for level in levels for _ in level.fixed_forward]
+    ratios += [Fraction(0)] * (len(problem.arc_ids) - len(ratios))
+    certificate = Certificate(tuple(levels), current.arc_ids)
+    return BalancedSolution(Flow(values), certificate, tuple(ratios))
+
+
+def whole_stage_dichotomy(stage: Problem, previous: RatioResult | None) -> RatioResult:
+    """The bisection mode's search of a whole stage."""
+    return minmax_ratio_dichotomy(stage)
 
 
 @pytest.fixture

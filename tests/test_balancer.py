@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from collections import deque
 from dataclasses import replace
@@ -20,6 +21,7 @@ from lexflow import (
     Level,
     NotCritical,
     Problem,
+    RatioResult,
     balanced_flow,
     cut_stats,
     minmax_ratio,
@@ -28,10 +30,14 @@ from lexflow import (
     validate_problem,
     verify_certificate,
 )
+import conftest
 import lexflow.balancer as balancer
 import lexflow.ratio_search as ratio_search
+from lexflow.cli import solution_document
 from lexflow.model import cut_arcs, fix_arcs
+from lexflow.ratio_search import Block
 from conftest import (
+    deep_problem,
     diamond_problem,
     disjoint_union,
     enumerate_cuts,
@@ -45,50 +51,62 @@ from conftest import (
     sink_side_is_feasible,
     sorted_utilizations,
     two_cycle_problem,
+    whole_stage_balanced_flow,
+    whole_stage_dichotomy,
+    whole_stage_search,
     whole_stage_verify,
 )
 
 F = Fraction
 
 
+def reduce_whole(problem: Problem, cut: Cut, ratio: F):
+    """`reduce_problem` on a stage of one block, `problem`, whose search
+    claims `cut` at `ratio`."""
+    found = RatioResult(ratio, cut, ())
+    block = Block(problem, range(len(problem.arc_ids)), found)
+    return reduce_problem(RatioResult(ratio, cut, (), (block,)))
+
+
 class TestReduceProblem:
     def test_diamond_first_level(self, d4):
         cut = Cut(frozenset(["s", "b"]))
-        reduced, level = reduce_problem(d4, cut, F(4, 3))
+        stage, level = reduce_whole(d4, cut, F(4, 3))
         assert dict(level.fixed_forward) == {"sa": F(4, 3), "bt": F(8, 3)}
         assert level.zeroed_reverse == ()
-        assert reduced.balances == {
-            "s": F(8, 3),
-            "a": F(4, 3),
-            "b": F(-8, 3),
-            "t": F(-4, 3),
-        }
-        assert sum(reduced.balances.values()) == 0
-        assert reduced.arc_ids == ("sb", "at")
+        # {s, b} and {a, t} are left, each a block with the arcs left in it,
+        # their input positions, and the parent's result.
+        assert stage.kept == []
+        assert [
+            (b.problem.balances, b.problem.arc_ids, b.arcs) for b in stage.split
+        ] == [
+            ({"s": F(8, 3), "b": F(-8, 3)}, ("sb",), [1]),
+            ({"a": F(4, 3), "t": F(-4, 3)}, ("at",), [2]),
+        ]
+        assert all(b.result.critical_cut == cut for b in stage.split)
 
     def test_single_arc(self):
         p = single_arc_problem()
-        reduced, level = reduce_problem(p, Cut(frozenset(["u"])), F(5, 2))
+        stage, level = reduce_whole(p, Cut(frozenset(["u"])), F(5, 2))
         assert dict(level.fixed_forward) == {"uw": F(5)}
-        assert all(d == 0 for d in reduced.balances.values())
-        assert reduced.arcs == ()
+        # Both sides are left without balance, so both are dropped.
+        assert stage == ([], [])
 
     def test_two_cycle_zeroes_reverse_arc(self):
         p = two_cycle_problem()
-        reduced, level = reduce_problem(p, Cut(frozenset(["u"])), F(3))
+        stage, level = reduce_whole(p, Cut(frozenset(["u"])), F(3))
         assert dict(level.fixed_forward) == {"uw": F(3)}
         assert level.zeroed_reverse == ("wu",)
-        assert all(d == 0 for d in reduced.balances.values())
-        assert reduced.arcs == ()
+        assert stage == ([], [])
 
     def test_not_critical_rejected(self, d4):
         with pytest.raises(NotCritical):
-            reduce_problem(d4, Cut(frozenset(["s", "b"])), F(2))
+            reduce_whole(d4, Cut(frozenset(["s", "b"])), F(2))
 
     def test_empty_cut_arc_set_rejected(self, d4):
         # {a, b, t} has no outgoing arcs in the diamond
         with pytest.raises(EmptyCutArcSet):
-            reduce_problem(d4, Cut(frozenset(["a", "b", "t"])), F(1))
+            reduce_whole(d4, Cut(frozenset(["a", "b", "t"])), F(1))
 
 
 class TestBalancedFlow:
@@ -594,3 +612,124 @@ class TestVerdictsUnchanged:
         assert ours.failed_check == reference.failed_check or (
             reference.failed_check, ours.failed_check
         ) == ("stage_optimality", "arc_partition")
+
+
+def scaled(problem: Problem, c: F) -> Problem:
+    """`problem` with every balance and capacity times c: the same ratios."""
+    return validate_problem(
+        [(v, c * problem.balances[v]) for v in problem.node_ids],
+        [(a.arc_id, a.tail, a.head, c * a.capacity) for a in problem.arcs],
+    )
+
+
+def shuffled(rng: random.Random, problem: Problem) -> Problem:
+    """`problem` with its nodes and its arcs each in a random input order."""
+    nodes = [(v, problem.balances[v]) for v in problem.node_ids]
+    arcs = [(a.arc_id, a.tail, a.head, a.capacity) for a in problem.arcs]
+    rng.shuffle(nodes)
+    rng.shuffle(arcs)
+    return validate_problem(nodes, arcs)
+
+
+def union_instance(rng: random.Random, kind: str) -> Problem:
+    small = [
+        random_solvable_problem(rng, max_nodes=5, max_arcs=7, max_num=4, max_den=2)
+        for _ in range(rng.randint(2, 4))
+    ]
+    if kind == "tied":
+        # Copies of one part at other scales tie at every level.
+        first = small[0]
+        small = [first, *(scaled(first, F(rng.randint(1, 5), rng.randint(1, 3))) for _ in small)]
+    p = disjoint_union(small)
+    return shuffled(rng, p) if kind == "interleaved" else p
+
+
+class TestStageOfBlocks:
+    """The solver's stage is a list of blocks, each on its own grid; the
+    reference steps and searches whole stages
+    (`conftest.whole_stage_balanced_flow`)."""
+
+    KINDS = {
+        "random": lambda rng: random_problem(rng),
+        "grid": lambda rng: grid_problem(rng, rng.randint(2, 5)),
+        "deep": deep_problem,
+        "union": lambda rng: union_instance(rng, "union"),
+        "tied": lambda rng: union_instance(rng, "tied"),
+        "interleaved": lambda rng: union_instance(rng, "interleaved"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_same_documents_as_whole_stages(self, kind, monkeypatch):
+        rng = random.Random(f"blocks-{kind}")
+        tied = []
+        search = balancer.minmax_ratio
+
+        def recorded(problem, **kwargs):
+            result = search(problem, **kwargs)
+            tied.append(sum(b.result.r0 == result.r0 for b in result.blocks))
+            return result
+
+        monkeypatch.setattr(balancer, "minmax_ratio", recorded)
+        solved = 0
+        for _ in range(30):
+            p = self.KINDS[kind](rng)
+            for mode, reference in (
+                ("dinkelbach", whole_stage_search),
+                ("dichotomy", whole_stage_dichotomy),
+            ):
+                try:
+                    expected = whole_stage_balanced_flow(p, reference)
+                except FatalCutPresent:
+                    with pytest.raises(FatalCutPresent):
+                        balanced_flow(p, mode=mode)
+                    continue
+                ours = balanced_flow(p, mode=mode)
+                assert json.dumps(solution_document(p, ours), indent=2) == json.dumps(
+                    solution_document(p, expected), indent=2
+                )
+                solved += 1
+        assert solved >= 20
+        if kind in ("tied", "interleaved"):
+            assert max(tied) > 1  # several tied blocks in one level
+
+    def test_untied_blocks_carry_over_and_steps_stay_linear(self, monkeypatch):
+        # Thirty chains u -> x -> w with supply 2k + 1 at u: levels at
+        # 2k + 1 and (2k + 1)/2, all distinct. After the first level each
+        # chain is its own block, and a level steps only its chain's.
+        parts = [
+            validate_problem(
+                [("u", 2 * k + 1), ("x", 0), ("w", -(2 * k + 1))],
+                [("a", "u", "x", 1), ("b", "x", "w", 2)],
+            )
+            for k in range(30)
+        ]
+        p = disjoint_union(parts)
+        size = len(p.node_ids) + len(p.arc_ids)
+        stepped = {"blocks": 0, "whole": 0}
+
+        def counting(kind):
+            def step(problem, arcs, ratio):
+                stepped[kind] += len(problem.node_ids) + len(problem.arc_ids)
+                return fix_arcs(problem, arcs, ratio)
+            return step
+
+        results = []
+        search = balancer.minmax_ratio
+
+        def recorded(problem, **kwargs):
+            results.append(search(problem, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(balancer, "fix_arcs", counting("blocks"))
+        monkeypatch.setattr(conftest, "fix_arcs", counting("whole"))
+        monkeypatch.setattr(balancer, "minmax_ratio", recorded)
+        solution = balanced_flow(p)
+        assert solution == whole_stage_balanced_flow(p)
+        assert len(solution.certificate.levels) == 60
+        for result, after in zip(results, results[1:]):
+            for block in result.blocks:
+                if block.result.r0 != result.r0:
+                    carried = [b for b in after.blocks if b is block]
+                    assert carried and carried[0].problem is block.problem
+        assert stepped["blocks"] <= 3 * size
+        assert stepped["whole"] > 10 * size

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 import lexflow.balancer as balancer
 import lexflow.gale_hoffman as gale_hoffman
-import lexflow.ratio_search as ratio_search
 from lexflow import (
     Arc,
     BalanceSumNonzero,
@@ -458,7 +457,7 @@ def strong_components(problem):
 class TestEnds:
     """`Problem.ends` holds each arc's endpoint positions on every problem
     built from a validated one: stepped by `fix_arcs`, cut out by `restrict`
-    (the search's blocks and the verifier's probed blocks), and contracted by
+    (the solver's blocks and the verifier's probed blocks), and contracted by
     `has_fatal_cut`. The arcs read off them must be the validated arcs of the
     same ids."""
 
@@ -476,7 +475,6 @@ class TestEnds:
 
         monkeypatch.setattr(balancer, "fix_arcs", recorder("stage", fix_arcs))
         monkeypatch.setattr(balancer, "restrict", recorder("block", restrict))
-        monkeypatch.setattr(ratio_search, "restrict", recorder("block", restrict))
         probe = gale_hoffman.is_feasible
 
         def contracted(problem, z):

@@ -43,6 +43,8 @@ from conftest import (
     random_solvable_problem,
     single_arc_problem,
     sink_side_is_feasible,
+    whole_stage_balanced_flow,
+    whole_stage_search,
 )
 from test_acceptance import _scale_instance
 
@@ -175,11 +177,12 @@ class TestFatalCutInTheSearch:
         assert fatal_checks == [0]
 
 
-def _reference_minmax_ratio(problem, *, previous=None):
+def _reference_minmax_ratio(problem, previous=None):
     """Newton seeded with the producer cut alone, for solvable problems.
 
     The search before seeding from other cuts and earlier witnesses and
-    before the per-block search; it ignores `previous`. It probes through
+    before the per-block search; it ignores `previous`, the last stage's
+    result that `conftest.whole_stage_balanced_flow` passes. It probes through
     `ratio_search.is_feasible`, so a patch there counts its probes too.
     """
     if problem.total_supply == 0:
@@ -239,7 +242,7 @@ class TestSeeding:
             assert seeded.r0 == reference.r0
             assert seeded.critical_cut == reference.critical_cut
 
-    def test_same_documents_as_producer_seeding(self, monkeypatch):
+    def test_same_documents_as_producer_seeding(self):
         # Unions of components and 6 x 6 grids split into several blocks
         # after their first levels; the per-block search must give the same
         # bytes as one producer-seeded search of each whole stage.
@@ -248,9 +251,7 @@ class TestSeeding:
         for p in [*self.unions(312, 80), *grids]:
             solution = balanced_flow(p)
             seeded = json.dumps(solution_document(p, solution), indent=2)
-            with monkeypatch.context() as patch:
-                patch.setattr(balancer, "minmax_ratio", _reference_minmax_ratio)
-                reference = solution_document(p, balanced_flow(p))
+            reference = solution_document(p, whole_stage_balanced_flow(p, _reference_minmax_ratio))
             assert seeded == json.dumps(reference, indent=2)
             assert verify_certificate(p, solution).accepted
             if len(p.arcs) <= 9:
@@ -373,15 +374,15 @@ class TestSeeding:
         probes = count_probes(monkeypatch)
         seeded = balanced_flow(p)
         seeded_probes = probes[0]
-        monkeypatch.setattr(balancer, "minmax_ratio", _reference_minmax_ratio)
-        reference = balanced_flow(p)
+        reference = whole_stage_balanced_flow(p, _reference_minmax_ratio)
         assert seeded == reference
         assert 0 < seeded_probes < probes[0] - seeded_probes
 
 
 class TestBlocks:
-    """Every stage's blocks are disjoint closed node sets with some nonzero
-    balance, each listing its node positions in stage order."""
+    """Every stage's blocks are disjoint closed node sets of the whole stage
+    with some nonzero balance, each the stage restricted to them, in
+    ascending order of ratio; an untied block carries over as it is."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.randoms(use_true_random=False), st.booleans())
@@ -391,29 +392,46 @@ class TestBlocks:
             p = disjoint_union(parts[: rng.randint(2, 3)])
         else:
             p = random_problem(rng)
-        stages = []
+        results, stages = [], []
         search = balancer.minmax_ratio
 
         def recorded(problem, **kwargs):
-            result = search(problem, **kwargs)
-            stages.append((problem, result))
-            return result
+            results.append(search(problem, **kwargs))
+            return results[-1]
+
+        def whole(stage, previous):
+            stages.append(stage)
+            return whole_stage_search(stage, previous)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(balancer, "minmax_ratio", recorded)
             try:
                 balanced_flow(p)
             except FatalCutPresent:
-                pass
-        for stage, result in stages:
-            seen: set[str] = set()
-            for block in result.blocks:
-                assert list(block.nodes) == sorted(set(block.nodes))
-                nodes = frozenset(stage.node_ids[i] for i in block.nodes)
-                assert seen.isdisjoint(nodes)
-                seen |= nodes
-                assert any(stage.balances[v] for v in nodes)
-                assert all((a.tail in nodes) == (a.head in nodes) for a in stage.arcs)
+                return
+        whole_stage_balanced_flow(p, whole)
+        assert len(results) == len(stages)
+        for result, stage, after in zip(results, stages, results[1:] + [None]):
+            ratios = [b.result.r0 for b in result.blocks]
+            assert ratios == sorted(ratios) and ratios[-1] == result.r0
+            owner: dict[str, int] = {}
+            for k, block in enumerate(result.blocks):
+                q = block.problem
+                assert not owner.keys() & set(q.node_ids)
+                owner.update(dict.fromkeys(q.node_ids, k))
+                assert q.node_ids == stage.ordered_nodes(q.node_ids)
+                assert q.balances == {v: stage.balances[v] for v in q.node_ids}
+                assert q.arc_ids == tuple(p.arc_ids[j] for j in block.arcs)
+                assert list(block.arcs) == sorted(block.arcs)
+                assert any(q.balances.values())
+                if after is not None and block.result.r0 != result.r0:
+                    assert any(block is b for b in after.blocks)
+            # The stage's arcs between block nodes are the blocks' arcs.
+            inner = [a for a in stage.arcs if a.tail in owner or a.head in owner]
+            assert all(owner.get(a.tail) == owner.get(a.head) for a in inner)
+            assert sorted(a.arc_id for a in inner) == sorted(
+                a for b in result.blocks for a in b.problem.arc_ids
+            )
 
 
 class TestDichotomy:
