@@ -36,7 +36,6 @@ from .model import (
     restrict,
 )
 from .ratio_search import (
-    Block,
     IterationCapExceeded,
     RatioResult,
     Stage,
@@ -119,15 +118,16 @@ def reduce_problem(result: RatioResult) -> tuple[Stage, Level]:
     tied blocks, those of ratio r0, change. In each, forward arcs of the
     block's critical cut get r0 * capacity, with both endpoint balances
     updated on the block's grid, and reverse arcs get zero, which needs no
-    balance update. The stepped block splits into blocks (see `Block`); the
-    arcs of a dropped one stay idle to the end. The level lists the fixed and
-    zeroed arcs in input order, and its cut is the union of the tied ones.
+    balance update. The stepped block splits into parts that the next
+    search makes blocks of (see `Block`); the arcs of a dropped one stay
+    idle to the end. The level lists the fixed and zeroed arcs in input
+    order, and its cut is the union of the tied ones.
     """
     ratio = result.r0
     if ratio <= 0:
         raise ValueError("level ratio must be positive")
     kept = list(result.blocks)
-    split: list[Block] = []
+    split: list[tuple[Problem, list[int]]] = []
     fixed: list[tuple[int, str, Fraction]] = []
     zeroed: list[tuple[int, str]] = []
     # The blocks are in ascending order of ratio, so the tied ones are last.
@@ -167,7 +167,7 @@ def reduce_problem(result: RatioResult) -> tuple[Stage, Level]:
         for nodes, part_arcs in parts.values():
             if any(balances[i] for i in nodes):
                 part = restrict(stepped, nodes, part_arcs)
-                split.append(Block(part, [positions[stay[j]] for j in part_arcs], found))
+                split.append((part, [positions[stay[j]] for j in part_arcs]))
     fixed_forward = tuple([(arc_id, value) for _, arc_id, value in sorted(fixed)])
     level = Level(ratio, result.critical_cut, fixed_forward, tuple([a for _, a in sorted(zeroed)]))
     return Stage(kept, split), level
@@ -207,8 +207,8 @@ def balanced_flow(
     values = dict.fromkeys(problem.arc_ids, Fraction(0))
     levels: list[Level] = []
     result: RatioResult | None = None
-    whole = Block(problem, range(len(problem.arc_ids)), RatioResult(Fraction(0), None, ()))
-    stage = Stage((), [whole] if problem.total_supply else [])
+    whole = [(problem, range(len(problem.arc_ids)))] if problem.total_supply else []
+    stage = Stage((), whole)
     while stage.kept or stage.split:
         last = result
         if mode == "dinkelbach":

@@ -90,13 +90,14 @@ def _entries(document: dict[str, Any], key: str, origin: str) -> list[Any]:
 
 def parse_instance(text: str, origin: str = "<input>") -> Problem:
     """Parse an instance document, JSON or DIMACS-like, into a Problem."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _parse_json_instance(text, origin)
-    return _parse_text_instance(text, origin)
+    read = _json_entries if text.lstrip().startswith("{") else _text_entries
+    try:
+        return validate_problem(*read(text, origin))
+    except ModelError as exc:
+        raise CliError(f"{origin}: {exc}") from exc
 
 
-def _parse_json_instance(text: str, origin: str) -> Problem:
+def _json_entries(text: str, origin: str) -> tuple[list, list]:
     document = _load_json(text, origin)
     if not isinstance(document, dict):
         raise CliError(f"{origin}: top level must be an object")
@@ -124,13 +125,10 @@ def _parse_json_instance(text: str, origin: str) -> Problem:
                 "or integers"
             )
         arcs.append(arc)
-    try:
-        return validate_problem(nodes, arcs)
-    except ModelError as exc:
-        raise CliError(f"{origin}: {exc}") from exc
+    return nodes, arcs
 
 
-def _parse_text_instance(text: str, origin: str) -> Problem:
+def _text_entries(text: str, origin: str) -> tuple[list, list]:
     nodes: list[tuple[str, Any]] = []
     arcs: list[tuple[str, str, str, Any]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -149,10 +147,7 @@ def _parse_text_instance(text: str, origin: str) -> Problem:
             )
     if not nodes:
         raise CliError(f"{origin}: no node lines found")
-    try:
-        return validate_problem(nodes, arcs)
-    except ModelError as exc:
-        raise CliError(f"{origin}: {exc}") from exc
+    return nodes, arcs
 
 
 def decimal_string(value: Fraction, places: int) -> str:
@@ -329,13 +324,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         solution = balanced_flow(problem, mode=args.mode)
     except FatalCutPresent as exc:
         return _report_fatal(exc, problem)
-    document = solution_document(problem, solution, args.decimals)
+    text = json.dumps(solution_document(problem, solution, args.decimals), indent=2)
     if args.certificate:
         try:
-            Path(args.certificate).write_text(json.dumps(document, indent=2) + "\n")
+            Path(args.certificate).write_text(text + "\n")
         except OSError as exc:
             raise CliError(f"cannot write {args.certificate}: {exc}") from exc
-    _emit(document)
+    print(text)
     return EXIT_OK
 
 

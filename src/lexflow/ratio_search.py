@@ -5,12 +5,12 @@ factor: every infeasible probe returns a witness cut whose ratio strictly
 exceeds the probe, and a feasible probe at a value that is itself a cut
 ratio pins the maximum exactly, with no epsilon management. Newton needs
 fewer steps the closer its seed is to the maximum, so it starts from the
-best of the cuts found without a max-flow: all producers, every single-node
-cut (a producer, or all nodes but one consumer), and the witnesses found
-before the last level. Which seed wins does not change the critical cut
-returned. A fatal cut is found inside the same search, as a witness without
-capacity. After the first stage, only the blocks of nodes that the last
-level split are searched again (see `minmax_ratio`). A bisection mode that
+best of the cuts rated without a max-flow: all producers and every
+single-node cut (a producer, or all nodes but one consumer). Which seed
+wins does not change the critical cut returned. A fatal cut is found
+inside the same search, as a witness without capacity. After the first
+stage, only the blocks of nodes that the last level split are searched
+again, each on its own (see `minmax_ratio`). A bisection mode that
 recovers the ratio with `Fraction.limit_denominator` is a cross-check.
 """
 
@@ -21,7 +21,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .gale_hoffman import (
     FeasibilityReport,
@@ -86,7 +86,7 @@ class Block(NamedTuple):
     `problem` is the stage restricted to the block, on its own integer grid,
     `arcs` the input positions of its arcs in order, and `result` the Newton
     search on `problem`: the block's ratio, its canonical critical cut and
-    its witnesses. A block not yet searched holds its parent's result.
+    its witnesses, found on `problem` alone.
     """
 
     problem: Problem
@@ -95,11 +95,12 @@ class Block(NamedTuple):
 
 
 class Stage(NamedTuple):
-    """A stage of `balanced_flow`: the blocks searched, and those to search,
-    the whole problem at first and then the blocks the last level split off."""
+    """A stage of `balanced_flow`: the blocks searched, and the parts still to
+    search, each a problem and the input positions of its arcs (see `Block`):
+    the whole problem at first, then the parts the last level split off."""
 
     kept: Sequence[Block]
-    split: Sequence[Block]
+    split: Sequence[tuple[Problem, Sequence[int]]]
 
 
 def _witness_ratio(report: FeasibilityReport) -> Fraction | None:
@@ -107,25 +108,20 @@ def _witness_ratio(report: FeasibilityReport) -> Fraction | None:
     return None if stats is None else stats.ratio
 
 
-def _candidate_ratios(
-    problem: Problem, seeds: Iterable[Iterable[str]]
-) -> tuple[Fraction | None, Fraction]:
+def _candidate_ratios(problem: Problem) -> tuple[Fraction | None, Fraction]:
     """Ratios of the producer cut and of the best other candidate cut.
 
     The other candidates are the single-node cuts, each producer {u} with
     ratio d_u / out(u) and each consumer's complement V - {w} with ratio
-    -d_w / in(w) (balances sum to zero), and the nodes of `problem` in each
-    of the `seeds`, sets of node ids. Sums are taken on the integer view, in
-    one pass over the arcs plus one per seed; candidates without forward
-    capacity have no ratio and are skipped, and the best other ratio is 0 if
-    none has.
+    -d_w / in(w) (balances sum to zero). Sums are taken on the integer view,
+    in one pass over the arcs; candidates without forward capacity have no
+    ratio and are skipped, and the best other ratio is 0 if none has.
     """
     _, balances, capacities = problem.integer_view
-    ends = problem.ends
     out = [0] * len(balances)
     into = [0] * len(balances)
     producer_out = 0
-    for (tail, head), c in zip(ends, capacities):
+    for (tail, head), c in zip(problem.ends, capacities):
         out[tail] += c
         into[head] += c
         if balances[tail] > 0 >= balances[head]:
@@ -140,27 +136,17 @@ def _candidate_ratios(
         d, c = (d, o) if d > 0 else (-d, i)
         if c and d * capacity > deficiency * c:
             deficiency, capacity = d, c
-    best = Fraction(deficiency, capacity)
-    for seed in seeds:
-        inside = problem.side(seed)
-        forward = sum(
-            c for (tail, head), c in zip(ends, capacities)
-            if inside[tail] and not inside[head]
-        )
-        if forward:
-            seed_deficiency = sum(d for d, member in zip(balances, inside) if member)
-            best = max(best, Fraction(seed_deficiency, forward))
-    return producer, best
+    return producer, Fraction(deficiency, capacity)
 
 
 def minmax_ratio(problem: Problem, *, stage: Stage | None = None) -> RatioResult:
     """Largest deficiency/capacity over all cuts, by discrete Newton steps.
 
-    Seeds with the largest ratio among the all-producers cut, the single-node
-    cuts ({u} for a producer u, V - {w} for a consumer w), and the parent
-    block's witnesses (see `stage`), found with one pass over the arcs and no
-    max-flow; then alternates a feasibility test at the current candidate
-    with a jump to the witness cut's ratio. Candidates are always ratios of
+    Seeds with the largest ratio among the all-producers cut and the
+    single-node cuts ({u} for a producer u, V - {w} for a consumer w), found
+    with one pass over the arcs and no max-flow; then alternates a
+    feasibility test at the current candidate with a jump to the witness
+    cut's ratio. Candidates are always ratios of
     actual cuts, so the first feasible candidate equals the maximum and the
     preceding witness is a critical cut. The producer cut wins ties; then the
     search is the one seeded with the producer cut alone, step for step, and
@@ -207,7 +193,7 @@ def minmax_ratio(problem: Problem, *, stage: Stage | None = None) -> RatioResult
 
     The previous level split only its tied blocks, into the weakly connected
     components of their remaining arcs, each on one side of its cut. Each is
-    searched seeded with its parent's witnesses restricted to it. An untied
+    searched on its own, as a one-shot query of it would be. An untied
     block lies wholly on the sink side of that level's cut, so its arcs and
     balances are unchanged, and its result is reused with no probe.
     """
@@ -215,12 +201,12 @@ def minmax_ratio(problem: Problem, *, stage: Stage | None = None) -> RatioResult
         return _search_blocks(stage, _newton)
     if problem.total_supply == 0:
         return RatioResult(Fraction(0), None, ())
-    return _newton(problem, ())
+    return _newton(problem)
 
 
-def _newton(problem: Problem, seeds: Iterable[Iterable[str]]) -> RatioResult:
+def _newton(problem: Problem) -> RatioResult:
     """The Newton search on `problem` as one block; see `minmax_ratio`."""
-    producer, z = _candidate_ratios(problem, seeds)
+    producer, z = _candidate_ratios(problem)
     cut: Cut | None = None
     if producer is None or z <= producer:
         balances = problem.integer_view.balances
@@ -254,14 +240,12 @@ def _newton(problem: Problem, seeds: Iterable[Iterable[str]]) -> RatioResult:
     return minmax_ratio_dichotomy(problem)
 
 
-def _search_blocks(
-    stage: Stage, search: Callable[[Problem, Iterable[Iterable[str]]], RatioResult]
-) -> RatioResult:
+def _search_blocks(stage: Stage, search: Callable[[Problem], RatioResult]) -> RatioResult:
     """The search of a stage, block by block; see `minmax_ratio`."""
     blocks = list(stage.kept)
     steps: list[SearchStep] = []
-    for problem, arcs, parent in stage.split:
-        result = search(problem, (step.cut.source_side for step in parent.steps))
+    for problem, arcs in stage.split:
+        result = search(problem)
         insort(blocks, Block(problem, arcs, result), key=lambda b: b.result.r0)
         steps += result.steps
     r0 = blocks[-1].result.r0
@@ -293,7 +277,7 @@ def minmax_ratio_dichotomy(problem: Problem, *, stage: Stage | None = None) -> R
     cut is found first, by `has_fatal_cut`.
     """
     if stage is not None:
-        return _search_blocks(stage, lambda block, _: minmax_ratio_dichotomy(block))
+        return _search_blocks(stage, minmax_ratio_dichotomy)
     if (report := has_fatal_cut(problem)).fatal:
         raise FatalCutPresent(report.witness_cut)
     if problem.total_supply == 0:

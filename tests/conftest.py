@@ -38,7 +38,6 @@ from lexflow import (
     verify_certificate,
 )
 from lexflow.model import IntegerView, cut_arcs, fix_arcs, restrict
-from lexflow.ratio_search import _newton
 
 
 def diamond_problem(supply: int = 4) -> Problem:
@@ -423,18 +422,16 @@ def whole_stage_search(problem: Problem, previous: RatioResult | None) -> RatioR
         return minmax_ratio(problem)
     if previous.blocks:
         kept = [b for b in previous.blocks if b.result.r0 != previous.r0]
-        tied = [
-            (b.nodes, b.result.steps) for b in previous.blocks if b.result.r0 == previous.r0
-        ]
+        tied = [b.nodes for b in previous.blocks if b.result.r0 == previous.r0]
     else:
-        kept, tied = [], [(range(len(problem.node_ids)), previous.steps)]
+        kept, tied = [], [range(len(problem.node_ids))]
 
     # Tied block k splits into cells 2k and 2k + 1, its nodes on the sink
     # and on the source side of the previous cut.
     split = problem.side(previous.critical_cut.source_side)
     cell = [-1] * len(problem.node_ids)
     cell_nodes: dict[int, list[int]] = {}
-    for k, (nodes, _) in enumerate(tied):
+    for k, nodes in enumerate(tied):
         for i in nodes:
             cell[i] = 2 * k + split[i]
             cell_nodes.setdefault(cell[i], []).append(i)
@@ -452,7 +449,7 @@ def whole_stage_search(problem: Problem, previous: RatioResult | None) -> RatioR
         if not any(balances[i] for i in nodes):
             continue
         block = restrict(problem, nodes, cell_arcs[c])
-        result = _newton(block, (step.cut.source_side for step in tied[c // 2][1]))
+        result = minmax_ratio(block)
         blocks.append(StageBlock(nodes, result))
         steps += result.steps
 

@@ -82,6 +82,14 @@ class TestParsing:
             assert main(["solve", str(path)]) == 0
             assert json.loads(capsys.readouterr().out)["r0"] == "4/3"
 
+    def test_readme_library_example_runs(self):
+        with open(README, encoding="utf-8") as f:
+            readme = f.read()
+        example = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S)[1]
+        namespace: dict = {}
+        exec(compile(example, "README.md", "exec"), namespace)
+        assert namespace["solution"].flow.values["sb"] == F(8, 3)
+
     def test_json_decimal_strings_are_exact(self):
         p = parse_instance(
             '{"nodes": [{"id": "u", "d": 0.1}, {"id": "w", "d": "-0.1"}],'
@@ -676,6 +684,11 @@ class TestRobustness:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {target}:")
+
+    def test_certificate_file_is_the_printed_document(self, d4_json, tmp_path, capsys):
+        cert = tmp_path / "solution.json"
+        assert main(["solve", d4_json, "--certificate", str(cert)]) == 0
+        assert cert.read_bytes() == capsys.readouterr().out.encode()
 
 
 # JSON values to plant in a document: ids, numbers and number strings of

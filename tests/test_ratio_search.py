@@ -180,9 +180,9 @@ class TestFatalCutInTheSearch:
 def _reference_minmax_ratio(problem, previous=None):
     """Newton seeded with the producer cut alone, for solvable problems.
 
-    The search before seeding from other cuts and earlier witnesses and
-    before the per-block search; it ignores `previous`, the last stage's
-    result that `conftest.whole_stage_balanced_flow` passes. It probes through
+    The search before seeding from single-node cuts and before the
+    per-block search; it ignores `previous`, the last stage's result that
+    `conftest.whole_stage_balanced_flow` passes. It probes through
     `ratio_search.is_feasible`, so a patch there counts its probes too.
     """
     if problem.total_supply == 0:
@@ -227,7 +227,7 @@ def side(request, monkeypatch):
 
 
 class TestSeeding:
-    """Seeds from single-node cuts and earlier witnesses change nothing but cost."""
+    """Seeds from single-node cuts change nothing but cost."""
 
     def unions(self, seed: int, count: int):
         rng = random.Random(seed)
@@ -432,6 +432,25 @@ class TestBlocks:
             assert sorted(a.arc_id for a in inner) == sorted(
                 a for b in result.blocks for a in b.problem.arc_ids
             )
+
+    def test_block_result_is_its_own_search(self, monkeypatch):
+        # A block's search depends on the block alone: at every stage, each
+        # block's result is the one-shot search of its problem, probes too.
+        rng = random.Random(7)
+        results = []
+        search = balancer.minmax_ratio
+
+        def recorded(problem, **kwargs):
+            results.append(search(problem, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(balancer, "minmax_ratio", recorded)
+        for _ in range(6):
+            balanced_flow(grid_problem(rng, 6))
+        blocks = [block for result in results for block in result.blocks]
+        assert len(blocks) > 500
+        for block in blocks:
+            assert block.result == minmax_ratio(block.problem)
 
 
 class TestDichotomy:
