@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Literal
 
 from .gale_hoffman import InvariantViolation, is_feasible, total_integer_capacity
@@ -24,8 +25,8 @@ from .gale_hoffman import InvariantViolation, is_feasible, total_integer_capacit
 from .gale_hoffman import has_fatal_cut  # noqa: F401
 from .model import (
     Cut,
+    CutArcs,
     Flow,
-    InvalidPartition,
     KeyMismatch,
     Problem,
     cut_arcs,
@@ -34,6 +35,7 @@ from .model import (
     format_rational,
     node_balance_residual,
     restrict,
+    union,
 )
 from .ratio_search import (
     IterationCapExceeded,
@@ -259,13 +261,16 @@ def verify_certificate(
 
     Both probes of level k run on T_k, a union of blocks of stage k, not on
     the whole stage. A block is a set of nodes that no stage arc enters or
-    leaves. Stage 0 is one block; after level k, each block of T_k splits
-    into its nodes on the source side and on the sink side of the level's
-    cut, which no remaining arc joins, and every other block is kept. T_k is
-    the union of the blocks that hold the tail of a forward or reverse arc
-    of the level's cut. λ in the minimality probe r_k - 1/(2bλ), b being
-    r_k's denominator, is `total_integer_capacity(T_k)`. This accepts
-    exactly the certificates the whole-stage probes accept:
+    leaves; the verifier keeps its stage as its blocks, each a `Problem` on
+    its own grid. Stage 0 is one block; after level k, each block of T_k is
+    stepped and split into its source and sink sides, and every other
+    block is kept. T_k is the union, on the lcm of their grids, of the
+    blocks that hold an arc of the level's cut. λ in the minimality probe
+    r_k - 1/(2bλ), b being r_k's denominator, is `total_integer_capacity`
+    of T_k: on any grid of T_k, its cut ratios have denominators of at most
+    λ (see `IntegerView`), so the probe lies above all of them below r_k,
+    and its verdict does not depend on the grid. This accepts exactly the
+    certificates the whole-stage probes accept:
 
     - Conservation and the replayed levels show that the flow on the stage
       arcs meets the stage balances, so the balances of every node set that
@@ -284,9 +289,6 @@ def verify_certificate(
       sum to zero, so it adds zero deficiency and no capacity to the cut.
       The cut thus has the same deficiency and capacity on T_k as on the
       whole stage, and is violated on T_k just below r_k.
-
-    The blocks are the verifier's own, found from the levels' cuts; after a
-    level, only T_k's nodes are labelled again.
     """
     flow = solution.flow
     certificate = solution.certificate
@@ -318,60 +320,77 @@ def verify_certificate(
     # only one stage is alive at a time. A replay failure at any level
     # outranks an optimality failure, which is kept until the replay is done.
     suboptimal: VerificationResult | None = None
-    current = problem
-    # block[i] is the position of the first node of node i's block.
-    block = [0] * len(problem.node_ids)
+    # The stage as blocks; owner[v] is the position in `blocks` of v's block.
+    blocks, owner = [problem], dict.fromkeys(problem.node_ids, 0)
     for k, level in enumerate(certificate.levels):
         where = f"level {k}"
-        arcs = cut_arcs(current, level.cut)
-        try:
-            stats = cut_stats(current, level.cut, arcs)
-        except InvalidPartition:
+        # The source side's nodes by block, a foreign id under -1.
+        members: dict[int, list[str]] = {}
+        for v in level.cut.source_side:
+            members.setdefault(owner.get(v, -1), []).append(v)
+        if -1 in members or not 0 < len(level.cut.source_side) < len(owner):
             return reject("level_replay", f"{where}: cut is not a proper partition")
-        if stats.capacity == 0:
+        deficiency = capacity = Fraction(0)
+        crossed: list[tuple[int, CutArcs]] = []
+        # arc id -> (C, L) of each forward arc, and the reverse arc ids.
+        forward, reverse = {}, set()
+        for b in sorted(members):
+            block = blocks[b]
+            arcs = cut_arcs(block, Cut(frozenset(members[b])))
+            arc_ids, (denominator, balances, capacities) = block.arc_ids, block.integer_view
+            deficiency += Fraction(sum(compress(balances, arcs.inside)), denominator)
+            if arcs.forward or arcs.reverse:
+                crossed.append((b, arcs))
+                capacity += Fraction(sum(capacities[j] for j in arcs.forward), denominator)
+                forward.update((arc_ids[j], (capacities[j], denominator)) for j in arcs.forward)
+                reverse.update(arc_ids[j] for j in arcs.reverse)
+        if capacity == 0:
             return reject("level_replay", f"{where}: cut has no forward arcs")
-        if stats.deficiency != level.ratio * stats.capacity:
+        if deficiency != level.ratio * capacity:
             return reject(
                 "level_replay",
                 f"{where}: cut ratio differs from {format_rational(level.ratio)}",
             )
 
-        side, _, forward, reverse = arcs
-        arc_ids, (denominator, _, capacities) = current.arc_ids, current.integer_view
-        capacity = {arc_ids[k]: Fraction(capacities[k], denominator) for k in forward}
+        p, q = level.ratio.numerator, level.ratio.denominator
         fixed_ids = [arc_id for arc_id, _ in level.fixed_forward]
-        if len(fixed_ids) != len(set(fixed_ids)) or set(fixed_ids) != set(capacity):
+        if len(fixed_ids) != len(set(fixed_ids)) or set(fixed_ids) != set(forward):
             return reject("level_replay", f"{where}: fixed arcs differ from the cut arcs")
         for arc_id, value in level.fixed_forward:
-            if value != level.ratio * capacity[arc_id]:
+            # value == ratio × C/L, cross-multiplied: no gcd reduces C/L.
+            c, denominator = forward[arc_id]
+            if value.numerator * q * denominator != value.denominator * p * c:
                 return reject("level_replay", f"{where}: fixed value wrong on {arc_id!r}")
             if flow.values[arc_id] != value:
                 return reject("level_replay", f"{where}: flow differs on {arc_id!r}")
-        if set(level.zeroed_reverse) != {arc_ids[k] for k in reverse}:
+        if set(level.zeroed_reverse) != reverse:
             return reject("level_replay", f"{where}: zeroed arcs differ from the reverse arcs")
         for arc_id in level.zeroed_reverse:
             if flow.values[arc_id] != 0:
                 return reject("level_replay", f"{where}: reverse arc {arc_id!r} carries flow")
 
-        # Once a probe has failed, no later probe runs and the labels lapse.
         if suboptimal is None:
-            ends = current.ends
-            crossed = {block[ends[k][0]] for k in (*forward, *reverse)}
-            nodes = [i for i, b in enumerate(block) if b in crossed]
-            inside = [j for j, (tail, _) in enumerate(ends) if block[tail] in crossed]
-            touched = restrict(current, nodes, inside)
+            touched = union([blocks[b] for b, _ in crossed])
             if not is_feasible(touched, level.ratio).feasible:
                 suboptimal = reject("stage_optimality", f"{where}: ratio is not sufficient")
             else:
                 lam = total_integer_capacity(touched)
-                below = level.ratio - Fraction(1, 2 * level.ratio.denominator * lam)
+                below = level.ratio - Fraction(1, 2 * q * lam)
                 if is_feasible(touched, below).feasible:
                     suboptimal = reject("stage_optimality", f"{where}: ratio is not minimal")
-            first: dict[tuple[int, bool], int] = {}
-            for i in nodes:
-                block[i] = first.setdefault((block[i], side[i]), i)
         # The replay showed the level's arcs are the cut's, loaded at its ratio.
-        current = fix_arcs(current, arcs, level.ratio)
+        # Each crossed block splits into its sink side and its source side.
+        for b, arcs in crossed:
+            stepped = fix_arcs(blocks[b], arcs, level.ratio)
+            parts: tuple[list[int], ...] = ([], [], [], [])
+            for i, s in enumerate(arcs.inside):
+                parts[s].append(i)
+            for j, (tail, _) in enumerate(stepped.ends):
+                parts[2 + arcs.inside[tail]].append(j)
+            sink = restrict(stepped, parts[0], parts[2])
+            blocks[b] = restrict(stepped, parts[1], parts[3])
+            owner.update(dict.fromkeys(sink.node_ids, len(blocks)))
+            blocks.append(sink)
 
     if suboptimal is not None:
         return suboptimal
@@ -384,12 +403,12 @@ def verify_certificate(
         return reject("arc_partition", "an arc is assigned twice")
     if set(assigned) != set(problem.arc_ids):
         return reject("arc_partition", "arcs are not covered exactly")
-    if set(certificate.zero_tail) != set(current.arc_ids):
+    if set(certificate.zero_tail) != {arc_id for block in blocks for arc_id in block.arc_ids}:
         return reject("arc_partition", "zero tail differs from the leftover arcs")
     busy = next((a for a in certificate.zero_tail if flow.values[a] != 0), None)
     if busy is not None:
         return reject("arc_partition", f"zero-tail arc {busy!r} carries flow")
-    if any(current.integer_view.balances):
+    if any(any(block.integer_view.balances) for block in blocks):
         return reject("arc_partition", "residual balances do not vanish")
 
     # The replay pinned every fixed arc at its level's ratio and the rest at

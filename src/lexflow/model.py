@@ -157,8 +157,9 @@ class IntegerView(NamedTuple):
 
     `denominator` is a common multiple L of every balance and capacity
     denominator: the least one for a problem built by `validate_problem` or
-    `fix_arcs`, and the L of the problem it was cut from for a block cut out
-    by `restrict`, so each of the solver's blocks has a grid of its own.
+    `fix_arcs`, the L of the problem it was cut from for a block cut out by
+    `restrict`, and the lcm of the parts' for a `union`, so each of the
+    solver's and the verifier's blocks has a grid of its own.
     `balances[i]` is L times the balance of node i in node order and
     `capacities[a]` is L times the capacity of arc a in arc order; a problem
     keeps its numbers nowhere else. Every cut sum on the grid is exact
@@ -384,6 +385,25 @@ def restrict(problem: Problem, nodes: Sequence[int], arcs: Sequence[int]) -> Pro
     kept = map(problem.ends.__getitem__, arcs)
     ends = tuple([(index[tail], index[head]) for tail, head in kept])
     return Problem(node_ids, tuple(problem.arc_ids[k] for k in arcs), view, ends)
+
+
+def union(problems: Sequence[Problem]) -> Problem:
+    """The disjoint union of problems with no id in common, in the given
+    order, on the lcm of their grids; a single problem as it is."""
+    if len(problems) == 1:
+        return problems[0]
+    lcm = math.lcm(*(part.integer_view.denominator for part in problems))
+    node_ids, arc_ids, balances, capacities, ends = [], [], [], [], []
+    for part in problems:
+        denominator, d, c = part.integer_view
+        f, offset = lcm // denominator, len(node_ids)
+        balances += [x * f for x in d]
+        capacities += [x * f for x in c]
+        ends += [(tail + offset, head + offset) for tail, head in part.ends]
+        node_ids += part.node_ids
+        arc_ids += part.arc_ids
+    view = IntegerView(lcm, tuple(balances), tuple(capacities))
+    return Problem(tuple(node_ids), tuple(arc_ids), view, tuple(ends))
 
 
 def node_balance_residual(problem: Problem, flow: Flow) -> dict[str, Fraction]:

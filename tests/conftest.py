@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -12,7 +13,6 @@ from unittest import mock
 
 import pytest
 
-import lexflow.balancer as balancer
 from lexflow import (
     Arc,
     BalancedSolution,
@@ -23,7 +23,9 @@ from lexflow import (
     FeasibilityReport,
     Flow,
     FlowNetwork,
+    InvalidPartition,
     InvariantViolation,
+    KeyMismatch,
     Level,
     Problem,
     RatioResult,
@@ -31,11 +33,13 @@ from lexflow import (
     VerificationResult,
     build_two_pole,
     cut_stats,
+    format_rational,
     is_feasible,
     minmax_ratio,
     minmax_ratio_dichotomy,
+    node_balance_residual,
+    total_integer_capacity,
     validate_problem,
-    verify_certificate,
 )
 from lexflow.model import IntegerView, cut_arcs, fix_arcs, restrict
 
@@ -396,13 +400,133 @@ def two_pole_has_fatal_cut(problem: Problem) -> FatalCutReport:
     return FatalCutReport(True, report.witness_cut, report.witness_stats)
 
 
+def labelled_verify(problem: Problem, solution: BalancedSolution) -> VerificationResult:
+    """`verify_certificate` as a replay of whole stages: each level runs
+    `cut_arcs`, `cut_stats` and `fix_arcs` on the whole stage, labels every
+    node with its block, and probes T_k, the blocks its cut crosses, cut out
+    of the stage with `restrict` on the stage's grid. The reference the
+    verifier's list of blocks must agree with, verdict and detail."""
+    flow = solution.flow
+    certificate = solution.certificate
+
+    def reject(check: str, detail: str) -> VerificationResult:
+        return VerificationResult(False, check, detail)
+
+    # Conservation (and nonnegativity, which weak feasibility presumes).
+    try:
+        residual = node_balance_residual(problem, flow)
+    except KeyMismatch:
+        return reject("conservation", "flow keys do not match the arcs")
+    negative = next((a for a, v in flow.values.items() if v < 0), None)
+    if negative is not None:
+        return reject("conservation", f"arc {negative!r} carries negative flow")
+    violated = next((v for v in problem.node_ids if residual[v] != 0), None)
+    if violated is not None:
+        return reject("conservation", f"conservation fails at node {violated!r}")
+
+    # Monotonicity of the recorded ratios.
+    ratios = [level.ratio for level in certificate.levels]
+    if any(r <= 0 for r in ratios):
+        return reject("monotonicity", "level ratios must be positive")
+    if any(a < b for a, b in zip(ratios, ratios[1:])):
+        return reject("monotonicity", "level ratios increase")
+
+    # Replay each level against its reduced stage, and probe that the level
+    # ratio is the stage's exact minmax ratio while the stage is at hand, so
+    # only one stage is alive at a time. A replay failure at any level
+    # outranks an optimality failure, which is kept until the replay is done.
+    suboptimal: VerificationResult | None = None
+    current = problem
+    # block[i] is the position of the first node of node i's block.
+    block = [0] * len(problem.node_ids)
+    for k, level in enumerate(certificate.levels):
+        where = f"level {k}"
+        arcs = cut_arcs(current, level.cut)
+        try:
+            stats = cut_stats(current, level.cut, arcs)
+        except InvalidPartition:
+            return reject("level_replay", f"{where}: cut is not a proper partition")
+        if stats.capacity == 0:
+            return reject("level_replay", f"{where}: cut has no forward arcs")
+        if stats.deficiency != level.ratio * stats.capacity:
+            return reject(
+                "level_replay",
+                f"{where}: cut ratio differs from {format_rational(level.ratio)}",
+            )
+
+        side, _, forward, reverse = arcs
+        arc_ids, (denominator, _, capacities) = current.arc_ids, current.integer_view
+        capacity = {arc_ids[k]: Fraction(capacities[k], denominator) for k in forward}
+        fixed_ids = [arc_id for arc_id, _ in level.fixed_forward]
+        if len(fixed_ids) != len(set(fixed_ids)) or set(fixed_ids) != set(capacity):
+            return reject("level_replay", f"{where}: fixed arcs differ from the cut arcs")
+        for arc_id, value in level.fixed_forward:
+            if value != level.ratio * capacity[arc_id]:
+                return reject("level_replay", f"{where}: fixed value wrong on {arc_id!r}")
+            if flow.values[arc_id] != value:
+                return reject("level_replay", f"{where}: flow differs on {arc_id!r}")
+        if set(level.zeroed_reverse) != {arc_ids[k] for k in reverse}:
+            return reject("level_replay", f"{where}: zeroed arcs differ from the reverse arcs")
+        for arc_id in level.zeroed_reverse:
+            if flow.values[arc_id] != 0:
+                return reject("level_replay", f"{where}: reverse arc {arc_id!r} carries flow")
+
+        # Once a probe has failed, no later probe runs and the labels lapse.
+        if suboptimal is None:
+            ends = current.ends
+            crossed = {block[ends[k][0]] for k in (*forward, *reverse)}
+            nodes = [i for i, b in enumerate(block) if b in crossed]
+            inside = [j for j, (tail, _) in enumerate(ends) if block[tail] in crossed]
+            touched = restrict(current, nodes, inside)
+            if not is_feasible(touched, level.ratio).feasible:
+                suboptimal = reject("stage_optimality", f"{where}: ratio is not sufficient")
+            else:
+                lam = total_integer_capacity(touched)
+                below = level.ratio - Fraction(1, 2 * level.ratio.denominator * lam)
+                if is_feasible(touched, below).feasible:
+                    suboptimal = reject("stage_optimality", f"{where}: ratio is not minimal")
+            first: dict[tuple[int, bool], int] = {}
+            for i in nodes:
+                block[i] = first.setdefault((block[i], side[i]), i)
+        # The replay showed the level's arcs are the cut's, loaded at its ratio.
+        current = fix_arcs(current, arcs, level.ratio)
+
+    if suboptimal is not None:
+        return suboptimal
+
+    # The levels plus the zero tail partition the arcs; the tail is idle.
+    assigned = [arc_id for level in certificate.levels for arc_id, _ in level.fixed_forward]
+    assigned += [arc_id for level in certificate.levels for arc_id in level.zeroed_reverse]
+    assigned += list(certificate.zero_tail)
+    if len(assigned) != len(set(assigned)):
+        return reject("arc_partition", "an arc is assigned twice")
+    if set(assigned) != set(problem.arc_ids):
+        return reject("arc_partition", "arcs are not covered exactly")
+    if set(certificate.zero_tail) != set(current.arc_ids):
+        return reject("arc_partition", "zero tail differs from the leftover arcs")
+    busy = next((a for a in certificate.zero_tail if flow.values[a] != 0), None)
+    if busy is not None:
+        return reject("arc_partition", f"zero-tail arc {busy!r} carries flow")
+    if any(current.integer_view.balances):
+        return reject("arc_partition", "residual balances do not vanish")
+
+    # The replay pinned every fixed arc at its level's ratio and the rest at
+    # zero, so with the ratios non-increasing, this is the flow's ratio
+    # vector sorted descending, found without a division or a sort.
+    ratios = [level.ratio for level in certificate.levels for _ in level.fixed_forward]
+    ratios += [Fraction(0)] * (len(problem.arc_ids) - len(ratios))
+    if solution.sorted_ratios != tuple(ratios):
+        return reject("summary", "sorted ratios differ from the flow's")
+    return VerificationResult(True)
+
+
 def whole_stage_verify(problem: Problem, solution: BalancedSolution) -> VerificationResult:
-    """`verify_certificate` with both probes of every level run on the whole
-    stage instead of the components the level's cut crosses: `restrict`
-    hands back the stage itself. The reference the narrowed probes must
-    agree with."""
-    with mock.patch.object(balancer, "restrict", lambda stage, nodes, arcs: stage):
-        return verify_certificate(problem, solution)
+    """`labelled_verify` with both probes of every level run on the whole
+    stage instead of the blocks the level's cut crosses: `restrict` hands
+    back the stage itself. The reference the narrowed probes must agree
+    with."""
+    with mock.patch.object(sys.modules[__name__], "restrict", lambda stage, nodes, arcs: stage):
+        return labelled_verify(problem, solution)
 
 
 class StageBlock(NamedTuple):

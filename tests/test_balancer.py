@@ -7,6 +7,7 @@ import random
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +44,7 @@ from conftest import (
     enumerate_cuts,
     forward_arcs,
     grid_problem,
+    labelled_verify,
     random_problem,
     random_rational,
     random_solvable_problem,
@@ -433,6 +435,26 @@ class TestVerifyCertificate:
         assert verdict.failed_check == "arc_partition"
 
 
+def crossed_blocks(p: Problem, levels) -> Iterator[tuple[Problem, list[frozenset[str]]]]:
+    """Each level's whole stage and the blocks its cut crosses, found by node
+    id: one block of all nodes, refined along each level's cut in the
+    blocks that hold a tail of one of its arcs."""
+    stage, blocks = p, [frozenset(p.node_ids)]
+    for level in levels:
+        assert all((a.tail in b) == (a.head in b) for b in blocks for a in stage.arcs)
+        crossing = (*forward_arcs(level.cut, stage), *reverse_arcs(level.cut, stage))
+        tails = {a.tail for a in crossing}
+        touched = [b for b in blocks if b & tails]
+        yield stage, touched
+        blocks = [b for b in blocks if not b & tails] + [
+            part
+            for b in touched
+            for part in (b & level.cut.source_side, b - level.cut.source_side)
+            if part
+        ]
+        stage = fix_arcs(stage, cut_arcs(stage, level.cut), level.ratio)
+
+
 class TestProbeScope:
     def test_probes_run_on_the_blocks_the_cut_touches(self, monkeypatch):
         probe = balancer.is_feasible
@@ -462,14 +484,7 @@ class TestProbeScope:
             assert verify_certificate(p, sol).accepted
             levels = sol.certificate.levels
             assert len(probed) == 2 * len(levels)
-            # One block of all nodes, refined along each level's cut in the
-            # blocks that hold a tail of one of its arcs.
-            stage, blocks = p, [frozenset(p.node_ids)]
-            for k, level in enumerate(levels):
-                assert all((a.tail in b) == (a.head in b) for b in blocks for a in stage.arcs)
-                crossing = (*forward_arcs(level.cut, stage), *reverse_arcs(level.cut, stage))
-                tails = {a.tail for a in crossing}
-                touched = [b for b in blocks if b & tails]
+            for k, (stage, touched) in enumerate(crossed_blocks(p, levels)):
                 nodes = frozenset().union(*touched)
                 arcs = {a.arc_id for a in stage.arcs if a.tail in nodes}
                 for sub in probed[2 * k : 2 * k + 2]:
@@ -477,14 +492,36 @@ class TestProbeScope:
                     assert set(sub.arc_ids) == arcs
                 smaller += len(nodes) < len(stage.node_ids)
                 several += len(touched) > 1
-                blocks = [b for b in blocks if not b & tails] + [
-                    part
-                    for b in touched
-                    for part in (b & level.cut.source_side, b - level.cut.source_side)
-                    if part
-                ]
-                stage = fix_arcs(stage, cut_arcs(stage, level.cut), level.ratio)
         assert smaller and several
+
+    def test_steps_only_the_crossed_blocks(self, monkeypatch):
+        # A level steps each block its cut crosses once, and nothing else;
+        # whole stages would step the blocks it leaves alone as well.
+        rng = random.Random(1901)
+        kinds = ("union", "tied", "interleaved")
+        instances = [two_level_chains(30), *(union_instance(rng, k) for k in kinds * 4)]
+        step = balancer.fix_arcs
+        stepped: list[int] = []
+
+        def counting(problem, arcs, ratio):
+            stepped.append(len(problem.node_ids) + len(problem.arc_ids))
+            return step(problem, arcs, ratio)
+
+        crossed = whole = 0
+        for p in instances:
+            sol = balanced_flow(p)
+            stepped.clear()
+            monkeypatch.setattr(balancer, "fix_arcs", counting)
+            assert verify_certificate(p, sol).accepted
+            monkeypatch.setattr(balancer, "fix_arcs", step)
+            bound = 0
+            for stage, touched in crossed_blocks(p, sol.certificate.levels):
+                nodes = frozenset().union(*touched)
+                bound += len(nodes) + sum(a.tail in nodes for a in stage.arcs)
+                whole += len(stage.node_ids) + len(stage.arc_ids)
+            assert sum(stepped) <= bound
+            crossed += bound
+        assert whole > 1.2 * crossed
 
 
 def noncritical_cut(rng, p, sol):
@@ -579,29 +616,72 @@ def zero_tail_cycle(rng, p, sol):
     return None
 
 
+def two_level_chains(count: int) -> Problem:
+    """Chains u -> x -> w with supply 2k + 1 at u for k < count: levels at
+    2k + 1 and (2k + 1)/2, all distinct."""
+    parts = [
+        validate_problem(
+            [("u", 2 * k + 1), ("x", 0), ("w", -(2 * k + 1))],
+            [("a", "u", "x", 1), ("b", "x", "w", 2)],
+        )
+        for k in range(count)
+    ]
+    return disjoint_union(parts)
+
+
+def wrong_fixed_value(rng, p, sol):
+    """One fixed value of one level times a random factor, often 1."""
+    levels = list(sol.certificate.levels)
+    if not levels:
+        return None
+    k = rng.randrange(len(levels))
+    fixed = list(levels[k].fixed_forward)
+    i = rng.randrange(len(fixed))
+    fixed[i] = (fixed[i][0], fixed[i][1] * random_rational(rng, 3, 3))
+    levels[k] = replace(levels[k], fixed_forward=tuple(fixed))
+    return replace(sol, certificate=replace(sol.certificate, levels=tuple(levels)))
+
+
+def improper_cut(rng, p, sol):
+    """One level's source side emptied, made all nodes, or given a foreign id."""
+    levels = list(sol.certificate.levels)
+    if not levels:
+        return None
+    k = rng.randrange(len(levels))
+    side = levels[k].cut.source_side
+    side = rng.choice([frozenset(), frozenset(p.node_ids), side | {"foreign"}])
+    levels[k] = replace(levels[k], cut=Cut(side))
+    return replace(sol, certificate=replace(sol.certificate, levels=tuple(levels)))
+
+
+MUTATORS = [noncritical_cut, nudged_ratio, dropped_last_level, swapped_levels, zero_tail_cycle]
+
+
+def mutated(rng, mutate, union: bool) -> tuple[Problem, BalancedSolution]:
+    """A random instance, or a disjoint union of two or three, with its
+    solution changed by `mutate` where it applies."""
+    if union:
+        parts = [
+            random_solvable_problem(rng, max_nodes=4, max_arcs=8, max_num=4, max_den=2)
+            for _ in range(3)
+        ]
+        p = disjoint_union(parts[: rng.randint(2, 3)])
+    else:
+        p = random_solvable_problem(rng)
+    sol = balanced_flow(p)
+    return p, mutate(rng, p, sol) or sol
+
+
 class TestVerdictsUnchanged:
-    """The verifier's probes on the crossed components give the verdicts of
-    whole-stage probes (`conftest.whole_stage_verify`)."""
+    """The verifier's probes on the crossed blocks give the verdicts of
+    whole-stage probes (`conftest.whole_stage_verify`), and its blocks give
+    the verdicts and details of the whole-stage replay that labels them
+    (`conftest.labelled_verify`)."""
 
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(
-        st.randoms(use_true_random=False),
-        st.sampled_from(
-            [noncritical_cut, nudged_ratio, dropped_last_level, swapped_levels, zero_tail_cycle]
-        ),
-        st.booleans(),
-    )
+    @given(st.randoms(use_true_random=False), st.sampled_from(MUTATORS), st.booleans())
     def test_same_verdict_as_whole_stage_probes(self, rng, mutate, union):
-        if union:
-            parts = [
-                random_solvable_problem(rng, max_nodes=4, max_arcs=8, max_num=4, max_den=2)
-                for _ in range(3)
-            ]
-            p = disjoint_union(parts[: rng.randint(2, 3)])
-        else:
-            p = random_solvable_problem(rng)
-        sol = balanced_flow(p)
-        candidate = mutate(rng, p, sol) or sol
+        p, candidate = mutated(rng, mutate, union)
         ours, reference = verify_certificate(p, candidate), whole_stage_verify(p, candidate)
         assert ours.accepted == reference.accepted
         # A flaw in a component that no later level crosses shows only after
@@ -609,6 +689,16 @@ class TestVerdictsUnchanged:
         assert ours.failed_check == reference.failed_check or (
             reference.failed_check, ours.failed_check
         ) == ("stage_optimality", "arc_partition")
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.sampled_from([*MUTATORS, wrong_fixed_value, improper_cut]),
+        st.booleans(),
+    )
+    def test_same_result_as_the_labelled_replay(self, rng, mutate, union):
+        p, candidate = mutated(rng, mutate, union)
+        assert verify_certificate(p, candidate) == labelled_verify(p, candidate)
 
 
 def scaled(problem: Problem, c: F) -> Problem:
@@ -693,14 +783,7 @@ class TestStageOfBlocks:
         # Thirty chains u -> x -> w with supply 2k + 1 at u: levels at
         # 2k + 1 and (2k + 1)/2, all distinct. After the first level each
         # chain is its own block, and a level steps only its chain's.
-        parts = [
-            validate_problem(
-                [("u", 2 * k + 1), ("x", 0), ("w", -(2 * k + 1))],
-                [("a", "u", "x", 1), ("b", "x", "w", 2)],
-            )
-            for k in range(30)
-        ]
-        p = disjoint_union(parts)
+        p = two_level_chains(30)
         size = len(p.node_ids) + len(p.arc_ids)
         stepped = {"blocks": 0, "whole": 0}
 

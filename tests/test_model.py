@@ -38,7 +38,14 @@ from lexflow import (
     validate_problem,
     verify_certificate,
 )
-from lexflow.model import MAX_DECIMAL_EXPONENT, IntegerView, cut_arcs, fix_arcs, restrict
+from lexflow.model import (
+    MAX_DECIMAL_EXPONENT,
+    IntegerView,
+    cut_arcs,
+    fix_arcs,
+    restrict,
+    union,
+)
 from conftest import (
     deep_problem,
     diamond_problem,
@@ -379,6 +386,31 @@ class TestFixArcs:
         assert fix_arcs(p, cut_arcs(p, Cut(frozenset({"u", "w"}))), F(7, 2)) == p
 
 
+class TestUnion:
+    def test_parts_side_by_side_on_the_lcm_of_their_grids(self):
+        rng = random.Random(1903)
+        for _ in range(40):
+            parts = []
+            for k in range(rng.randint(2, 4)):
+                part = deep_problem(rng) if rng.random() < 0.5 else random_problem(rng)
+                parts.append(
+                    validate_problem(
+                        [(f"p{k}_{v}", part.balances[v]) for v in part.node_ids],
+                        [
+                            (f"p{k}_{a.arc_id}", f"p{k}_{a.tail}", f"p{k}_{a.head}", a.capacity)
+                            for a in part.arcs
+                        ],
+                    )
+                )
+            joined = union(parts)
+            assert joined.node_ids == sum((part.node_ids for part in parts), ())
+            assert joined.arcs == sum((part.arcs for part in parts), ())
+            assert joined.balances == {v: d for part in parts for v, d in part.balances.items()}
+            grids = [part.integer_view.denominator for part in parts]
+            assert joined.integer_view.denominator == math.lcm(*grids)
+        assert union(parts[:1]) is parts[0]
+
+
 class TestGridStep:
     """`fix_arcs` steps the integer grid; the reference rebuilds it from
     `Fraction`s with an lcm. They must agree exactly, L included."""
@@ -457,7 +489,7 @@ def strong_components(problem):
 class TestEnds:
     """`Problem.ends` holds each arc's endpoint positions on every problem
     built from a validated one: stepped by `fix_arcs`, cut out by `restrict`
-    (the solver's blocks and the verifier's probed blocks), and contracted by
+    (the solver's blocks and the verifier's), and contracted by
     `has_fatal_cut`. The arcs read off them must be the validated arcs of the
     same ids."""
 
