@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from math import gcd
 from typing import Literal
 
 from .gale_hoffman import InvariantViolation, is_feasible, total_integer_capacity
@@ -357,9 +358,10 @@ def verify_certificate(
         if len(fixed_ids) != len(set(fixed_ids)) or set(fixed_ids) != set(forward):
             return reject("level_replay", f"{where}: fixed arcs differ from the cut arcs")
         for arc_id, value in level.fixed_forward:
-            # value == ratio × C/L, cross-multiplied: no gcd reduces C/L.
+            # value == ratio × C/L, cross-multiplied once C/L is reduced.
             c, denominator = forward[arc_id]
-            if value.numerator * q * denominator != value.denominator * p * c:
+            g = gcd(c, denominator)
+            if value.numerator * q * (denominator // g) != value.denominator * p * (c // g):
                 return reject("level_replay", f"{where}: fixed value wrong on {arc_id!r}")
             if flow.values[arc_id] != value:
                 return reject("level_replay", f"{where}: flow differs on {arc_id!r}")

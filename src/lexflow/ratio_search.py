@@ -7,7 +7,9 @@ ratio pins the maximum exactly, with no epsilon management. Newton needs
 fewer steps the closer its seed is to the maximum, so it starts from the
 best of the cuts rated without a max-flow: all producers and every
 single-node cut (a producer, or all nodes but one consumer). Which seed
-wins does not change the critical cut returned. A fatal cut is found
+wins does not change the critical cut returned. A single-node seed is
+probed just below its ratio, where no cut ratio lies, so when it is the
+maximum one max-flow finds both the ratio and the cut. A fatal cut is found
 inside the same search, as a witness without capacity. After the first
 stage, only the blocks of nodes that the last level split are searched
 again, each on its own (see `minmax_ratio`). A bisection mode that
@@ -146,11 +148,12 @@ def minmax_ratio(problem: Problem, *, stage: Stage | None = None) -> RatioResult
     single-node cuts ({u} for a producer u, V - {w} for a consumer w), found
     with one pass over the arcs and no max-flow; then alternates a
     feasibility test at the current candidate with a jump to the witness
-    cut's ratio. Candidates are always ratios of
-    actual cuts, so the first feasible candidate equals the maximum and the
-    preceding witness is a critical cut. The producer cut wins ties; then the
-    search is the one seeded with the producer cut alone, step for step, and
-    it returns the producer cut itself when that is already critical.
+    cut's ratio. Every candidate but a probe below a single-node seed (see
+    below) is the ratio of an actual cut, so the first feasible candidate
+    equals the maximum and the preceding witness is a critical cut. The
+    producer cut wins ties; then the search is the one seeded with the
+    producer cut alone, step for step, and it returns the producer cut
+    itself when that is already critical.
 
     Raises FatalCutPresent with `has_fatal_cut`'s witness when a cut F has
     positive deficiency and no forward capacity. Then g >= D(F) > 0, no
@@ -168,13 +171,15 @@ def minmax_ratio(problem: Problem, *, stage: Stage | None = None) -> RatioResult
     has a witness of ratio r0, so it lies on g's last linear piece before r0;
     every probe strictly inside that piece returns the same inclusion-minimal
     min cut, and so does a probe at the piece's left end whose witness has
-    ratio r0. A seed above the producer cut's ratio that is infeasible
-    therefore ends at the cut the producer-seeded search ends at. One that is
-    feasible at once is r0, and then one more probe is made at r0 - 1/(2bλ), b
-    being r0's denominator and λ = `total_integer_capacity`: breakpoints of g
-    are fractions with denominators at most λ, so they lie at least 1/(bλ)
-    from r0, the probe falls inside the last piece, and its witness is the
-    critical cut.
+    ratio r0. A single-node seed r* = a/b above the producer cut's ratio is
+    therefore probed first at r* - 1/(2bλ), λ being `total_integer_capacity`.
+    Cut ratios have denominators at most λ, so none lies in that gap and the
+    witness W has ratio >= r*. If it is r*, then r0 = r*: on the integer grid
+    W scores C(W)/(2bλ) <= 1/(2b), a cut S of ratio above r* would score more
+    than C(S)/(b·C(S)) = 1/b, and a fatal cut its deficiency, at least 1, so
+    neither exists; the probe lies inside g's last piece, so W is the critical
+    cut, found with one max-flow. If ratio(W) > r*, Newton goes on from it and
+    ends at the cut the producer-seeded search ends at.
 
     `stage` is the stage of `balanced_flow` that `problem` was reduced to;
     without it the whole problem is searched as one block, as a one-shot
@@ -206,30 +211,36 @@ def minmax_ratio(problem: Problem, *, stage: Stage | None = None) -> RatioResult
 
 def _newton(problem: Problem) -> RatioResult:
     """The Newton search on `problem` as one block; see `minmax_ratio`."""
-    producer, z = _candidate_ratios(problem)
+    producer, seed = _candidate_ratios(problem)
     cut: Cut | None = None
-    if producer is None or z <= producer:
+    if producer is None or seed <= producer:
         balances = problem.integer_view.balances
         cut = Cut(frozenset(v for v, d in zip(problem.node_ids, balances) if d > 0))
         if producer is None:
             raise FatalCutPresent(cut)
-        z = producer
+        z = seed = producer
+    else:
+        z = seed - Fraction(1, 2 * seed.denominator * total_integer_capacity(problem))
 
     steps: list[SearchStep] = []
     cap = max(1, len(problem.arc_ids) * len(problem.node_ids))
     for _ in range(cap):
         report = is_feasible(problem, z)
-        if report.feasible:
-            if cut is None:
-                return _probe_last_piece(problem, z)
+        # Below a node seed its own cut is violated: a feasible report there
+        # has no witness and fails the checks below.
+        if report.feasible and cut is not None:
             return RatioResult(z, cut, tuple(steps))
         if report.witness_stats is not None and report.witness_stats.is_fatal:
             raise FatalCutPresent(report.witness_cut)
         ratio = _witness_ratio(report)
+        if ratio is not None and ratio < seed:
+            raise InvariantViolation("witness ratio below the seed")
         if report.witness_cut is None or ratio is None or ratio <= z:
             raise InvariantViolation("witness must beat the probe")
         cut = report.witness_cut
         steps.append(SearchStep(z, cut, ratio))
+        if ratio == seed:  # only below a node seed: it is r0, see minmax_ratio
+            return RatioResult(ratio, cut, tuple(steps))
         z = ratio
 
     warnings.warn(
@@ -252,16 +263,6 @@ def _search_blocks(stage: Stage, search: Callable[[Problem], RatioResult]) -> Ra
     tied = takewhile(lambda b: b.result.r0 == r0, reversed(blocks))
     cut = Cut(frozenset().union(*(b.result.critical_cut.source_side for b in tied)))
     return RatioResult(r0, cut, tuple(steps), tuple(blocks))
-
-
-def _probe_last_piece(problem: Problem, r0: Fraction) -> RatioResult:
-    """The critical cut a seed that was feasible at once skipped over."""
-    lam = total_integer_capacity(problem)
-    below = r0 - Fraction(1, 2 * r0.denominator * lam)
-    report = is_feasible(problem, below)
-    if report.witness_cut is None or _witness_ratio(report) != r0:
-        raise InvariantViolation("probe below the ratio missed its critical cut")
-    return RatioResult(r0, report.witness_cut, (SearchStep(below, report.witness_cut, r0),))
 
 
 def minmax_ratio_dichotomy(problem: Problem, *, stage: Stage | None = None) -> RatioResult:

@@ -386,6 +386,14 @@ def sink_side_is_feasible(problem: Problem, z: Fraction) -> FeasibilityReport:
     return FeasibilityReport(False, cut, cut_stats(problem, cut))
 
 
+def probe_below(problem: Problem, r: Fraction) -> FeasibilityReport:
+    """`is_feasible` at r - 1/(2bλ), b being r's denominator and λ the
+    problem's `total_integer_capacity`: no cut ratio lies in between, so
+    for r = r0 the witness is the canonical critical cut."""
+    lam = total_integer_capacity(problem)
+    return is_feasible(problem, r - Fraction(1, 2 * r.denominator * lam))
+
+
 def two_pole_has_fatal_cut(problem: Problem) -> FatalCutReport:
     """`has_fatal_cut` as one feasibility test on the whole problem at
     M = supply / minimum capacity, with no SCC contraction. The reference
@@ -480,11 +488,8 @@ def labelled_verify(problem: Problem, solution: BalancedSolution) -> Verificatio
             touched = restrict(current, nodes, inside)
             if not is_feasible(touched, level.ratio).feasible:
                 suboptimal = reject("stage_optimality", f"{where}: ratio is not sufficient")
-            else:
-                lam = total_integer_capacity(touched)
-                below = level.ratio - Fraction(1, 2 * level.ratio.denominator * lam)
-                if is_feasible(touched, below).feasible:
-                    suboptimal = reject("stage_optimality", f"{where}: ratio is not minimal")
+            elif probe_below(touched, level.ratio).feasible:
+                suboptimal = reject("stage_optimality", f"{where}: ratio is not minimal")
             first: dict[tuple[int, bool], int] = {}
             for i in nodes:
                 block[i] = first.setdefault((block[i], side[i]), i)

@@ -36,9 +36,11 @@ from lexflow import (
 )
 from lexflow.cli import solution_document
 from conftest import (
+    deep_problem,
     disjoint_union,
     enumerate_cuts,
     grid_problem,
+    probe_below,
     random_problem,
     random_solvable_problem,
     single_arc_problem,
@@ -170,11 +172,51 @@ class TestFatalCutInTheSearch:
         monkeypatch.setattr(gale_hoffman, "max_flow", counted)
         for module in (balancer, ratio_search):
             monkeypatch.setattr(module, "has_fatal_cut", checked)
-        p = _scale_instance(11)
-        result = minmax_ratio(p)
-        assert flows[0] == len(result.steps) + 1
-        balanced_flow(p)
+        # Seed 11 ends at the probe below its node seed, seed 4 at a
+        # feasible probe.
+        ended_below = []
+        for seed in (11, 4):
+            p = _scale_instance(seed)
+            before = flows[0]
+            result = minmax_ratio(p)
+            lam = total_integer_capacity(p)
+            below = result.r0 - F(1, 2 * result.r0.denominator * lam)
+            ended_below.append(result.steps[-1].z == below)
+            assert flows[0] - before == len(result.steps) + (not ended_below[-1])
+            balanced_flow(p)
+        assert ended_below == [True, False]
         assert fatal_checks == [0]
+
+    def test_fatal_cut_found_from_a_node_seed(self, monkeypatch):
+        # The node seed {u1} (ratio 5) beats the producer cut {u1, u2, x}
+        # (7/11); the probe below 5 returns {u1, x} at 6, and the probe at 6
+        # the fatal cut {x}.
+        p = validate_problem(
+            [("u1", 5), ("w1", -5), ("u2", 1), ("w2", -2), ("x", 1)],
+            [("a1", "u1", "w1", 1), ("a2", "u2", "w2", 10)],
+        )
+        probes = count_probes(monkeypatch)
+        with pytest.raises(FatalCutPresent) as info:
+            minmax_ratio(p)
+        assert info.value.witness == has_fatal_cut(p).witness_cut
+        assert info.value.witness.source_side == frozenset({"x"})
+        assert probes[0] == 2
+
+        rng = random.Random(319)
+        checked = 0
+        for _ in range(400):
+            p = random_problem(rng, max_nodes=8, max_arcs=10)
+            report = has_fatal_cut(p)
+            if not report.fatal:
+                continue
+            producer, node = seed_ratios(p)
+            if producer is None or node <= producer:
+                continue
+            with pytest.raises(FatalCutPresent) as info:
+                minmax_ratio(p)
+            assert info.value.witness == report.witness_cut
+            checked += 1
+        assert checked > 20
 
 
 def _reference_minmax_ratio(problem, previous=None):
@@ -199,6 +241,17 @@ def _reference_minmax_ratio(problem, previous=None):
         assert ratio > z
         steps.append(SearchStep(z, cut, ratio))
         z = ratio
+
+
+def seed_ratios(problem: Problem) -> tuple[Fraction | None, Fraction]:
+    """The producer cut's ratio and the largest single-node cut ratio (0 if
+    no single-node cut has capacity), rated with `cut_stats`."""
+    nodes = frozenset(problem.node_ids)
+    producers = frozenset(v for v in nodes if problem.balances[v] > 0)
+    singles = [frozenset({v}) for v in producers]
+    singles += [nodes - {v} for v in nodes if problem.balances[v] < 0]
+    ratios = [cut_stats(problem, Cut(side)).ratio for side in singles]
+    return cut_stats(problem, Cut(producers)).ratio, max(filter(None, ratios), default=F(0))
 
 
 def count_probes(monkeypatch, within: frozenset[str] | None = None) -> list[int]:
@@ -271,16 +324,17 @@ class TestSeeding:
                 continue
             producers = {v for v in p.node_ids if p.balances[v] > 0}
             assert result.critical_cut.source_side == producers
-            probed = ratio_search._probe_last_piece(p, result.r0)
-            assert probed.critical_cut == result.critical_cut
+            probed = probe_below(p, result.r0)
+            assert probed.witness_cut == result.critical_cut
             checked += 1
         assert checked > 20
 
     def test_untied_block_is_reused_without_probes(self, monkeypatch):
-        # Level 1 at 9 cuts {p1, q} off {t, r, s}. Stage 2 searches both
-        # sides, {t, r, s} with one probe (its ratio 1/2 is below 1), and
-        # level 2 cuts {p1} at 1. Stage 3 reuses the result of {t, r, s},
-        # and level 3 is its cut {r} at 1/2, with no probe.
+        # Level 1 at 9 cuts {p1, q} off {t, r, s}, found with one probe
+        # below the node seed V - {t} at 9. Stage 2 searches both sides,
+        # {t, r, s} with one probe (its ratio 1/2 is below 1), and level 2
+        # cuts {p1} at 1. Stage 3 reuses the result of {t, r, s}, and level 3
+        # is its cut {r} at 1/2, with no probe.
         p = validate_problem(
             [("p1", 10), ("q", -1), ("t", -9), ("r", 1), ("s", -1)],
             [
@@ -302,7 +356,7 @@ class TestSeeding:
         solution = balanced_flow(p)
         assert [level.ratio for level in solution.certificate.levels] == [9, 1, F(1, 2)]
         assert solution.certificate.levels[2].cut.source_side == frozenset({"r"})
-        assert per_stage == [2, 1, 0]
+        assert per_stage == [1, 1, 0]
 
     @pytest.mark.parametrize(
         "d1,c1,d2,c2,r0,below",
@@ -352,22 +406,52 @@ class TestSeeding:
         reference = _reference_minmax_ratio(p)
         assert result.critical_cut == reference.critical_cut
 
-    def test_single_node_critical_cut_costs_two_probes(self, monkeypatch):
+    def test_single_node_critical_cut_costs_one_probe(self, monkeypatch):
         # Producer ratios 1, 1/2 and 1/4: Newton from the producer cut (3/7)
         # climbs 3/7 -> 2/3 -> 1 in three probes; the node seed {u0} is r0,
-        # so one probe at r0 and one just below it.
+        # so the one probe just below it returns {u0} at r0.
         p = validate_problem(
             [("u0", 1), ("u1", 1), ("u2", 1), ("w", -3)],
             [("a0", "u0", "w", 1), ("a1", "u1", "w", 2), ("a2", "u2", "w", 4)],
         )
         probes = count_probes(monkeypatch)
         result = minmax_ratio(p)
-        assert probes[0] == 2
+        assert probes[0] == 1
         reference = _reference_minmax_ratio(p)
-        assert probes[0] == 2 + 3
+        assert probes[0] == 1 + 3
         assert result.r0 == reference.r0
         assert result.critical_cut == reference.critical_cut
         assert result.critical_cut.source_side == frozenset({"u0"})
+
+    @pytest.mark.parametrize("make", [random_problem, deep_problem])
+    def test_node_seed_at_r0_costs_one_max_flow(self, make, monkeypatch):
+        # Same ratio and cut as the bisection, and one max-flow in all when
+        # a single-node cut beats the producer cut and is critical.
+        flows = [0]
+        max_flow = gale_hoffman.max_flow
+
+        def counted(network):
+            flows[0] += 1
+            return max_flow(network)
+
+        monkeypatch.setattr(gale_hoffman, "max_flow", counted)
+        rng = random.Random(317)
+        compared = at_r0 = 0
+        while compared < 200:
+            p = make(rng)
+            if p.total_supply == 0 or has_fatal_cut(p).fatal:
+                continue
+            before = flows[0]
+            result = minmax_ratio(p)
+            cost = flows[0] - before
+            bisect = minmax_ratio_dichotomy(p)
+            assert (result.r0, result.critical_cut) == (bisect.r0, bisect.critical_cut)
+            compared += 1
+            producer, node = seed_ratios(p)
+            if node > producer and node == result.r0:
+                assert cost == 1
+                at_r0 += 1
+        assert at_r0 > 30
 
     def test_fewer_probes_on_a_grid(self, monkeypatch):
         p = grid_problem(random.Random(313), 6)
@@ -618,8 +702,8 @@ except InvariantViolation as exc:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "raised: witness must beat the probe\n"
 
-    # A feasibility oracle that accepts the node seed r0 = 5 but then
-    # answers the probe below it with the producer cut (ratio 6/11).
+    # A feasibility oracle that answers the probe below the node seed r0 = 5
+    # with the producer cut, whose ratio 6/11 is below the seed.
     BELOW_SCRIPT = """
 import sys
 from fractions import Fraction
@@ -650,4 +734,4 @@ except InvariantViolation as exc:
     def test_probe_below_a_feasible_seed_checked_under_python_O(self):
         done = run_optimized(self.BELOW_SCRIPT)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "raised: probe below the ratio missed its critical cut\n"
+        assert done.stdout == "raised: witness ratio below the seed\n"
