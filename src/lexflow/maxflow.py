@@ -4,8 +4,10 @@ Capacities are Python ints, so arbitrary precision is free and termination
 does not depend on capacity magnitudes: the number of blocking-flow phases
 is bounded by the node count. Each phase labels nodes by their residual
 distance to the sink, so the blocking-flow search from the source enters
-only nodes that led to the sink when the phase began. Callers with rational
-capacities scale them to a common integer grid first.
+only nodes that led to the sink when the phase began. Before the first
+phase a greedy pass routes flow along paths of one or two arcs between
+the poles' neighbours, which on two-pole networks carry most of the flow.
+Callers with rational capacities scale them to a common integer grid first.
 
 The flow value and the reported min cut are the same for every maximum
 flow, so they do not depend on the order in which paths are augmented;
@@ -57,6 +59,13 @@ class MaxFlowResult:
 def max_flow(net: FlowNetwork) -> MaxFlowResult:
     """Compute a maximum source-sink flow with Dinic's algorithm.
 
+    First one greedy pass over the source's edges, in adjacency order,
+    routes s→u→x→t wherever x has sink capacity left, and then s→u→x→w→t
+    through residual edges x→w into nodes w ≠ u that have some. The phases
+    continue from that feasible flow, so at most n phases still follow, and
+    the value and the min cut, the same for every maximum flow, do not
+    depend on it.
+
     Each phase labels the nodes by their residual distance to the sink,
     with a breadth-first search backwards from the sink that stops once the
     source is labelled, and then sends a blocking flow from the source along
@@ -84,7 +93,58 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
         adj[head].append(e + 1)
         e += 2
 
+    # `room[v]` is the capacity left on all of v's arcs into the sink; the
+    # greedy pass draws on it and then spreads what it used over those arcs.
+    room = [0] * n
+    for f in adj[sink]:
+        if f & 1:
+            room[to[f]] += cap[f ^ 1]
+    room[source] = room[sink] = 0
     value = 0
+    for a in adj[source]:
+        u = to[a]
+        supply = cap[a]
+        if not supply or u == source or u == sink:
+            continue
+        for b in adj[u]:
+            through = cap[b]
+            x = to[b]
+            if not through or x == source or x == sink:
+                continue
+            if through > supply:
+                through = supply
+            sent = room[x]
+            if sent >= through:
+                room[x] = sent - through
+                sent = through
+            else:
+                room[x] = 0
+                for c in adj[x]:
+                    w = to[c]
+                    if room[w] and cap[c] and w != u:
+                        moved = min(through - sent, cap[c], room[w])
+                        cap[c] -= moved
+                        cap[c ^ 1] += moved
+                        room[w] -= moved
+                        sent += moved
+                        if sent == through:
+                            break
+            cap[b] -= sent
+            cap[b ^ 1] += sent
+            supply -= sent
+            if not supply:
+                break
+        value += cap[a] - supply
+        cap[a ^ 1] += cap[a] - supply
+        cap[a] = supply
+    for f in adj[sink]:
+        v = to[f]
+        if f & 1 and v != source and v != sink:
+            left = min(cap[f ^ 1], room[v])
+            room[v] -= left
+            cap[f] += cap[f ^ 1] - left
+            cap[f ^ 1] = left
+
     while True:
         # Edge e leaves w, so e ^ 1 enters w; appending to `queue` while
         # iterating over it makes the loop a breadth-first search.

@@ -4,11 +4,21 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from lexflow import FlowNetwork, balanced_flow, max_flow, verify_certificate
-from conftest import random_solvable_problem, reference_max_flow
+from lexflow import (
+    FlowNetwork,
+    balanced_flow,
+    build_two_pole,
+    max_flow,
+    total_integer_capacity,
+    verify_certificate,
+)
+import lexflow.ratio_search as ratio_search
+from conftest import random_problem, random_solvable_problem, reference_max_flow
+from test_acceptance import _scale_instance
 
 
 def brute_force_min_cut(net: FlowNetwork) -> int:
@@ -47,6 +57,57 @@ def assert_exact(net: FlowNetwork, result) -> None:
     side = result.min_cut_source_side
     assert net.source in side and net.sink not in side
     assert cut_capacity(net, side) == result.value
+
+
+def residual_cuts(net: FlowNetwork, flows) -> tuple[frozenset, frozenset]:
+    """The nodes the source reaches in the residual network of `flows`, and
+    the complement of the nodes that reach the sink: for a maximum flow, the
+    inclusion-minimal and inclusion-maximal min cuts."""
+    forward = [[] for _ in range(net.num_nodes)]
+    backward = [[] for _ in range(net.num_nodes)]
+    for flow, (tail, head, capacity) in zip(flows, net.arcs):
+        for v, w, residual in ((tail, head, capacity - flow), (head, tail, flow)):
+            if residual:
+                forward[v].append(w)
+                backward[w].append(v)
+
+    def reach(start, edges):
+        seen = {start}
+        stack = [start]
+        while stack:
+            for w in edges[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
+    everyone = frozenset(range(net.num_nodes))
+    return frozenset(reach(net.source, forward)), everyone - reach(net.sink, backward)
+
+
+def assert_same_as_reference(net: FlowNetwork, result) -> None:
+    """`result` is an exact maximum flow with the reference's value and
+    minimal cut, its residual network leaves both reference cuts, and no
+    flow leaves the sink or enters the source."""
+    assert_exact(net, result)
+    assert not any(
+        flow for flow, (tail, head, _) in zip(result.arc_flows, net.arcs)
+        if tail == net.sink or head == net.source
+    )
+    value, minimal, maximal = reference_max_flow(net)
+    assert (result.value, result.min_cut_source_side) == (value, minimal)
+    assert residual_cuts(net, result.arc_flows) == (minimal, maximal)
+
+
+def networkx_graph(nx, net: FlowNetwork):
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(net.num_nodes))
+    for tail, head, capacity in net.arcs:  # networkx merges parallel arcs
+        if graph.has_edge(tail, head):
+            graph[tail][head]["capacity"] += capacity
+        else:
+            graph.add_edge(tail, head, capacity=capacity)
+    return graph
 
 
 class TestExamples:
@@ -241,19 +302,109 @@ class TestNetworkxReference:
                 capacity = rng.choice((0, rng.randint(1, 50), rng.randint(1, 10**6)))
                 arcs.append((tail, head, capacity))
             net = FlowNetwork(n, tuple(arcs), 0, n - 1)
-            graph = nx.DiGraph()
-            graph.add_nodes_from(range(n))
-            for tail, head, capacity in arcs:  # networkx merges parallel arcs
-                if graph.has_edge(tail, head):
-                    graph[tail][head]["capacity"] += capacity
-                else:
-                    graph.add_edge(tail, head, capacity=capacity)
-            expected = nx.maximum_flow_value(graph, 0, n - 1)
+            expected = nx.maximum_flow_value(networkx_graph(nx, net), 0, n - 1)
             result = max_flow(net)
             assert expected > 0 and result.value == expected
             side = result.min_cut_source_side
             assert net.source in side and net.sink not in side
             assert cut_capacity(net, side) == expected
+
+
+class TestGreedyRoutes:
+    """The greedy one- and two-arc routes that precede the first phase."""
+
+    # (name, nodes, arcs, value); node 0 is the source, the last the sink.
+    CASES = [
+        # x receives 9 units and has 12 of sink capacity on four parallel arcs.
+        ("parallel_sink_arcs", 4, ((0, 1, 9), (1, 2, 9), (2, 3, 2), (2, 3, 0),
+                                   (2, 3, 4), (2, 3, 6)), 9),
+        # 3 units go s-u-x-t and 5 on through x-w into w's three sink arcs.
+        ("two_arc_route_into_parallel_sink_arcs", 5,
+         ((0, 1, 8), (1, 2, 8), (2, 4, 3), (2, 3, 8), (3, 4, 1), (3, 4, 2),
+          (3, 4, 4)), 8),
+        # Nothing may leave the sink or enter the source.
+        ("arcs_out_of_the_sink_and_into_the_source", 4,
+         ((0, 1, 5), (1, 2, 5), (2, 3, 3), (3, 2, 4), (3, 0, 2), (2, 0, 6),
+          (1, 0, 1), (3, 1, 7)), 3),
+        # Source edges whose head is a terminal are left to the phases.
+        ("direct_source_to_sink_arc_and_terminal_heads", 4,
+         ((0, 3, 5), (0, 0, 4), (0, 1, 2), (1, 2, 7), (2, 3, 7), (3, 3, 1),
+          (0, 3, 1)), 8),
+        # u1's one-arc route fills x; u2 then reaches u1's own sink arc
+        # through x and the reverse residual edge x-u1 that route left.
+        ("two_arc_route_through_a_reverse_edge", 5,
+         ((0, 1, 5), (1, 3, 5), (3, 4, 5), (1, 4, 5), (0, 2, 5), (2, 3, 5)), 10),
+    ]
+
+    @pytest.mark.parametrize(
+        "n, arcs, value", [case[1:] for case in CASES], ids=[case[0] for case in CASES]
+    )
+    def test_edge_cases(self, n, arcs, value):
+        net = FlowNetwork(n, arcs, 0, n - 1)
+        result = max_flow(net)
+        assert result.value == value
+        assert_same_as_reference(net, result)
+
+    def test_no_route_back_to_u(self):
+        # u-x-u-t would put a useless cycle on u-x and x-u.
+        net = FlowNetwork(4, ((0, 1, 4), (1, 2, 4), (2, 1, 4), (1, 3, 4)), 0, 3)
+        result = max_flow(net)
+        assert result.arc_flows == (4, 0, 0, 4)
+        assert_same_as_reference(net, result)
+
+    def test_random_networks_with_arcs_at_the_poles(self):
+        # Self loops, parallel arcs and arcs out of the sink and into the
+        # source, with several parallel arcs into the sink.
+        rng = random.Random(509)
+        for _ in range(400):
+            n = rng.randint(2, 7)
+            arcs = [
+                (rng.randrange(n), rng.randrange(n), rng.randint(0, 9))
+                for _ in range(rng.randint(1, 14))
+            ]
+            for v in rng.sample(range(n), rng.randint(1, n)):
+                arcs += [(v, n - 1, rng.randint(0, 6))] * rng.randint(1, 3)
+            rng.shuffle(arcs)
+            net = FlowNetwork(n, tuple(arcs), 0, n - 1)
+            assert_same_as_reference(net, max_flow(net))
+
+
+class TestCriterion8TwoPoles:
+    """Two-pole networks as `is_feasible` builds them for the check
+    (z = 1) and for a probe just below the best single-node seed."""
+
+    @staticmethod
+    def networks():
+        rng = random.Random(510)
+        problems = [_scale_instance(seed) for seed in (11, 22, 33)]
+        problems += [random_problem(rng, max_nodes=12, max_arcs=30) for _ in range(120)]
+        for problem in problems:
+            yield build_two_pole(problem, Fraction(1)).network
+            _, seed = ratio_search._candidate_ratios(problem)
+            if seed:
+                lam = total_integer_capacity(problem)
+                z = seed - Fraction(1, 2 * seed.denominator * lam)
+                yield build_two_pole(problem, z).network
+
+    def test_same_value_and_cut_as_the_references(self):
+        nx = pytest.importorskip("networkx")
+        probed = 0
+        for net in self.networks():
+            result = max_flow(net)
+            assert_same_as_reference(net, result)
+            residual = nx.algorithms.flow.edmonds_karp(
+                networkx_graph(nx, net), net.source, net.sink
+            )
+            assert residual.graph["flow_value"] == result.value
+            saturated = [
+                (v, w) for v, w, data in residual.edges(data=True)
+                if data["flow"] == data["capacity"]
+            ]
+            residual.remove_edges_from(saturated)
+            reached = nx.descendants(residual, net.source) | {net.source}
+            assert reached == result.min_cut_source_side
+            probed += 1
+        assert probed > 200
 
 
 class TestValidation:
