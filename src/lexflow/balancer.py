@@ -30,6 +30,7 @@ from .model import (
     Flow,
     KeyMismatch,
     Problem,
+    components,
     cut_arcs,
     cut_stats,
     fix_arcs,
@@ -139,7 +140,7 @@ def reduce_problem(result: RatioResult) -> tuple[Stage, Level]:
         cut = found.critical_cut
         arcs = cut_arcs(problem, cut)
         stats = cut_stats(problem, cut, arcs)
-        inside, stay, forward, reverse = arcs
+        _, stay, forward, reverse = arcs
         if not forward:
             raise EmptyCutArcSet("cut has no forward arcs in the current problem")
         if stats.ratio != ratio:
@@ -154,33 +155,14 @@ def reduce_problem(result: RatioResult) -> tuple[Stage, Level]:
             fixed.append((positions[k], arc_ids[k], ratio * Fraction(capacities[k], denominator)))
         zeroed += [(positions[k], arc_ids[k]) for k in reverse]
         stepped = fix_arcs(problem, arcs, ratio)
-        # The weakly connected components of the arcs left, by union-find.
-        label = list(range(len(inside)))
-        for tail, head in stepped.ends:
-            if inside[tail] != inside[head]:
-                raise InvariantViolation("a stage arc leaves its block")
-            label[_root(label, tail)] = _root(label, head)
-        roots = [_root(label, i) for i in range(len(label))]
-        parts: dict[int, tuple[list[int], list[int]]] = {root: ([], []) for root in roots}
-        for i, root in enumerate(roots):
-            parts[root][0].append(i)
-        for j, (tail, _) in enumerate(stepped.ends):
-            parts[roots[tail]][1].append(j)
         balances = stepped.integer_view.balances
-        for nodes, part_arcs in parts.values():
+        for nodes, part_arcs in components(stepped):
             if any(balances[i] for i in nodes):
                 part = restrict(stepped, nodes, part_arcs)
                 split.append((part, [positions[stay[j]] for j in part_arcs]))
     fixed_forward = tuple([(arc_id, value) for _, arc_id, value in sorted(fixed)])
     level = Level(ratio, result.critical_cut, fixed_forward, tuple([a for _, a in sorted(zeroed)]))
     return Stage(kept, split), level
-
-
-def _root(label: list[int], i: int) -> int:
-    """The root of node i's tree in the union-find forest `label`."""
-    while label[i] != i:
-        label[i] = i = label[label[i]]
-    return i
 
 
 def balanced_flow(
@@ -260,18 +242,19 @@ def verify_certificate(
     feasibility at that ratio shows no stage cut beats it, so the ratio is
     the stage's exact minmax value and the uniform loading is forced.
 
-    Both probes of level k run on T_k, a union of blocks of stage k, not on
-    the whole stage. A block is a set of nodes that no stage arc enters or
-    leaves; the verifier keeps its stage as its blocks, each a `Problem` on
-    its own grid. Stage 0 is one block; after level k, each block of T_k is
-    stepped and split into its source and sink sides, and every other
-    block is kept. T_k is the union, on the lcm of their grids, of the
-    blocks that hold an arc of the level's cut. λ in the minimality probe
-    r_k - 1/(2bλ), b being r_k's denominator, is `total_integer_capacity`
-    of T_k: on any grid of T_k, its cut ratios have denominators of at most
-    λ (see `IntegerView`), so the probe lies above all of them below r_k,
-    and its verdict does not depend on the grid. This accepts exactly the
-    certificates the whole-stage probes accept:
+    Both probes of level k run on T_k, a union of blocks of stage k, not on the
+    whole stage. A block is a set of nodes that no stage arc enters or leaves;
+    the verifier keeps its stage as its blocks, each a `Problem` on its own
+    grid. Stage 0 is one block; after level k, each block of T_k is stepped and
+    split as the solver splits it, into the weakly connected components of its
+    arcs left (`model.components`), but with no part dropped; every other block
+    is kept. What follows holds for any split that no stage arc crosses. T_k is
+    the union, on the lcm of their grids, of the blocks that hold an arc of the
+    level's cut. λ in the minimality probe r_k - 1/(2bλ), b being r_k's
+    denominator, is `total_integer_capacity` of T_k: on any grid of T_k, its
+    cut ratios have denominators of at most λ (see `IntegerView`), so the probe
+    lies above all of them below r_k, and its verdict does not depend on the
+    grid. This accepts exactly the certificates the whole-stage probes accept:
 
     - Conservation and the replayed levels show that the flow on the stage
       arcs meets the stage balances, so the balances of every node set that
@@ -381,18 +364,13 @@ def verify_certificate(
                 if is_feasible(touched, below).feasible:
                     suboptimal = reject("stage_optimality", f"{where}: ratio is not minimal")
         # The replay showed the level's arcs are the cut's, loaded at its ratio.
-        # Each crossed block splits into its sink side and its source side.
+        # Each crossed block splits into the components of its arcs left.
         for b, arcs in crossed:
             stepped = fix_arcs(blocks[b], arcs, level.ratio)
-            parts: tuple[list[int], ...] = ([], [], [], [])
-            for i, s in enumerate(arcs.inside):
-                parts[s].append(i)
-            for j, (tail, _) in enumerate(stepped.ends):
-                parts[2 + arcs.inside[tail]].append(j)
-            sink = restrict(stepped, parts[0], parts[2])
-            blocks[b] = restrict(stepped, parts[1], parts[3])
-            owner.update(dict.fromkeys(sink.node_ids, len(blocks)))
-            blocks.append(sink)
+            blocks[b], *rest = [restrict(stepped, *part) for part in components(stepped)]
+            for part in rest:
+                owner.update(dict.fromkeys(part.node_ids, len(blocks)))
+                blocks.append(part)
 
     if suboptimal is not None:
         return suboptimal

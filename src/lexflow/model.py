@@ -387,6 +387,28 @@ def restrict(problem: Problem, nodes: Sequence[int], arcs: Sequence[int]) -> Pro
     return Problem(node_ids, tuple(problem.arc_ids[k] for k in arcs), view, ends)
 
 
+def components(problem: Problem) -> list[tuple[list[int], list[int]]]:
+    """The weakly connected components of `problem`'s arcs, by union-find, as
+    node and arc positions in order; the components in order of first node."""
+    # Each tree's root is its least node, so label[i] < i except at a root.
+    label = list(range(len(problem.node_ids)))
+    for tail, head in problem.ends:
+        while label[tail] != tail:
+            label[tail] = tail = label[label[tail]]
+        while label[head] != head:
+            label[head] = head = label[label[head]]
+        if tail < head:
+            tail, head = head, tail
+        label[tail] = head
+    part_of: list[tuple[list[int], list[int]]] = []
+    for i, up in enumerate(label):
+        part_of.append(part_of[up] if up < i else ([], []))
+        part_of[i][0].append(i)
+    for j, (tail, _) in enumerate(problem.ends):
+        part_of[tail][1].append(j)
+    return [part_of[i] for i, up in enumerate(label) if up == i]
+
+
 def union(problems: Sequence[Problem]) -> Problem:
     """The disjoint union of problems with no id in common, in the given
     order, on the lcm of their grids; a single problem as it is."""

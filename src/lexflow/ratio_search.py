@@ -79,11 +79,11 @@ class RatioResult:
 class Block(NamedTuple):
     """A set of a stage's nodes that no stage arc enters or leaves.
 
-    The first stage of `balanced_flow` is one block, the whole problem. A
-    level steps each tied block, one whose ratio it attains, and splits it
-    into the weakly connected components of the arcs left, each on one side
-    of the level's cut (`balancer.reduce_problem`); a component whose
-    balances are all zero is dropped. Every other block carries over as is.
+    The first stage of `balanced_flow` is one block, the whole problem. A level
+    steps each tied block, one whose ratio it attains, and splits it into the
+    weakly connected components of the arcs left (`model.components`), each on
+    one side of the level's cut; `balancer.reduce_problem` drops those whose
+    balances are all zero. Every other block carries over as is.
 
     `problem` is the stage restricted to the block, on its own integer grid,
     `arcs` the input positions of its arcs in order, and `result` the Newton

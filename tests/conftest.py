@@ -408,12 +408,24 @@ def two_pole_has_fatal_cut(problem: Problem) -> FatalCutReport:
     return FatalCutReport(True, report.witness_cut, report.witness_stats)
 
 
+def weak_components(problem: Problem) -> list[frozenset[int]]:
+    """The node positions of each weakly connected component of `problem`'s
+    arcs, found by networkx rather than by `model.components`."""
+    nx = pytest.importorskip("networkx")
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(len(problem.node_ids)))
+    graph.add_edges_from(problem.ends)
+    return [frozenset(part) for part in nx.weakly_connected_components(graph)]
+
+
 def labelled_verify(problem: Problem, solution: BalancedSolution) -> VerificationResult:
     """`verify_certificate` as a replay of whole stages: each level runs
-    `cut_arcs`, `cut_stats` and `fix_arcs` on the whole stage, labels every
-    node with its block, and probes T_k, the blocks its cut crosses, cut out
-    of the stage with `restrict` on the stage's grid. The reference the
-    verifier's list of blocks must agree with, verdict and detail."""
+    `cut_arcs`, `cut_stats` and `fix_arcs` on the whole stage, probes T_k,
+    the blocks its cut crosses, cut out of the stage with `restrict` on the
+    stage's grid, and labels every node with its block: one block at first,
+    then the weakly connected components of the stepped stage's arcs
+    (`weak_components`). The reference the verifier's list of blocks must
+    agree with, verdict and detail."""
     flow = solution.flow
     certificate = solution.certificate
 
@@ -462,7 +474,7 @@ def labelled_verify(problem: Problem, solution: BalancedSolution) -> Verificatio
                 f"{where}: cut ratio differs from {format_rational(level.ratio)}",
             )
 
-        side, _, forward, reverse = arcs
+        _, _, forward, reverse = arcs
         arc_ids, (denominator, _, capacities) = current.arc_ids, current.integer_view
         capacity = {arc_ids[k]: Fraction(capacities[k], denominator) for k in forward}
         fixed_ids = [arc_id for arc_id, _ in level.fixed_forward]
@@ -479,7 +491,7 @@ def labelled_verify(problem: Problem, solution: BalancedSolution) -> Verificatio
             if flow.values[arc_id] != 0:
                 return reject("level_replay", f"{where}: reverse arc {arc_id!r} carries flow")
 
-        # Once a probe has failed, no later probe runs and the labels lapse.
+        # Once a probe has failed, no later probe runs.
         if suboptimal is None:
             ends = current.ends
             crossed = {block[ends[k][0]] for k in (*forward, *reverse)}
@@ -490,11 +502,12 @@ def labelled_verify(problem: Problem, solution: BalancedSolution) -> Verificatio
                 suboptimal = reject("stage_optimality", f"{where}: ratio is not sufficient")
             elif probe_below(touched, level.ratio).feasible:
                 suboptimal = reject("stage_optimality", f"{where}: ratio is not minimal")
-            first: dict[tuple[int, bool], int] = {}
-            for i in nodes:
-                block[i] = first.setdefault((block[i], side[i]), i)
         # The replay showed the level's arcs are the cut's, loaded at its ratio.
         current = fix_arcs(current, arcs, level.ratio)
+        for part in weak_components(current):
+            first = min(part)
+            for i in part:
+                block[i] = first
 
     if suboptimal is not None:
         return suboptimal

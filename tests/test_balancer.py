@@ -53,6 +53,7 @@ from conftest import (
     sink_side_is_feasible,
     sorted_utilizations,
     two_cycle_problem,
+    weak_components,
     whole_stage_balanced_flow,
     whole_stage_dichotomy,
     whole_stage_search,
@@ -437,22 +438,16 @@ class TestVerifyCertificate:
 
 def crossed_blocks(p: Problem, levels) -> Iterator[tuple[Problem, list[frozenset[str]]]]:
     """Each level's whole stage and the blocks its cut crosses, found by node
-    id: one block of all nodes, refined along each level's cut in the
-    blocks that hold a tail of one of its arcs."""
+    id: one block of all nodes, then the weakly connected components of
+    each stepped stage's arcs (`conftest.weak_components`)."""
     stage, blocks = p, [frozenset(p.node_ids)]
     for level in levels:
         assert all((a.tail in b) == (a.head in b) for b in blocks for a in stage.arcs)
         crossing = (*forward_arcs(level.cut, stage), *reverse_arcs(level.cut, stage))
         tails = {a.tail for a in crossing}
-        touched = [b for b in blocks if b & tails]
-        yield stage, touched
-        blocks = [b for b in blocks if not b & tails] + [
-            part
-            for b in touched
-            for part in (b & level.cut.source_side, b - level.cut.source_side)
-            if part
-        ]
+        yield stage, [b for b in blocks if b & tails]
         stage = fix_arcs(stage, cut_arcs(stage, level.cut), level.ratio)
+        blocks = [frozenset(stage.node_ids[i] for i in c) for c in weak_components(stage)]
 
 
 class TestProbeScope:
@@ -496,7 +491,9 @@ class TestProbeScope:
 
     def test_steps_only_the_crossed_blocks(self, monkeypatch):
         # A level steps each block its cut crosses once, and nothing else;
-        # whole stages would step the blocks it leaves alone as well.
+        # whole stages would step the blocks it leaves alone as well. The
+        # verifier splits blocks as the solver does, so it steps the
+        # solver's blocks, of the same sizes.
         rng = random.Random(1901)
         kinds = ("union", "tied", "interleaved")
         instances = [two_level_chains(30), *(union_instance(rng, k) for k in kinds * 4)]
@@ -507,13 +504,15 @@ class TestProbeScope:
             stepped.append(len(problem.node_ids) + len(problem.arc_ids))
             return step(problem, arcs, ratio)
 
+        monkeypatch.setattr(balancer, "fix_arcs", counting)
         crossed = whole = 0
         for p in instances:
-            sol = balanced_flow(p)
             stepped.clear()
-            monkeypatch.setattr(balancer, "fix_arcs", counting)
+            sol = balanced_flow(p)
+            solver = sorted(stepped)
+            stepped.clear()
             assert verify_certificate(p, sol).accepted
-            monkeypatch.setattr(balancer, "fix_arcs", step)
+            assert sorted(stepped) == solver
             bound = 0
             for stage, touched in crossed_blocks(p, sol.certificate.levels):
                 nodes = frozenset().union(*touched)

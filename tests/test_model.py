@@ -41,6 +41,7 @@ from lexflow import (
 from lexflow.model import (
     MAX_DECIMAL_EXPONENT,
     IntegerView,
+    components,
     cut_arcs,
     fix_arcs,
     restrict,
@@ -55,6 +56,7 @@ from conftest import (
     random_solvable_problem,
     reference_step,
     reverse_arcs,
+    weak_components,
 )
 
 F = Fraction
@@ -409,6 +411,23 @@ class TestUnion:
             grids = [part.integer_view.denominator for part in parts]
             assert joined.integer_view.denominator == math.lcm(*grids)
         assert union(parts[:1]) is parts[0]
+
+
+class TestComponents:
+    def test_same_parts_as_networkx_in_order(self):
+        # Stepped along a random cut, a union has parts of every size,
+        # isolated nodes among them.
+        rng = random.Random(2301)
+        for _ in range(60):
+            p = disjoint_union([random_problem(rng) for _ in range(rng.randint(1, 3))])
+            side = [v for v in p.node_ids if rng.random() < 0.3]
+            if 0 < len(side) < len(p.node_ids):
+                p = fix_arcs(p, cut_arcs(p, Cut(frozenset(side))), F(1))
+            parts = components(p)
+            assert [set(nodes) for nodes, _ in parts] == sorted(weak_components(p), key=min)
+            for nodes, arcs in parts:
+                assert nodes == sorted(nodes)
+                assert arcs == [j for j, (tail, _) in enumerate(p.ends) if tail in nodes]
 
 
 class TestGridStep:
