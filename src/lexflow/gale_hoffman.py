@@ -101,11 +101,12 @@ def is_feasible(problem: Problem, z: Fraction) -> FeasibilityReport:
     full supply, so neither can be minimal) and is returned as the witness.
     It is the inclusion-minimal min cut, the same for every maximum flow.
     """
-    if problem.total_supply == 0:
+    supply = sum(d for d in problem.integer_view.balances if d > 0)
+    if not supply:
         return FeasibilityReport(True)
-    two_pole = build_two_pole(problem, z)
-    result = max_flow(two_pole.network)
-    if result.value == problem.total_supply * two_pole.scale:
+    # The source's arcs carry q times the positive grid balances.
+    result = max_flow(build_two_pole(problem, z).network)
+    if result.value == z.denominator * supply:
         return FeasibilityReport(True)
 
     n = len(problem.node_ids)

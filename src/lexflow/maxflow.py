@@ -1,13 +1,14 @@
-"""Integer-capacity maximum flow (Dinic) with canonical min-cut extraction.
+"""Integer-capacity maximum flow with canonical min-cut extraction.
 
-Capacities are Python ints, so arbitrary precision is free and termination
-does not depend on capacity magnitudes: the number of blocking-flow phases
-is bounded by the node count. Each phase labels nodes by their residual
-distance to the sink, so the blocking-flow search from the source enters
-only nodes that led to the sink when the phase began. Before the first
-phase a greedy pass routes flow along paths of one or two arcs between
-the poles' neighbours, which on two-pole networks carry most of the flow.
-Callers with rational capacities scale them to a common integer grid first.
+A greedy pass first routes flow along paths of one or two arcs between the
+poles' neighbours, which on two-pole networks carry most of the flow.
+Boykov–Kolmogorov search trees, one grown from each pole and kept across
+augmentations, then find the rest, and Dinic's blocking-flow phases finish
+any flow the trees leave after their budget of augmentations. Capacities
+are Python ints, so arbitrary precision is free, and the time bound does
+not depend on capacity magnitudes: at most one tree augmentation per arc,
+then at most one phase per node. Callers with rational capacities scale
+them to a common integer grid first.
 
 The flow value and the reported min cut are the same for every maximum
 flow, so they do not depend on the order in which paths are augmented;
@@ -16,7 +17,13 @@ only the per-arc flows do, and those are deterministic for a fixed input.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+
+# The search trees may augment at most this many times per arc before
+# Dinic's phases finish the flow, so that the time bound does not depend on
+# the capacities.
+TREE_AUGMENTATIONS_PER_ARC = 1
 
 
 @dataclass(frozen=True)
@@ -57,22 +64,30 @@ class MaxFlowResult:
 
 
 def max_flow(net: FlowNetwork) -> MaxFlowResult:
-    """Compute a maximum source-sink flow with Dinic's algorithm.
+    """Compute a maximum source-sink flow.
 
     First one greedy pass over the source's edges, in adjacency order,
     routes s→u→x→t wherever x has sink capacity left, and then s→u→x→w→t
-    through residual edges x→w into nodes w ≠ u that have some. The phases
-    continue from that feasible flow, so at most n phases still follow, and
-    the value and the min cut, the same for every maximum flow, do not
-    depend on it.
+    through residual edges x→w into nodes w ≠ u that have some.
 
-    Each phase labels the nodes by their residual distance to the sink,
-    with a breadth-first search backwards from the sink that stops once the
-    source is labelled, and then sends a blocking flow from the source along
-    arcs that step one label closer to the sink. The source's distance grows
-    with every phase, so there are at most n phases. After an augmentation
-    the search backs up only to the tail of the first saturated edge.
+    From that feasible flow, search trees grown from both poles augment
+    along the paths where they meet (`_search_trees`). Between two
+    augmentations the trees scan each node's edges at most twice, and the
+    repair after one scans each orphan's edges and walks parent chains of at
+    most n nodes, so each augmentation costs time polynomial in the size of
+    the network; the trees make at most TREE_AUGMENTATIONS_PER_ARC
+    augmentations per arc. If that budget runs out before the trees show
+    that no augmenting path is left, Dinic's phases finish from the flow
+    they reached. Each phase labels the nodes by their residual distance to
+    the sink, with a breadth-first search backwards from the sink that
+    stops once the source is labelled, and then sends a blocking flow from
+    the source along arcs that step one label closer to the sink. The
+    source's distance grows with every phase, so at most n phases follow.
+    After an augmentation a phase backs up only to the tail of the first
+    saturated edge. So the time bound does not depend on the capacities.
 
+    The min cut is read at the end by a breadth-first search from the
+    source over the residual network, whichever search found the flow.
     Deterministic for a fixed input: adjacency lists follow the input arc
     order and every search scans them in that order. The flow value and the
     min cut are the same for every maximum flow; `arc_flows` is one of them.
@@ -145,7 +160,10 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
             cap[f] += cap[f ^ 1] - left
             cap[f ^ 1] = left
 
-    while True:
+    added, done = _search_trees(n, source, sink, to, cap, adj)
+    value += added
+
+    while not done:
         # Edge e leaves w, so e ^ 1 enters w; appending to `queue` while
         # iterating over it makes the loop a breadth-first search.
         dist = [-1] * n
@@ -211,3 +229,148 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
 
     flows = tuple(cap[1::2])
     return MaxFlowResult(value, flows, frozenset(queue))
+
+
+def _search_trees(
+    n: int, source: int, sink: int, to: list[int], cap: list[int], adj: list[list[int]]
+) -> tuple[int, bool]:
+    """Augment along Boykov–Kolmogorov search trees; return the flow added
+    and whether no augmenting path is left.
+
+    The source tree grows along residual edges out of its nodes, the sink
+    tree along residual edges into its nodes; `tree[v]` is 0 or 1 for them
+    and -1 for a free node. `parent[v]` is an edge from v towards its
+    parent, in the tree's direction when it is the sink tree's and against
+    it when it is the source tree's, so `to[parent[v]]` is always the
+    parent; it is -1 at the poles and at orphans. Each tree keeps a FIFO of
+    its active nodes, those whose edges may still reach a free node or the
+    other tree, and the tree with fewer nodes grows first. An edge from
+    the source tree into the sink tree closes a path. After augmenting it,
+    each node whose parent edge saturated looks for a same-tree neighbour
+    with a residual edge to it whose own parent chain still ends at the
+    pole (`mark[v] == stamp` once v is known to); otherwise it leaves the
+    tree, re-activates the neighbours that could grow into it again, and
+    orphans its children. An inactive source-tree node has no residual edge
+    out of its tree, and an inactive sink-tree node none into its tree, so
+    once either tree has no active node, no residual path joins the poles
+    and the flow is maximum. After TREE_AUGMENTATIONS_PER_ARC augmentations
+    per arc the search stops early and returns False.
+    """
+    budget = TREE_AUGMENTATIONS_PER_ARC * (len(to) // 2)
+    tree = [-1] * n
+    parent = [-1] * n
+    queued = [-1] * n  # the tree whose FIFO v waits in, or -1
+    mark = [0] * n
+    tree[source] = queued[source] = 0
+    tree[sink] = queued[sink] = 1
+    fifos = (deque([source]), deque([sink]))
+    size, active = [1, 1], [1, 1]
+    stamp = value = 0
+    while budget and active[0] and active[1]:
+        side = 0 if size[0] <= size[1] else 1
+        fifo = fifos[side]
+        v = fifo.popleft()
+        if queued[v] != side:
+            continue  # stale: v left its tree, or an earlier entry was scanned
+        queued[v] = -1
+        active[side] -= 1
+        bridged = False
+        for f in adj[v]:
+            if not cap[f ^ side]:  # f for the source tree, f ^ 1 for the sink's
+                continue
+            w = to[f]
+            other = tree[w]
+            if other < 0:
+                tree[w], parent[w], queued[w] = side, f ^ 1, side
+                size[side] += 1
+                active[side] += 1
+                fifo.append(w)
+                continue
+            if other == side:
+                continue
+            # The path runs source ... a -bridge-> b ... sink.
+            a, bridge, b = (w, f ^ 1, v) if side else (v, f, w)
+            moved = cap[bridge]
+            x = a
+            while x != source:
+                e = parent[x]
+                if cap[e ^ 1] < moved:
+                    moved = cap[e ^ 1]
+                x = to[e]
+            x = b
+            while x != sink:
+                e = parent[x]
+                if cap[e] < moved:
+                    moved = cap[e]
+                x = to[e]
+            value += moved
+            cap[bridge] -= moved
+            cap[bridge ^ 1] += moved
+            orphans = []
+            x = a
+            while x != source:
+                e = parent[x]
+                cap[e ^ 1] -= moved
+                cap[e] += moved
+                if not cap[e ^ 1]:
+                    parent[x] = -1
+                    orphans.append(x)
+                x = to[e]
+            x = b
+            while x != sink:
+                e = parent[x]
+                cap[e] -= moved
+                cap[e ^ 1] += moved
+                if not cap[e]:
+                    parent[x] = -1
+                    orphans.append(x)
+                x = to[e]
+            budget -= 1
+            bridged = True
+
+            # Orphans that leave their tree orphan their children, which
+            # join `orphans` and are handled in turn.
+            stamp += 1
+            mark[source] = mark[sink] = stamp
+            for x in orphans:
+                own = tree[x]
+                for e in adj[x]:
+                    y = to[e]
+                    if tree[y] != own or not cap[e ^ own ^ 1]:
+                        continue
+                    z = y  # up y's parent chain, to a marked node or an orphan
+                    while mark[z] != stamp and parent[z] >= 0:
+                        z = to[parent[z]]
+                    if mark[z] == stamp:
+                        while mark[y] != stamp:
+                            mark[y] = stamp
+                            y = to[parent[y]]
+                        parent[x] = e
+                        mark[x] = stamp
+                        break
+                else:
+                    tree[x] = -1
+                    size[own] -= 1
+                    if queued[x] >= 0:
+                        active[own] -= 1
+                        queued[x] = -1
+                    for e in adj[x]:
+                        y = to[e]
+                        if tree[y] != own:
+                            continue
+                        if cap[e ^ own ^ 1] and queued[y] < 0:
+                            queued[y] = own
+                            active[own] += 1
+                            fifos[own].append(y)
+                        up = parent[y]
+                        if up >= 0 and to[up] == x:
+                            parent[y] = -1
+                            orphans.append(y)
+            if tree[v] != side or not budget:
+                break
+        if bridged and tree[v] == side and queued[v] < 0:
+            # The bridge may have residual capacity left: scan v again.
+            queued[v] = side
+            active[side] += 1
+            fifo.appendleft(v)
+    return value, bool(budget)

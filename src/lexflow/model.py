@@ -108,9 +108,9 @@ def parse_rational(value: RationalLike) -> Fraction:
 
 def _plain_terms(value: RationalLike) -> tuple[int, int] | None:
     """An int, or a bare ASCII integer or "p/q" string, as (numerator,
-    denominator) in lowest terms, read with int() alone. None for any other
-    value, for "p/0", and past int(str)'s digit limit: `parse_rational`
-    decides those."""
+    denominator) as written, read with int() alone and not yet reduced, so
+    that each caller reduces once. None for any other value, for "p/0", and
+    past int(str)'s digit limit: `parse_rational` decides those."""
     if type(value) is int:
         return value, 1
     plain = _PLAIN_RATIONAL.fullmatch(value) if type(value) is str else None
@@ -120,10 +120,7 @@ def _plain_terms(value: RationalLike) -> tuple[int, int] | None:
         p, q = int(plain[1]), int(plain[2] or 1)
     except ValueError:
         return None
-    if q == 1:
-        return p, 1
-    g = math.gcd(p, q)
-    return (p // g, q // g) if q else None
+    return (p, q) if q else None
 
 
 def format_rational(value: Fraction) -> str:
@@ -270,8 +267,16 @@ class CutStats:
         return self.deficiency / self.capacity
 
 
-def _terms(x: Fraction) -> tuple[int, int]:
-    return x.numerator, x.denominator
+def _lowest_terms(raw: RationalLike) -> tuple[int, int]:
+    terms = _plain_terms(raw)
+    if terms is None:
+        x = parse_rational(raw)
+        return x.numerator, x.denominator
+    p, q = terms
+    if q == 1:
+        return terms
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 def validate_problem(
@@ -298,7 +303,7 @@ def validate_problem(
         if node_id in position:
             raise DuplicateId(f"duplicate node id {node_id!r}")
         position[node_id] = len(terms)
-        terms.append(_plain_terms(raw) or _terms(parse_rational(raw)))
+        terms.append(_lowest_terms(raw))
     if not position:
         raise ModelError("instance has no nodes")
 
@@ -316,7 +321,7 @@ def validate_problem(
             raise ModelError(f"arc {arc_id!r} has unknown head {head!r}")
         if tail == head:
             raise SelfLoop(f"arc {arc_id!r} is a self-loop on {tail!r}")
-        p, q = _plain_terms(raw_cap) or _terms(parse_rational(raw_cap))
+        p, q = _lowest_terms(raw_cap)
         if p <= 0:
             raise NonpositiveCapacity(
                 f"arc {arc_id!r} has capacity {format_rational(Fraction(p, q))}"

@@ -16,6 +16,7 @@ from lexflow import (
     total_integer_capacity,
     verify_certificate,
 )
+import lexflow.maxflow as maxflow
 import lexflow.ratio_search as ratio_search
 from conftest import random_problem, random_solvable_problem, reference_max_flow
 from test_acceptance import _scale_instance
@@ -405,6 +406,85 @@ class TestCriterion8TwoPoles:
             assert reached == result.min_cut_source_side
             probed += 1
         assert probed > 200
+
+
+class TestSearchTrees:
+    """Search-tree cases that random networks rarely reach."""
+
+    # (name, nodes, arcs, value, source side); node 0 is the source, the
+    # last the sink.
+    CASES = [
+        # The last arc saturates, so 4 and then 3 leave the sink tree, which
+        # has no active node left while the source tree is still {0, 1, 2}:
+        # the cut must come from the final search, not from the source tree.
+        ("sink_tree_stops_first", 6,
+         ((0, 1, 10), (1, 2, 10), (2, 3, 10), (3, 4, 10), (4, 5, 1)), 1,
+         {0, 1, 2, 3, 4}),
+        # The first path saturates the first of each pair of parallel arcs,
+        # orphaning 1 and 2. Orphan 2's candidate parents are orphan 1 and
+        # its own child 3, so 2 leaves the source tree; only 1, adopted
+        # again by the source and re-activated because its second arc still
+        # reaches 2, can grow into 2 again.
+        ("orphan_leaves_and_reactivates_the_source_tree", 7,
+         ((0, 1, 2), (5, 6, 3), (0, 1, 1), (4, 5, 3), (1, 2, 2), (3, 4, 3),
+          (1, 2, 1), (2, 3, 3)), 3, {0}),
+        # The same chain reversed end to end, for the sink tree.
+        ("orphan_leaves_and_reactivates_the_sink_tree", 7,
+         ((5, 6, 2), (0, 1, 3), (5, 6, 1), (1, 2, 3), (4, 5, 2), (2, 3, 3),
+          (4, 5, 1), (3, 4, 3)), 3, {0}),
+        # After the second path, orphans 1 and 2 are each other's only
+        # candidate parent, and both must leave: adopting an orphan would
+        # close a cycle.
+        ("candidate_parent_below_an_orphan", 4,
+         ((0, 1, 1), (2, 3, 3), (2, 1, 3), (0, 2, 4), (1, 3, 3)), 5, {0}),
+        # Direct arcs, parallel and empty, close a path at the source's
+        # first scan; an arc from the sink to the source carries nothing.
+        ("direct_source_to_sink_arcs", 4,
+         ((0, 3, 5), (0, 1, 4), (3, 0, 2), (0, 3, 0), (1, 2, 3), (2, 3, 9),
+          (0, 3, 1)), 9, {0, 1}),
+    ]
+
+    @pytest.mark.parametrize(
+        "n, arcs, value, side",
+        [case[1:] for case in CASES],
+        ids=[case[0] for case in CASES],
+    )
+    def test_cases(self, n, arcs, value, side):
+        net = FlowNetwork(n, arcs, 0, n - 1)
+        result = max_flow(net)
+        assert (result.value, result.min_cut_source_side) == (value, side)
+        assert_same_as_reference(net, result)
+
+    def test_arc_flows_are_pinned(self):
+        # Four layers of two nodes, each joined to both nodes of the next,
+        # with equal capacities: many maximum flows, and every path has five
+        # arcs, beyond the greedy routes. The trees pick this one, from any
+        # copy of the network.
+        arcs = [(0, 1, 2), (0, 2, 2)]
+        for a in (1, 3, 5):
+            arcs += [(a, a + 2, 2), (a, a + 3, 2), (a + 1, a + 2, 2), (a + 1, a + 3, 2)]
+        arcs += [(7, 9, 2), (8, 9, 2)]
+        flows = (2, 2, 2, 0, 2, 0, 2, 2, 0, 0, 0, 2, 2, 0, 2, 2)
+        for copy in (tuple(arcs), tuple(tuple(arc) for arc in arcs)):
+            result = max_flow(FlowNetwork(10, copy, 0, 9))
+            assert (result.value, result.arc_flows) == (4, flows)
+
+
+@pytest.mark.usefixtures("phases_only")
+class TestPhasesOnly(
+    TestRandomNetworks,
+    TestGreedyRoutes,
+    TestCriterion8TwoPoles,
+    TestNetworkxReference,
+    TestDeepNetworks,
+):
+    """The reference comparisons again with no tree augmentation at all, so
+    that Dinic's phases, which finish any search that spends its budget,
+    find the whole flow after the greedy routes."""
+
+    @pytest.fixture
+    def phases_only(self, monkeypatch):
+        monkeypatch.setattr(maxflow, "TREE_AUGMENTATIONS_PER_ARC", 0)
 
 
 class TestValidation:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import time
 from collections import deque
 from decimal import Decimal
@@ -108,6 +109,28 @@ class TestParseRational:
                 parse_rational(text)
         else:
             assert parse_rational(text) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        ["+6/4", "-6/4", "-0/5", "0/7", "+0", "-12", "10/2", "-9/3", "4/6",
+         f"-{'6' * 4400}/{'4' * 4400}", f"{'9' * 4400}/3"],
+    )
+    def test_reduced_once_to_the_same_terms(self, text):
+        # `_plain_terms` leaves "p/q" as written and `Fraction(p, q)`
+        # reduces it; `validate_problem` reduces it itself, so the grid is
+        # still the least common denominator. The last two are past
+        # int(str)'s digit limit, which `Fraction(str)` is lifted over here.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = F(text)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        value = parse_rational(text)
+        assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+        view = validate_problem([("u", text), ("w", -expected)], []).integer_view
+        assert view.denominator == expected.denominator
+        assert view.balances == (expected.numerator, -expected.numerator)
 
     def test_format_lowest_terms(self):
         assert format_rational(F(4, 2)) == "2"
