@@ -3,11 +3,12 @@
 A greedy pass first routes flow along paths of one or two arcs between the
 poles' neighbours, which on two-pole networks carry most of the flow.
 Boykov–Kolmogorov search trees, one grown from each pole and kept across
-augmentations, then find the rest, and Dinic's blocking-flow phases finish
-any flow the trees leave after their budget of augmentations. Capacities
-are Python ints, so arbitrary precision is free, and the time bound does
-not depend on capacity magnitudes: at most one tree augmentation per arc,
-then at most one phase per node. Callers with rational capacities scale
+augmentations, then find the rest. A breadth-first search from the source
+finishes any flow they leave after their budget of augmentations, along
+shortest paths, and then reads the min cut. Capacities are Python ints, so
+arbitrary precision is free, and the time bound does not depend on
+capacity magnitudes: at most one tree augmentation per arc, then at most
+n·m/2 shortest augmenting paths. Callers with rational capacities scale
 them to a common integer grid first.
 
 The flow value and the reported min cut are the same for every maximum
@@ -20,9 +21,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-# The search trees may augment at most this many times per arc before
-# Dinic's phases finish the flow, so that the time bound does not depend on
-# the capacities.
+# Tree augmentations allowed per arc before shortest augmenting paths
+# finish the flow, which keeps the time bound free of the capacities.
 TREE_AUGMENTATIONS_PER_ARC = 1
 
 
@@ -76,21 +76,18 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
     repair after one scans each orphan's edges and walks parent chains of at
     most n nodes, so each augmentation costs time polynomial in the size of
     the network; the trees make at most TREE_AUGMENTATIONS_PER_ARC
-    augmentations per arc. If that budget runs out before the trees show
-    that no augmenting path is left, Dinic's phases finish from the flow
-    they reached. Each phase labels the nodes by their residual distance to
-    the sink, with a breadth-first search backwards from the sink that
-    stops once the source is labelled, and then sends a blocking flow from
-    the source along arcs that step one label closer to the sink. The
-    source's distance grows with every phase, so at most n phases follow.
-    After an augmentation a phase backs up only to the tail of the first
-    saturated edge. So the time bound does not depend on the capacities.
+    augmentations per arc.
 
-    The min cut is read at the end by a breadth-first search from the
-    source over the residual network, whichever search found the flow.
-    Deterministic for a fixed input: adjacency lists follow the input arc
-    order and every search scans them in that order. The flow value and the
-    min cut are the same for every maximum flow; `arc_flows` is one of them.
+    A breadth-first search from the source over the residual network then
+    augments along the shortest path to the sink and searches again, until
+    it misses the sink; only a spent tree budget can leave it a path. From
+    any flow, at most n·m/2 shortest augmenting paths follow (Edmonds and
+    Karp, 1972), each after one O(n + m) search, so the time bound does not
+    depend on the capacities. The last search reaches exactly the min cut's
+    source side. Deterministic for a fixed input: adjacency lists follow the
+    input arc order and every search scans them in that order. The flow
+    value and min cut are the same for every maximum flow; `arc_flows` is
+    one of them.
     """
     n = net.num_nodes
     source, sink = net.source, net.sink
@@ -160,72 +157,36 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
             cap[f] += cap[f ^ 1] - left
             cap[f ^ 1] = left
 
-    added, done = _search_trees(n, source, sink, to, cap, adj)
-    value += added
+    value += _search_trees(n, source, sink, to, cap, adj)
 
-    while not done:
-        # Edge e leaves w, so e ^ 1 enters w; appending to `queue` while
-        # iterating over it makes the loop a breadth-first search.
-        dist = [-1] * n
-        dist[sink] = 0
-        queue = [sink]
-        for w in queue:
-            d = dist[w] + 1
-            for e in adj[w]:
-                if cap[e ^ 1] and dist[to[e]] < 0:
-                    v = to[e]
-                    dist[v] = d
-                    queue.append(v)
-            if dist[source] >= 0:
+    # `via[w]` is the edge that reached w; appending to `queue` while
+    # iterating over it makes the loop a breadth-first search.
+    while True:
+        reached = [False] * n
+        reached[source] = True
+        via = [-1] * n
+        queue = [source]
+        for v in queue:
+            for e in adj[v]:
+                if cap[e] and not reached[to[e]]:
+                    w = to[e]
+                    reached[w] = True
+                    via[w] = e
+                    queue.append(w)
+            if reached[sink]:
                 break
-        if dist[source] < 0:
+        if not reached[sink]:
             break
-
-        # Iterative walk; `pointer[v]` is v's current edge, so each edge is
-        # abandoned at most once per phase.
-        pointer = [0] * n
-        path: list[int] = []
-        v = source
-        while True:
-            if v == sink:
-                caps = [cap[e] for e in path]
-                moved = min(caps)
-                value += moved
-                for e in path:
-                    cap[e] -= moved
-                    cap[e ^ 1] += moved
-                cut = caps.index(moved)  # first saturated edge
-                v = to[path[cut] ^ 1]
-                del path[cut:]
-                continue
-            edges = adj[v]
-            closer = dist[v] - 1
-            p, end = pointer[v], len(edges)
-            while p < end:
-                e = edges[p]
-                if cap[e] and dist[to[e]] == closer:
-                    break
-                p += 1
-            pointer[v] = p
-            if p < end:
-                path.append(e)
-                v = to[e]
-            elif v == source:
-                break
-            else:
-                dist[v] = -1  # dead end for this phase
-                v = to[path.pop() ^ 1]
-                pointer[v] += 1
-
-    # Nodes reachable from the source in the final residual network.
-    reached = [False] * n
-    reached[source] = True
-    queue = [source]
-    for v in queue:
-        for e in adj[v]:
-            if cap[e] and not reached[to[e]]:
-                reached[to[e]] = True
-                queue.append(to[e])
+        path = []
+        w = sink
+        while w != source:
+            path.append(via[w])
+            w = to[via[w] ^ 1]
+        moved = min(cap[e] for e in path)
+        value += moved
+        for e in path:
+            cap[e] -= moved
+            cap[e ^ 1] += moved
 
     flows = tuple(cap[1::2])
     return MaxFlowResult(value, flows, frozenset(queue))
@@ -233,9 +194,8 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
 
 def _search_trees(
     n: int, source: int, sink: int, to: list[int], cap: list[int], adj: list[list[int]]
-) -> tuple[int, bool]:
-    """Augment along Boykov–Kolmogorov search trees; return the flow added
-    and whether no augmenting path is left.
+) -> int:
+    """Augment along Boykov–Kolmogorov search trees; return the flow added.
 
     The source tree grows along residual edges out of its nodes, the sink
     tree along residual edges into its nodes; `tree[v]` is 0 or 1 for them
@@ -254,7 +214,7 @@ def _search_trees(
     out of its tree, and an inactive sink-tree node none into its tree, so
     once either tree has no active node, no residual path joins the poles
     and the flow is maximum. After TREE_AUGMENTATIONS_PER_ARC augmentations
-    per arc the search stops early and returns False.
+    per arc the search stops early, and the flow may not be maximum yet.
     """
     budget = TREE_AUGMENTATIONS_PER_ARC * (len(to) // 2)
     tree = [-1] * n
@@ -373,4 +333,4 @@ def _search_trees(
             queued[v] = side
             active[side] += 1
             fifo.appendleft(v)
-    return value, bool(budget)
+    return value

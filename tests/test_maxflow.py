@@ -312,7 +312,7 @@ class TestNetworkxReference:
 
 
 class TestGreedyRoutes:
-    """The greedy one- and two-arc routes that precede the first phase."""
+    """The greedy one- and two-arc routes that precede the search trees."""
 
     # (name, nodes, arcs, value); node 0 is the source, the last the sink.
     CASES = [
@@ -327,7 +327,7 @@ class TestGreedyRoutes:
         ("arcs_out_of_the_sink_and_into_the_source", 4,
          ((0, 1, 5), (1, 2, 5), (2, 3, 3), (3, 2, 4), (3, 0, 2), (2, 0, 6),
           (1, 0, 1), (3, 1, 7)), 3),
-        # Source edges whose head is a terminal are left to the phases.
+        # Source edges whose head is a terminal are left to the searches.
         ("direct_source_to_sink_arc_and_terminal_heads", 4,
          ((0, 3, 5), (0, 0, 4), (0, 1, 2), (1, 2, 7), (2, 3, 7), (3, 3, 1),
           (0, 3, 1)), 8),
@@ -470,8 +470,8 @@ class TestSearchTrees:
             assert (result.value, result.arc_flows) == (4, flows)
 
 
-@pytest.mark.usefixtures("phases_only")
-class TestPhasesOnly(
+@pytest.mark.usefixtures("shortest_paths_only")
+class TestShortestPathsOnly(
     TestRandomNetworks,
     TestGreedyRoutes,
     TestCriterion8TwoPoles,
@@ -479,11 +479,17 @@ class TestPhasesOnly(
     TestDeepNetworks,
 ):
     """The reference comparisons again with no tree augmentation at all, so
-    that Dinic's phases, which finish any search that spends its budget,
-    find the whole flow after the greedy routes."""
+    that the breadth-first search from the source, which finishes any flow
+    the trees leave after their budget, finds the whole flow after the
+    greedy routes along shortest augmenting paths."""
+
+    # Direct source-sink arcs, arcs from the sink to the source and
+    # parallel arcs, through the shortest-path search; the pinned arc flows
+    # are the trees' and are not checked here.
+    test_search_tree_cases = TestSearchTrees.test_cases
 
     @pytest.fixture
-    def phases_only(self, monkeypatch):
+    def shortest_paths_only(self, monkeypatch):
         monkeypatch.setattr(maxflow, "TREE_AUGMENTATIONS_PER_ARC", 0)
 
 
