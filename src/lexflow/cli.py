@@ -33,6 +33,7 @@ from .model import (
     Flow,
     ModelError,
     Problem,
+    ReadOnce,
     format_rational,
     parse_rational,
     validate_problem,
@@ -236,12 +237,18 @@ def solution_from_document(
     """Rebuild a BalancedSolution from its serialized form.
 
     Lists must be lists, `flow` an object, and ids strings or integers;
-    anything else is a malformed document.
+    anything else is a malformed document. Each distinct number string is
+    read once.
     """
+    values = ReadOnce(parse_rational)
+
+    def number(raw: Any) -> Fraction:
+        return values[raw] if type(raw) is str else parse_rational(raw)
+
     try:
         flow = Flow(
             {
-                arc_id: parse_rational(value)
+                arc_id: number(value)
                 for arc_id, value in _typed(document, "flow", dict).items()
             }
         )
@@ -249,17 +256,17 @@ def solution_from_document(
         for entry in _typed(document["certificate"], "levels", list):
             levels.append(
                 Level(
-                    ratio=parse_rational(entry["ratio"]),
+                    ratio=number(entry["ratio"]),
                     cut=Cut(frozenset(_ids(entry, "cut"))),
                     fixed_forward=tuple(
-                        (_id(item["arc"], "arc"), parse_rational(item["value"]))
+                        (_id(item["arc"], "arc"), number(item["value"]))
                         for item in _typed(entry, "fixed_forward", list)
                     ),
                     zeroed_reverse=_ids(entry, "zeroed_reverse"),
                 )
             )
         certificate = Certificate(tuple(levels), _ids(document["certificate"], "zero_tail"))
-        ratios = tuple(parse_rational(r) for r in _typed(document, "sorted_ratios", list))
+        ratios = tuple(number(r) for r in _typed(document, "sorted_ratios", list))
     except (KeyError, TypeError, ModelError) as exc:
         raise CliError(f"malformed solution document: {exc}") from exc
     return BalancedSolution(flow, certificate, ratios)

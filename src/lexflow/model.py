@@ -17,7 +17,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 RationalLike = Fraction | int | str
 
@@ -267,6 +267,20 @@ class CutStats:
         return self.deficiency / self.capacity
 
 
+class ReadOnce(dict):
+    """`read` of each distinct string, made at its first lookup and kept
+    while this dict lives, which is for one document; a read that raises
+    keeps nothing. Look up exact `str`s only and pass anything else to `read`
+    itself: `True == 1` and both hash alike, and lists cannot be hashed."""
+
+    def __init__(self, read: Callable[[str], Any]) -> None:
+        self.read = read
+
+    def __missing__(self, text: str) -> Any:
+        value = self[text] = self.read(text)
+        return value
+
+
 def _lowest_terms(raw: RationalLike) -> tuple[int, int]:
     terms = _plain_terms(raw)
     if terms is None:
@@ -291,19 +305,21 @@ def validate_problem(
 
     Raises DuplicateId, SelfLoop, NonpositiveCapacity, BalanceSumNonzero, or
     plain ModelError for unknown endpoints and malformed numbers. Each number
-    is read as (numerator, denominator) in lowest terms and written straight
-    onto the grid of their least common denominator.
+    is read as (numerator, denominator) in lowest terms, each distinct string
+    once per call, and written straight onto the grid of their least common
+    denominator.
     """
     node_items = nodes.items() if isinstance(nodes, Mapping) else nodes
 
     position: dict[str, int] = {}
     terms: list[tuple[int, int]] = []
+    terms_of = ReadOnce(_lowest_terms)
     for node_id, raw in node_items:
         node_id = str(node_id)
         if node_id in position:
             raise DuplicateId(f"duplicate node id {node_id!r}")
         position[node_id] = len(terms)
-        terms.append(_lowest_terms(raw))
+        terms.append(terms_of[raw] if type(raw) is str else _lowest_terms(raw))
     if not position:
         raise ModelError("instance has no nodes")
 
@@ -315,22 +331,23 @@ def validate_problem(
         if arc_id in seen:
             raise DuplicateId(f"duplicate arc id {arc_id!r}")
         seen.add(arc_id)
-        if tail not in position:
+        t, h = position.get(tail), position.get(head)
+        if t is None:
             raise ModelError(f"arc {arc_id!r} has unknown tail {tail!r}")
-        if head not in position:
+        if h is None:
             raise ModelError(f"arc {arc_id!r} has unknown head {head!r}")
-        if tail == head:
+        if t == h:
             raise SelfLoop(f"arc {arc_id!r} is a self-loop on {tail!r}")
-        p, q = _lowest_terms(raw_cap)
+        p, q = terms_of[raw_cap] if type(raw_cap) is str else _lowest_terms(raw_cap)
         if p <= 0:
             raise NonpositiveCapacity(
                 f"arc {arc_id!r} has capacity {format_rational(Fraction(p, q))}"
             )
         terms.append((p, q))
         arc_ids.append(arc_id)
-        ends.append((position[tail], position[head]))
+        ends.append((t, h))
 
-    lcm = math.lcm(*(q for _, q in terms))
+    lcm = math.lcm(*{q for _, q in terms})
     grid = [lcm // q * p for p, q in terms]
     n = len(position)
     view = IntegerView(lcm, tuple(grid[:n]), tuple(grid[n:]))

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import tempfile
 from decimal import ROUND_HALF_EVEN, Decimal
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexflow.cli import (
+    CliError,
     decimal_places,
     decimal_string,
     main,
@@ -22,8 +24,18 @@ from lexflow.cli import (
     solution_document,
     solution_from_document,
 )
-from lexflow import balanced_flow, verify_certificate
+from lexflow import (
+    BalancedSolution,
+    Certificate,
+    Cut,
+    Flow,
+    Level,
+    balanced_flow,
+    parse_rational,
+    verify_certificate,
+)
 from lexflow.model import MAX_DECIMAL_EXPONENT
+from conftest import grid_problem
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -175,6 +187,26 @@ class TestCheck:
         path.write_text('{"nodes": [{"id": "u", "d": 1}], "arcs": []}')
         assert main(["check", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("bad", ["true", "false", "[]", "{}"])
+    @pytest.mark.parametrize("first", ["1", '"1"'])
+    def test_capacity_that_is_no_number_is_refused_after_a_one(
+        self, first, bad, tmp_path, capsys
+    ):
+        # A read kept for "1" or 1 must not answer for true, which equals 1.
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"nodes": [{"id": "u", "d": 0}, {"id": "w", "d": 0}], "arcs": ['
+            f'{{"id": "a", "tail": "u", "head": "w", "capacity": {first}}}, '
+            f'{{"id": "b", "tail": "u", "head": "w", "capacity": {bad}}}]}}'
+        )
+        assert main(["check", str(path)]) == 2
+        shown = {"true": "True", "false": "False"}.get(bad, bad)
+        assert capsys.readouterr() == (
+            "",
+            f"error: {path}: cannot parse rational from {shown} (quote decimals as strings)\n",
+        )
 
 
 class TestSolve:
@@ -428,6 +460,76 @@ class TestMalformedSolution:
 
         code, out = self.verify(tmp_path, capsys, mutate, instance)
         assert (code, out.out) == (0, "ACCEPT\n")
+
+
+def read_number_by_number(document: dict) -> BalancedSolution:
+    """`solution_from_document` of a well-formed document, every number read
+    on its own."""
+    certificate = document["certificate"]
+    levels = tuple(
+        Level(
+            parse_rational(level["ratio"]),
+            Cut(frozenset(level["cut"])),
+            tuple((item["arc"], parse_rational(item["value"])) for item in level["fixed_forward"]),
+            tuple(level["zeroed_reverse"]),
+        )
+        for level in certificate["levels"]
+    )
+    return BalancedSolution(
+        Flow({arc_id: parse_rational(value) for arc_id, value in document["flow"].items()}),
+        Certificate(levels, tuple(certificate["zero_tail"])),
+        tuple(parse_rational(r) for r in document["sorted_ratios"]),
+    )
+
+
+class TestSolutionReader:
+    """`solution_from_document` reads each distinct number string once per
+    document; the solution and every error stay those of reading each number
+    on its own."""
+
+    @pytest.fixture
+    def grid(self):
+        problem = grid_problem(random.Random(2601), 4)
+        text = json.dumps(solution_document(problem, balanced_flow(problem)), indent=2)
+        return problem, text
+
+    def test_repeated_values_read_as_each_on_its_own(self, grid):
+        problem, text = grid
+        document = json.loads(text, parse_float=str)
+        values = [*document["flow"].values(), *document["sorted_ratios"]]
+        assert len(set(values)) < len(values) / 2
+        rebuilt = solution_from_document(problem, document)
+        assert rebuilt == read_number_by_number(document)
+        assert rebuilt == balanced_flow(problem)
+        assert verify_certificate(problem, rebuilt).accepted
+
+    def test_bad_value_where_a_good_one_repeats_is_rejected(self, grid):
+        problem, text = grid
+        document = json.loads(text, parse_float=str)
+        flow = document["flow"]
+        first, *_, last = [arc_id for arc_id, value in flow.items() if value == "0"]
+        flow[last] = "0/0"
+        for _ in range(2):  # nothing is kept from one document to the next
+            with pytest.raises(CliError) as error:
+                solution_from_document(problem, document)
+            assert str(error.value) == "malformed solution document: cannot parse rational from '0/0'"
+        document["sorted_ratios"][-1] = flow[first] = "0/0"
+        with pytest.raises(CliError) as error:
+            solution_from_document(problem, document)
+        assert str(error.value) == "malformed solution document: cannot parse rational from '0/0'"
+
+    @pytest.mark.parametrize("bad", [True, [], {}])
+    def test_value_that_is_no_string_after_its_digits(self, bad, grid):
+        problem, text = grid
+        document = json.loads(text, parse_float=str)
+        document["sorted_ratios"][-1] = bad
+        document["sorted_ratios"][:0] = ["1", 1]
+        with pytest.raises(CliError) as error:
+            solution_from_document(problem, document)
+        assert str(error.value) == (
+            f"malformed solution document: cannot parse rational from {bad!r} "
+            "(quote decimals as strings)"
+        )
 
 
 class TestRatioAndOracle:

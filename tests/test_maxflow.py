@@ -408,6 +408,16 @@ class TestCriterion8TwoPoles:
         assert probed > 200
 
 
+SPENDS_THE_BUDGET = (
+    (6, 1, 1), (3, 7, 1104313860), (1, 8, 481066923), (4, 1, 12073143),
+    (4, 8, 375459285), (0, 7, 943222495), (1, 8, 1584752530), (0, 4, 1177030549),
+    (0, 6, 301741598), (1, 8, 416307995), (1, 4, 1), (0, 1, 785277315),
+    (7, 1, 173624745), (0, 1, 418706685), (4, 8, 527910886), (0, 1, 676199197),
+    (6, 4, 255626528), (0, 1, 86726988), (6, 8, 129446160), (7, 8, 909879526),
+    (4, 3, 480586257),
+)
+
+
 class TestSearchTrees:
     """Search-tree cases that random networks rarely reach."""
 
@@ -442,6 +452,9 @@ class TestSearchTrees:
         ("direct_source_to_sink_arcs", 4,
          ((0, 3, 5), (0, 1, 4), (3, 0, 2), (0, 3, 0), (1, 2, 3), (2, 3, 9),
           (0, 3, 1)), 9, {0, 1}),
+        # Found by a hill climb: the trees spend their budget of one
+        # augmentation per arc, and the shortest-path search finishes.
+        ("spends_the_tree_budget", 9, SPENDS_THE_BUDGET, 4_095_303_931, {0, 3, 4, 6, 7}),
     ]
 
     @pytest.mark.parametrize(
@@ -454,6 +467,28 @@ class TestSearchTrees:
         result = max_flow(net)
         assert (result.value, result.min_cut_source_side) == (value, side)
         assert_same_as_reference(net, result)
+
+    def test_spent_budget_leaves_flow_to_the_finisher(self, monkeypatch):
+        nx = pytest.importorskip("networkx")
+        net = FlowNetwork(9, SPENDS_THE_BUDGET, 0, 8)
+        assert nx.maximum_flow_value(networkx_graph(nx, net), 0, 8) == 4_095_303_931
+        added = []
+        search_trees = maxflow._search_trees
+
+        def recorded(*args):
+            added.append(search_trees(*args))
+            return added[-1]
+
+        monkeypatch.setattr(maxflow, "_search_trees", recorded)
+        spent = max_flow(net)
+        monkeypatch.setattr(maxflow, "TREE_AUGMENTATIONS_PER_ARC", 2)
+        lifted = max_flow(net)
+        # The trees leave one unit to the finisher, and take it once they
+        # may augment more often.
+        assert added == [2_987_695_366, 2_987_695_367]
+        assert spent.value == lifted.value == 4_095_303_931
+        assert spent.min_cut_source_side == lifted.min_cut_source_side
+        assert_same_as_reference(net, lifted)
 
     def test_arc_flows_are_pinned(self):
         # Four layers of two nodes, each joined to both nodes of the next,

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import lexflow.balancer as balancer
 import lexflow.gale_hoffman as gale_hoffman
+import lexflow.model as model
 from lexflow import (
     Arc,
     BalanceSumNonzero,
@@ -382,6 +383,108 @@ class TestGridFirstParse:
             is_feasible(p, F(1))
             minmax_ratio(p)
             assert "arcs" not in vars(p) and "balances" not in vars(p)
+
+
+
+# Numbers that are not in lowest terms, or not numbers at all, for the pools.
+ODD_NUMBERS = ["1", 1, True, False, "2/4", "-0/3", "0.50", "5e-1", "x", "1/0", [], {}, None]
+
+
+@st.composite
+def repeating_instances(draw):
+    """Nodes and arcs whose numbers come from small pools of spellings, so
+    that most number strings repeat; the pools mix ints, `Fraction`s,
+    decimals and "p/q" forms not in lowest terms, and now and then a bool, a
+    list or a malformed string."""
+    balances = [draw(spelling(x)) for x in draw(st.lists(numbers, min_size=1, max_size=3))]
+    capacities = [
+        draw(spelling(abs(x))) for x in draw(st.lists(numbers.filter(bool), min_size=1, max_size=3))
+    ]
+    for pool in (balances, capacities):
+        pool += draw(st.lists(st.sampled_from(ODD_NUMBERS), max_size=1))
+    size = draw(st.integers(1, 6))
+    nodes = [(f"n{i}", draw(st.sampled_from(balances))) for i in range(size)]
+    if draw(st.integers(0, 3)):
+        try:
+            total = sum(parse_rational(raw) for _, raw in nodes)
+        except ModelError:
+            total = F(0)
+        nodes.append((f"n{size}", draw(spelling(-total))))
+    ids = [v for v, _ in nodes]
+    arcs = []
+    for j in range(draw(st.integers(0, 12)) if len(ids) > 1 else 0):
+        tail, head = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+        while head == tail:
+            head = draw(st.sampled_from(ids))
+        arcs.append((f"e{j}", tail, head, draw(st.sampled_from(capacities))))
+    return nodes, arcs
+
+
+class TestReadOnce:
+    """`validate_problem` reads each distinct number string once per call;
+    views, arcs and errors stay those of reading every number on its own."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(repeating_instances())
+    def test_same_as_reading_each_number(self, instance):
+        nodes, arcs = instance
+        assert outcome(validate_problem, nodes, arcs) == outcome(reference_validate, nodes, arcs)
+
+    def test_each_distinct_string_is_read_once(self, monkeypatch):
+        read = []
+        lowest_terms = model._lowest_terms
+        monkeypatch.setattr(model, "_lowest_terms", lambda raw: read.append(raw) or lowest_terms(raw))
+        nodes = [("u", "3/2"), ("v", "3/2"), ("w", 1), ("x", 1), ("y", "-5")]
+        arcs = [("a", "u", "w", "3/2"), ("b", "v", "w", "2/4"), ("c", "w", "y", "2/4"), ("d", "x", "y", 1)]
+        validate_problem(nodes, arcs)
+        assert read == ["3/2", 1, 1, "-5", "2/4", 1]
+        read.clear()
+        validate_problem(nodes, arcs)
+        assert read == ["3/2", 1, 1, "-5", "2/4", 1]  # nothing kept between calls
+
+    def test_failed_read_is_not_kept(self):
+        values = model.ReadOnce(parse_rational)
+        for _ in range(2):
+            with pytest.raises(ModelError, match="cannot parse rational from 'x'"):
+                values["x"]
+        assert values == {}
+        assert values["2/4"] is values["2/4"] == F(1, 2)
+
+    @pytest.mark.parametrize("first", [1, "1"])
+    @pytest.mark.parametrize("bad", [True, False, [], {}])
+    def test_bool_list_or_object_after_a_one_is_refused(self, first, bad):
+        arcs = [("a", "u", "w", first), ("b", "u", "w", bad)]
+        with pytest.raises(ModelError) as error:
+            validate_problem([("u", 0), ("w", 0)], arcs)
+        assert str(error.value) == f"cannot parse rational from {bad!r} (quote decimals as strings)"
+        nodes = [("u", first), ("w", bad)]
+        with pytest.raises(ModelError) as error:
+            validate_problem(nodes, [])
+        assert str(error.value) == f"cannot parse rational from {bad!r} (quote decimals as strings)"
+
+    @pytest.mark.parametrize(
+        "nodes,arcs,error,message",
+        [
+            # A malformed number before a later duplicate node id.
+            ([("u", "1/2"), ("w", "x"), ("u", "1/2")], [], ModelError,
+             "cannot parse rational from 'x'"),
+            # A duplicate arc id before its bad capacity.
+            ([("u", 0), ("w", 0)], [("e", "u", "w", "1"), ("e", "w", "u", "x")], DuplicateId,
+             "duplicate arc id 'e'"),
+            # An unknown tail before a bad capacity, and before an unknown head.
+            ([("u", 0), ("w", 0)], [("e", "u", "w", "1"), ("f", "x", "y", "1/0")], ModelError,
+             "arc 'f' has unknown tail 'x'"),
+            ([("u", 0), ("w", 0)], [("e", "u", "y", "-1")], ModelError,
+             "arc 'e' has unknown head 'y'"),
+            ([("u", 0), ("w", 0)], [("e", "w", "w", "x")], SelfLoop,
+             "arc 'e' is a self-loop on 'w'"),
+        ],
+    )
+    def test_first_error_wins(self, nodes, arcs, error, message):
+        with pytest.raises(ModelError) as raised:
+            validate_problem(nodes, arcs)
+        assert (type(raised.value), str(raised.value)) == (error, message)
+        assert outcome(reference_validate, nodes, arcs) == (error, message)
 
 
 class TestFixArcs:
