@@ -30,13 +30,11 @@ from .model import (
     Flow,
     KeyMismatch,
     Problem,
-    components,
     cut_arcs,
     cut_stats,
-    fix_arcs,
     format_rational,
     node_balance_residual,
-    restrict,
+    step_block,
     union,
 )
 from .ratio_search import (
@@ -140,7 +138,7 @@ def reduce_problem(result: RatioResult) -> tuple[Stage, Level]:
         cut = found.critical_cut
         arcs = cut_arcs(problem, cut)
         stats = cut_stats(problem, cut, arcs)
-        _, stay, forward, reverse = arcs
+        _, _, forward, reverse = arcs
         if not forward:
             raise EmptyCutArcSet("cut has no forward arcs in the current problem")
         if stats.ratio != ratio:
@@ -154,12 +152,9 @@ def reduce_problem(result: RatioResult) -> tuple[Stage, Level]:
         for k in forward:
             fixed.append((positions[k], arc_ids[k], ratio * Fraction(capacities[k], denominator)))
         zeroed += [(positions[k], arc_ids[k]) for k in reverse]
-        stepped = fix_arcs(problem, arcs, ratio)
-        balances = stepped.integer_view.balances
-        for nodes, part_arcs in components(stepped):
-            if any(balances[i] for i in nodes):
-                part = restrict(stepped, nodes, part_arcs)
-                split.append((part, [positions[stay[j]] for j in part_arcs]))
+        for part, part_arcs in step_block(problem, arcs, ratio):
+            if any(part.integer_view.balances):
+                split.append((part, [positions[k] for k in part_arcs]))
     fixed_forward = tuple([(arc_id, value) for _, arc_id, value in sorted(fixed)])
     level = Level(ratio, result.critical_cut, fixed_forward, tuple([a for _, a in sorted(zeroed)]))
     return Stage(kept, split), level
@@ -247,7 +242,7 @@ def verify_certificate(
     the verifier keeps its stage as its blocks, each a `Problem` on its own
     grid. Stage 0 is one block; after level k, each block of T_k is stepped and
     split as the solver splits it, into the weakly connected components of its
-    arcs left (`model.components`), but with no part dropped; every other block
+    arcs left (`model.step_block`), but with no part dropped; every other block
     is kept. What follows holds for any split that no stage arc crosses. T_k is
     the union, on the lcm of their grids, of the blocks that hold an arc of the
     level's cut. λ in the minimality probe r_k - 1/(2bλ), b being r_k's
@@ -366,8 +361,7 @@ def verify_certificate(
         # The replay showed the level's arcs are the cut's, loaded at its ratio.
         # Each crossed block splits into the components of its arcs left.
         for b, arcs in crossed:
-            stepped = fix_arcs(blocks[b], arcs, level.ratio)
-            blocks[b], *rest = [restrict(stepped, *part) for part in components(stepped)]
+            blocks[b], *rest = [part for part, _ in step_block(blocks[b], arcs, level.ratio)]
             for part in rest:
                 owner.update(dict.fromkeys(part.node_ids, len(blocks)))
                 blocks.append(part)

@@ -11,6 +11,7 @@ stderr. Exit codes: 0 success/feasible, 2 parse or validation error,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -64,6 +65,9 @@ def read_source(path: str) -> str:
     """The UTF-8 text of `path`, or of stdin for "-"."""
     try:
         if path == "-":
+            # Not as the locale says; an io.StringIO put in its place holds text.
+            if isinstance(sys.stdin, io.TextIOWrapper):
+                return sys.stdin.buffer.read().decode()
             return sys.stdin.read()
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -454,6 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Documents are UTF-8 whatever the locale; an io.StringIO holds text.
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(encoding="utf-8")
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe shows up here, not at exit

@@ -2,7 +2,7 @@
 
 A problem's numbers live on one integer grid (`Problem.integer_view`),
 written by `validate_problem` straight from the input and stepped by
-`fix_arcs`; `fractions.Fraction`s only enter and leave there. The solver
+`step_block`; `fractions.Fraction`s only enter and leave there. The solver
 path never touches floating point. Instances are immutable after
 construction, so they can be shared freely between threads, and all
 operations here are pure.
@@ -23,13 +23,13 @@ RationalLike = Fraction | int | str
 
 # Integers and "p/q" in ASCII digits, read with int() and no Fraction regex.
 _PLAIN_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-# The forms `Fraction` reads from a string, for the digit-limit fallback.
-_INTEGER_RATIO = re.compile(r"([+-]?\d+)/(\d+)")
-_DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+# The other number forms a string may take, the same on every Python version:
+# "p/q" past int(str)'s digit limit, and decimals with an optional exponent.
+_INTEGER_RATIO = re.compile(r"([+-]?[0-9]+)/([0-9]+)")
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?([0-9]+))?")
 # A short string with a large exponent asks for a huge integer ("1e1000000000"
 # is a 415 MB one), so exponents past this bound are refused before parsing.
 MAX_DECIMAL_EXPONENT = 100_000
-_EXPONENT = re.compile(r"[eE][+-]?([\d_]+)")
 
 
 class ModelError(ValueError):
@@ -63,11 +63,13 @@ class InvalidPartition(ModelError):
 def parse_rational(value: RationalLike) -> Fraction:
     """Parse an exact rational from an int, Fraction, or string.
 
-    Strings may be integers ("42"), fractions ("5/3"), or finite decimals
-    with an optional exponent ("0.25", "1e-3"), with any number of digits;
-    all are normalized to lowest terms with a positive denominator. A bare
-    ASCII integer or "p/q" is read by `_plain_terms`, faster than
-    `Fraction(str)` and to the same value. An exponent may be at most
+    A string, once stripped of surrounding whitespace, is an integer ("42"),
+    a fraction "p/q" ("-5/3"), or a finite decimal with an optional exponent
+    ("0.25", ".5", "1e-3"), in ASCII digits of any number, with an optional
+    sign in front; nothing else, `_` and inner spaces included, is a number
+    on any Python version. All are normalized to lowest terms with a
+    positive denominator. A bare integer or "p/q" is read by
+    `_plain_terms`, the fast path. An exponent may be at most
     MAX_DECIMAL_EXPONENT in absolute value. Floats are rejected because
     binary floats do not represent decimal input exactly.
     """
@@ -79,28 +81,21 @@ def parse_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        # int(str) refuses more than sys.get_int_max_str_digits() digits, a
+        # process-wide setting; Decimal reads any number of them.
         text = value.strip()
-        exponent = _EXPONENT.search(text)
-        if exponent is not None:
-            digits = exponent[1].replace("_", "").lstrip("0")
-            if len(digits) > 6 or int(digits or "0") > MAX_DECIMAL_EXPONENT:
+        ratio = _INTEGER_RATIO.fullmatch(text)
+        if ratio is not None and ratio[2].lstrip("0"):
+            return Fraction(int(Decimal(ratio[1])), int(Decimal(ratio[2])))
+        decimal = None if ratio else _DECIMAL.fullmatch(text)
+        if decimal is not None:
+            exponent = (decimal[1] or "").lstrip("0")
+            if len(exponent) > 6 or int(exponent or "0") > MAX_DECIMAL_EXPONENT:
                 raise ModelError(
                     f"exponent of {value!r} exceeds {MAX_DECIMAL_EXPONENT} in size"
                 )
-        try:
-            try:
-                return Fraction(text)
-            except ValueError:
-                # Fraction reads digits with int(str), which refuses more
-                # than sys.get_int_max_str_digits() of them; Decimal does not.
-                match = _INTEGER_RATIO.fullmatch(text)
-                if match is not None:
-                    return Fraction(int(Decimal(match[1])), int(Decimal(match[2])))
-                if _DECIMAL.fullmatch(text) is None:
-                    raise
-                return Fraction(Decimal(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ModelError(f"cannot parse rational from {value!r}") from exc
+            return Fraction(Decimal(text))
+        raise ModelError(f"cannot parse rational from {value!r}")
     raise ModelError(
         f"cannot parse rational from {value!r} (quote decimals as strings)"
     )
@@ -153,10 +148,10 @@ class IntegerView(NamedTuple):
     """A problem's numbers scaled onto one integer grid.
 
     `denominator` is a common multiple L of every balance and capacity
-    denominator: the least one for a problem built by `validate_problem` or
-    `fix_arcs`, the L of the problem it was cut from for a block cut out by
-    `restrict`, and the lcm of the parts' for a `union`, so each of the
-    solver's and the verifier's blocks has a grid of its own.
+    denominator: the least one for a problem built by `validate_problem`, the
+    least one of the whole stepped block for each part `step_block` returns,
+    and the lcm of the parts' for a `union`, so each of the solver's and the
+    verifier's blocks has a grid of its own.
     `balances[i]` is L times the balance of node i in node order and
     `capacities[a]` is L times the capacity of arc a in arc order; a problem
     keeps its numbers nowhere else. Every cut sum on the grid is exact
@@ -359,62 +354,46 @@ def validate_problem(
     return Problem(tuple(position), tuple(arc_ids), view, tuple(ends))
 
 
-def fix_arcs(problem: Problem, arcs: CutArcs, ratio: Fraction) -> Problem:
-    """The next stage after loading a proper cut, read as `arcs` =
+def step_block(
+    problem: Problem, arcs: CutArcs, ratio: Fraction
+) -> list[tuple[Problem, list[int]]]:
+    """The parts of `problem` after loading a proper cut, read as `arcs` =
     `cut_arcs(problem, cut)`, at `ratio`: forward arcs carry ratio × capacity
-    tail to head; crossing arcs are dropped.
+    tail to head, and crossing arcs are dropped. A part is a weakly connected
+    component of the arcs left, one-node parts included, in order of first
+    node: a problem on the stepped grid L', with the positions in `problem`
+    of its arcs. Parts keep `problem`'s node and arc order.
 
-    The grid is stepped on the least L without an lcm. With ratio = p/q, the
+    The grid is stepped on the least L' without an lcm. With ratio = p/q, the
     numbers on grid q·L are q·x, except each balance with a net forward
     inflow e ≠ 0, t = q·D + p·e. Their gcd is g = gcd(q·h, every t) for
     h = gcd(L, the other balances, the kept capacities), so L' = q·L/g: x
     becomes x/h·f with f = q·h/g, and t becomes t/g.
     """
     denominator, balances, capacities = problem.integer_view
+    ends = problem.ends
     _, stay, forward, _ = arcs
     net = [0] * len(balances)
     for k in forward:
-        tail, head = problem.ends[k]
+        tail, head = ends[k]
         net[tail] -= capacities[k]
         net[head] += capacities[k]
-    kept = [capacities[k] for k in stay]
     p, q = ratio.numerator, ratio.denominator
-    h = math.gcd(denominator, *(d for d, e in zip(balances, net) if not e), *kept)
+    h = math.gcd(
+        denominator, *(d for d, e in zip(balances, net) if not e), *(capacities[k] for k in stay)
+    )
     moved = {i: q * balances[i] + p * e for i, e in enumerate(net) if e}
     g = math.gcd(q * h, *moved.values())
     f = q * h // g
     if h != 1 or f != 1:
-        balances, kept = [d // h * f for d in balances], [c // h * f for c in kept]
-    stepped = tuple(moved[i] // g if e else d for i, (d, e) in enumerate(zip(balances, net)))
-    view = IntegerView(denominator // h * f, stepped, tuple(kept))
-    arc_ids = tuple([problem.arc_ids[k] for k in stay])
-    return Problem(problem.node_ids, arc_ids, view, tuple([problem.ends[k] for k in stay]))
+        balances, capacities = [d // h * f for d in balances], [c // h * f for c in capacities]
+    stepped = [moved[i] // g if e else d for i, (d, e) in enumerate(zip(balances, net))]
 
-
-def restrict(problem: Problem, nodes: Sequence[int], arcs: Sequence[int]) -> Problem:
-    """The sub-problem on the nodes and arcs at the given positions.
-
-    Positions are in `problem`'s node and arc order and stay in that order;
-    the arcs must join only the given nodes. The integer view is sliced from
-    `problem`'s, on the same grid L, with no gcd or lcm work.
-    """
-    denominator, balances, capacities = problem.integer_view
-    view = IntegerView(
-        denominator, tuple(balances[i] for i in nodes), tuple(capacities[k] for k in arcs)
-    )
-    node_ids = tuple(problem.node_ids[i] for i in nodes)
-    index = dict(zip(nodes, range(len(nodes))))
-    kept = map(problem.ends.__getitem__, arcs)
-    ends = tuple([(index[tail], index[head]) for tail, head in kept])
-    return Problem(node_ids, tuple(problem.arc_ids[k] for k in arcs), view, ends)
-
-
-def components(problem: Problem) -> list[tuple[list[int], list[int]]]:
-    """The weakly connected components of `problem`'s arcs, by union-find, as
-    node and arc positions in order; the components in order of first node."""
-    # Each tree's root is its least node, so label[i] < i except at a root.
-    label = list(range(len(problem.node_ids)))
-    for tail, head in problem.ends:
+    # Union-find on the arcs left; each tree's root is its least node, so
+    # label[i] < i except at a root.
+    label = list(range(len(balances)))
+    for k in stay:
+        tail, head = ends[k]
         while label[tail] != tail:
             label[tail] = tail = label[label[tail]]
         while label[head] != head:
@@ -422,13 +401,30 @@ def components(problem: Problem) -> list[tuple[list[int], list[int]]]:
         if tail < head:
             tail, head = head, tail
         label[tail] = head
+    # part_of[i] holds the node and arc positions of i's part; local[i] is
+    # i's position within it.
     part_of: list[tuple[list[int], list[int]]] = []
+    local: list[int] = []
     for i, up in enumerate(label):
         part_of.append(part_of[up] if up < i else ([], []))
+        local.append(len(part_of[i][0]))
         part_of[i][0].append(i)
-    for j, (tail, _) in enumerate(problem.ends):
-        part_of[tail][1].append(j)
-    return [part_of[i] for i, up in enumerate(label) if up == i]
+    for k in stay:
+        part_of[ends[k][0]][1].append(k)
+
+    node_ids, arc_ids, grid = problem.node_ids, problem.arc_ids, denominator // h * f
+    parts = []
+    for nodes, kept in (part_of[i] for i, up in enumerate(label) if up == i):
+        view = IntegerView(
+            grid, tuple([stepped[i] for i in nodes]), tuple([capacities[k] for k in kept])
+        )
+        renumbered = [(local[tail], local[head]) for tail, head in map(ends.__getitem__, kept)]
+        part = Problem(
+            tuple([node_ids[i] for i in nodes]), tuple([arc_ids[k] for k in kept]), view,
+            tuple(renumbered),
+        )
+        parts.append((part, kept))
+    return parts
 
 
 def union(problems: Sequence[Problem]) -> Problem:

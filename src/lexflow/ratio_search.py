@@ -81,7 +81,7 @@ class Block(NamedTuple):
 
     The first stage of `balanced_flow` is one block, the whole problem. A level
     steps each tied block, one whose ratio it attains, and splits it into the
-    weakly connected components of the arcs left (`model.components`), each on
+    weakly connected components of the arcs left (`model.step_block`), each on
     one side of the level's cut; `balancer.reduce_problem` drops those whose
     balances are all zero. Every other block carries over as is.
 

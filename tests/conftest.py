@@ -6,7 +6,7 @@ import math
 import random
 import sys
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from typing import NamedTuple
 from unittest import mock
@@ -41,7 +41,7 @@ from lexflow import (
     total_integer_capacity,
     validate_problem,
 )
-from lexflow.model import IntegerView, cut_arcs, fix_arcs, restrict
+from lexflow.model import IntegerView, cut_arcs
 
 
 def diamond_problem(supply: int = 4) -> Problem:
@@ -197,7 +197,7 @@ def reverse_arcs(cut: Cut, problem: Problem) -> tuple[Arc, ...]:
 
 
 def reference_step(problem: Problem, cut: Cut, ratio: Fraction) -> IntegerView:
-    """The reference for `fix_arcs`' stepped view, rebuilt from `Fraction`s:
+    """The reference for `step_block`'s stepped grid, rebuilt from `Fraction`s:
     move ratio × capacity along the cut's forward arcs in a balance dict,
     drop the forward and reverse arcs, and put what is left on the lcm of
     its denominators."""
@@ -213,6 +213,27 @@ def reference_step(problem: Problem, cut: Cut, ratio: Fraction) -> IntegerView:
     grid = [lcm // x.denominator * x.numerator for x in numbers]
     n = len(problem.node_ids)
     return IntegerView(lcm, tuple(grid[:n]), tuple(grid[n:]))
+
+
+def reference_stage(problem: Problem, cut: Cut, ratio: Fraction) -> Problem:
+    """The whole stage after loading `cut` at `ratio`, unsplit: every node,
+    the arcs the cut does not cross, in order, and `reference_step`'s view."""
+    side = cut.source_side
+    kept = [k for k, a in enumerate(problem.arcs) if (a.tail in side) == (a.head in side)]
+    arc_ids = tuple(problem.arc_ids[k] for k in kept)
+    ends = tuple(problem.ends[k] for k in kept)
+    return Problem(problem.node_ids, arc_ids, reference_step(problem, cut, ratio), ends)
+
+
+def sub_problem(problem: Problem, nodes: list[int], arcs: list[int]) -> Problem:
+    """The problem on the nodes and arcs at the given positions, in order,
+    validated afresh from their `Fraction`s; the arcs must join only the
+    given nodes."""
+    balances = problem.balances
+    return validate_problem(
+        [(problem.node_ids[i], balances[problem.node_ids[i]]) for i in nodes],
+        [astuple(problem.arcs[k]) for k in arcs],
+    )
 
 
 def sorted_utilizations(flow: Flow, problem: Problem) -> tuple[Fraction, ...]:
@@ -410,7 +431,7 @@ def two_pole_has_fatal_cut(problem: Problem) -> FatalCutReport:
 
 def weak_components(problem: Problem) -> list[frozenset[int]]:
     """The node positions of each weakly connected component of `problem`'s
-    arcs, found by networkx rather than by `model.components`."""
+    arcs, found by networkx rather than by `model.step_block`."""
     nx = pytest.importorskip("networkx")
     graph = nx.DiGraph()
     graph.add_nodes_from(range(len(problem.node_ids)))
@@ -420,12 +441,12 @@ def weak_components(problem: Problem) -> list[frozenset[int]]:
 
 def labelled_verify(problem: Problem, solution: BalancedSolution) -> VerificationResult:
     """`verify_certificate` as a replay of whole stages: each level runs
-    `cut_arcs`, `cut_stats` and `fix_arcs` on the whole stage, probes T_k,
-    the blocks its cut crosses, cut out of the stage with `restrict` on the
-    stage's grid, and labels every node with its block: one block at first,
-    then the weakly connected components of the stepped stage's arcs
-    (`weak_components`). The reference the verifier's list of blocks must
-    agree with, verdict and detail."""
+    `cut_arcs` and `cut_stats` on the whole stage and steps it with
+    `reference_stage`, probes T_k, the blocks its cut crosses, cut out of
+    the stage with `sub_problem`, and labels every node with its block: one
+    block at first, then the weakly connected components of the stepped
+    stage's arcs (`weak_components`). The reference the verifier's list of
+    blocks must agree with, verdict and detail."""
     flow = solution.flow
     certificate = solution.certificate
 
@@ -497,13 +518,13 @@ def labelled_verify(problem: Problem, solution: BalancedSolution) -> Verificatio
             crossed = {block[ends[k][0]] for k in (*forward, *reverse)}
             nodes = [i for i, b in enumerate(block) if b in crossed]
             inside = [j for j, (tail, _) in enumerate(ends) if block[tail] in crossed]
-            touched = restrict(current, nodes, inside)
+            touched = sub_problem(current, nodes, inside)
             if not is_feasible(touched, level.ratio).feasible:
                 suboptimal = reject("stage_optimality", f"{where}: ratio is not sufficient")
             elif probe_below(touched, level.ratio).feasible:
                 suboptimal = reject("stage_optimality", f"{where}: ratio is not minimal")
         # The replay showed the level's arcs are the cut's, loaded at its ratio.
-        current = fix_arcs(current, arcs, level.ratio)
+        current = reference_stage(current, level.cut, level.ratio)
         for part in weak_components(current):
             first = min(part)
             for i in part:
@@ -540,10 +561,10 @@ def labelled_verify(problem: Problem, solution: BalancedSolution) -> Verificatio
 
 def whole_stage_verify(problem: Problem, solution: BalancedSolution) -> VerificationResult:
     """`labelled_verify` with both probes of every level run on the whole
-    stage instead of the blocks the level's cut crosses: `restrict` hands
+    stage instead of the blocks the level's cut crosses: `sub_problem` hands
     back the stage itself. The reference the narrowed probes must agree
     with."""
-    with mock.patch.object(sys.modules[__name__], "restrict", lambda stage, nodes, arcs: stage):
+    with mock.patch.object(sys.modules[__name__], "sub_problem", lambda stage, nodes, arcs: stage):
         return labelled_verify(problem, solution)
 
 
@@ -559,7 +580,7 @@ def whole_stage_search(problem: Problem, previous: RatioResult | None) -> RatioR
     """The per-block Newton search of a whole stage, found by scanning the
     stage: the first stage whole, and later ones by re-searching the two
     sides of each block `previous` tied, as cells of the whole stage cut
-    out with `restrict` on its grid."""
+    out with `sub_problem`."""
     if previous is None:
         return minmax_ratio(problem)
     if previous.blocks:
@@ -590,7 +611,7 @@ def whole_stage_search(problem: Problem, previous: RatioResult | None) -> RatioR
     for c, nodes in cell_nodes.items():
         if not any(balances[i] for i in nodes):
             continue
-        block = restrict(problem, nodes, cell_arcs[c])
+        block = sub_problem(problem, nodes, cell_arcs[c])
         result = minmax_ratio(block)
         blocks.append(StageBlock(nodes, result))
         steps += result.steps
@@ -611,7 +632,7 @@ def whole_stage_reduce(problem: Problem, cut: Cut, ratio: Fraction) -> tuple[Pro
     arc_ids, (denominator, _, capacities) = problem.arc_ids, problem.integer_view
     fixed = tuple((arc_ids[k], ratio * Fraction(capacities[k], denominator)) for k in forward)
     zeroed = tuple(arc_ids[k] for k in reverse)
-    return fix_arcs(problem, arcs, ratio), Level(ratio, cut, fixed, zeroed)
+    return reference_stage(problem, cut, ratio), Level(ratio, cut, fixed, zeroed)
 
 
 def whole_stage_balanced_flow(problem: Problem, search=whole_stage_search) -> BalancedSolution:

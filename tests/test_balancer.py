@@ -35,7 +35,6 @@ import conftest
 import lexflow.balancer as balancer
 import lexflow.ratio_search as ratio_search
 from lexflow.cli import solution_document
-from lexflow.model import cut_arcs, fix_arcs
 from lexflow.ratio_search import Block
 from conftest import (
     deep_problem,
@@ -48,6 +47,7 @@ from conftest import (
     random_problem,
     random_rational,
     random_solvable_problem,
+    reference_stage,
     reverse_arcs,
     single_arc_problem,
     sink_side_is_feasible,
@@ -446,7 +446,7 @@ def crossed_blocks(p: Problem, levels) -> Iterator[tuple[Problem, list[frozenset
         crossing = (*forward_arcs(level.cut, stage), *reverse_arcs(level.cut, stage))
         tails = {a.tail for a in crossing}
         yield stage, [b for b in blocks if b & tails]
-        stage = fix_arcs(stage, cut_arcs(stage, level.cut), level.ratio)
+        stage = reference_stage(stage, level.cut, level.ratio)
         blocks = [frozenset(stage.node_ids[i] for i in c) for c in weak_components(stage)]
 
 
@@ -497,14 +497,14 @@ class TestProbeScope:
         rng = random.Random(1901)
         kinds = ("union", "tied", "interleaved")
         instances = [two_level_chains(30), *(union_instance(rng, k) for k in kinds * 4)]
-        step = balancer.fix_arcs
+        step = balancer.step_block
         stepped: list[int] = []
 
         def counting(problem, arcs, ratio):
             stepped.append(len(problem.node_ids) + len(problem.arc_ids))
             return step(problem, arcs, ratio)
 
-        monkeypatch.setattr(balancer, "fix_arcs", counting)
+        monkeypatch.setattr(balancer, "step_block", counting)
         crossed = whole = 0
         for p in instances:
             stepped.clear()
@@ -537,7 +537,7 @@ def noncritical_cut(rng, p, sol):
             continue
         fixed = tuple((a.arc_id, stats.ratio * a.capacity) for a in forward_arcs(cut, p))
         zeroed = tuple(a.arc_id for a in reverse_arcs(cut, p))
-        reduced = fix_arcs(p, cut_arcs(p, cut), stats.ratio)
+        reduced = reference_stage(p, cut, stats.ratio)
         try:
             rest = balanced_flow(reduced)
         except FatalCutPresent:
@@ -786,11 +786,11 @@ class TestStageOfBlocks:
         size = len(p.node_ids) + len(p.arc_ids)
         stepped = {"blocks": 0, "whole": 0}
 
-        def counting(kind):
-            def step(problem, arcs, ratio):
+        def counting(kind, step):
+            def counted(problem, *args):
                 stepped[kind] += len(problem.node_ids) + len(problem.arc_ids)
-                return fix_arcs(problem, arcs, ratio)
-            return step
+                return step(problem, *args)
+            return counted
 
         results = []
         search = balancer.minmax_ratio
@@ -799,8 +799,8 @@ class TestStageOfBlocks:
             results.append(search(problem, **kwargs))
             return results[-1]
 
-        monkeypatch.setattr(balancer, "fix_arcs", counting("blocks"))
-        monkeypatch.setattr(conftest, "fix_arcs", counting("whole"))
+        monkeypatch.setattr(balancer, "step_block", counting("blocks", balancer.step_block))
+        monkeypatch.setattr(conftest, "reference_stage", counting("whole", reference_stage))
         monkeypatch.setattr(balancer, "minmax_ratio", recorded)
         solution = balanced_flow(p)
         assert solution == whole_stage_balanced_flow(p)

@@ -208,6 +208,24 @@ class TestCheck:
             f"error: {path}: cannot parse rational from {shown} (quote decimals as strings)\n",
         )
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n u 1_000\nn w -1000\n",
+            '{"nodes": [{"id": "u", "d": "2 / 3"}, {"id": "w", "d": "-2/3"}]}',
+            '{"nodes": [{"id": "u", "d": "1e1_0"}, {"id": "w", "d": -1}]}',
+        ],
+    )
+    def test_number_outside_the_documented_forms_is_refused(self, text, tmp_path, capsys):
+        # Fraction(str) reads "1_000" from Python 3.11 on and "2 / 3" from
+        # 3.12 on; neither is a number on any version.
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: cannot parse rational from '")
+
 
 class TestSolve:
     def test_diamond_document(self, d4_json, capsys):
@@ -791,6 +809,60 @@ class TestRobustness:
         cert = tmp_path / "solution.json"
         assert main(["solve", d4_json, "--certificate", str(cert)]) == 0
         assert cert.read_bytes() == capsys.readouterr().out.encode()
+
+
+NON_ASCII = json.dumps(
+    {
+        "nodes": [{"id": "\u00e9", "d": 4}, {"id": "\u2192", "d": -4}],
+        "arcs": [{"id": "\u00e9\u2192", "tail": "\u00e9", "head": "\u2192", "capacity": 1}],
+    },
+    ensure_ascii=False,
+).encode("utf-8")
+
+
+class TestEncoding:
+    """stdin is read and stdout written as UTF-8, whatever the locale (here
+    PYTHONIOENCODING) says they hold."""
+
+    def lexflow(self, *args: str, encoding: str, stdin: bytes = b""):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import lexflow
+
+        src = str(Path(lexflow.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": encoding}
+        return subprocess.run(
+            [sys.executable, "-m", "lexflow.cli", *args],
+            input=stdin, capture_output=True, env=env, timeout=60,
+        )
+
+    @pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+    def test_stdin_reads_as_the_file_does(self, encoding, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_bytes(NON_ASCII)
+        piped = self.lexflow("solve", "-", encoding=encoding, stdin=NON_ASCII)
+        named = self.lexflow("solve", str(path), encoding="utf-8")
+        assert (piped.returncode, piped.stderr) == (named.returncode, named.stderr) == (0, b"")
+        assert piped.stdout == named.stdout
+        assert list(json.loads(piped.stdout)["flow"]) == ["\u00e9\u2192"]
+
+    @pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+    def test_invalid_utf8_on_stdin_cannot_be_read(self, encoding):
+        # b"\xe9" is "é" in latin-1, and no UTF-8 at all.
+        done = self.lexflow("solve", "-", encoding=encoding, stdin=NON_ASCII + b"\xe9")
+        assert done.returncode == 2
+        assert done.stdout == b""
+        assert done.stderr.startswith(b"error: cannot read -: ")
+        assert done.stderr.count(b"\n") == 1
+
+    @pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+    def test_witness_is_written_as_utf8(self, encoding):
+        done = self.lexflow("check", "-", encoding=encoding, stdin=NON_ASCII)
+        assert (done.returncode, done.stderr) == (11, b"")
+        expected = "WEAKLY_FEASIBLE_ONLY\nwitness: \u00e9\ndeficiency: 4\ncapacity: 1\n"
+        assert done.stdout == expected.encode("utf-8")
 
 
 # JSON values to plant in a document: ids, numbers and number strings of
