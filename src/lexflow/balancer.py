@@ -137,7 +137,7 @@ def reduce_problem(result: RatioResult) -> tuple[Stage, Level]:
         problem, positions, found = kept.pop()
         cut = found.critical_cut
         arcs = cut_arcs(problem, cut)
-        stats = cut_stats(problem, cut, arcs)
+        stats = cut_stats(problem, cut)
         _, _, forward, reverse = arcs
         if not forward:
             raise EmptyCutArcSet("cut has no forward arcs in the current problem")

@@ -306,8 +306,7 @@ def _print_witness(report: FeasibilityReport | FatalCutReport, problem: Problem)
     print("capacity:", format_rational(stats.capacity))
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    problem = parse_instance(read_source(args.instance), args.instance)
+def cmd_check(args: argparse.Namespace, problem: Problem) -> int:
     fatal = has_fatal_cut(problem)
     if fatal.fatal:
         print("INFEASIBLE_WEAKLY")
@@ -329,8 +328,7 @@ def _report_fatal(exc: FatalCutPresent, problem: Problem) -> int:
     return EXIT_NOT_WEAKLY_SOLVABLE
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    problem = parse_instance(read_source(args.instance), args.instance)
+def cmd_solve(args: argparse.Namespace, problem: Problem) -> int:
     try:
         solution = balanced_flow(problem, mode=args.mode)
     except FatalCutPresent as exc:
@@ -345,8 +343,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_ratio(args: argparse.Namespace) -> int:
-    problem = parse_instance(read_source(args.instance), args.instance)
+def cmd_ratio(args: argparse.Namespace, problem: Problem) -> int:
     try:
         result = minmax_ratio(problem)
     except FatalCutPresent as exc:
@@ -360,8 +357,7 @@ def cmd_ratio(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    problem = parse_instance(read_source(args.instance), args.instance)
+def cmd_verify(args: argparse.Namespace, problem: Problem) -> int:
     document = _load_json(read_source(args.solution), args.solution)
     solution = solution_from_document(problem, document)
     verdict = verify_certificate(problem, solution)
@@ -374,8 +370,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_REJECTED
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    problem = parse_instance(read_source(args.instance), args.instance)
+def cmd_oracle(args: argparse.Namespace, problem: Problem) -> int:
     if len(problem.arc_ids) > LEXMIN_SOFT_ARC_LIMIT:
         print(
             f"warning: {len(problem.arc_ids)} arcs exceed the oracle's soft "
@@ -458,11 +453,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Documents are UTF-8 whatever the locale; an io.StringIO holds text.
+    # Documents are UTF-8 whatever the locale, and a lone surrogate in an id,
+    # which UTF-8 cannot hold, is written as its escape; an io.StringIO holds text.
     if isinstance(sys.stdout, io.TextIOWrapper):
-        sys.stdout.reconfigure(encoding="utf-8")
+        sys.stdout.reconfigure(encoding="utf-8", errors="backslashreplace")
     try:
-        code = args.handler(args)
+        problem = parse_instance(read_source(args.instance), args.instance)
+        code = args.handler(args, problem)
         sys.stdout.flush()  # a closed pipe shows up here, not at exit
         return code
     except BrokenPipeError:  # the reader left early; keep the exit flush quiet

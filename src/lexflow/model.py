@@ -367,8 +367,8 @@ def step_block(
     The grid is stepped on the least L' without an lcm. With ratio = p/q, the
     numbers on grid q·L are q·x, except each balance with a net forward
     inflow e ≠ 0, t = q·D + p·e. Their gcd is g = gcd(q·h, every t) for
-    h = gcd(L, the other balances, the kept capacities), so L' = q·L/g: x
-    becomes x/h·f with f = q·h/g, and t becomes t/g.
+    h = gcd(L, the other balances, the kept capacities), so L' = q·L/g: each
+    kept x becomes x/h·f with f = q·h/g, and t becomes t/g.
     """
     denominator, balances, capacities = problem.integer_view
     ends = problem.ends
@@ -385,9 +385,7 @@ def step_block(
     moved = {i: q * balances[i] + p * e for i, e in enumerate(net) if e}
     g = math.gcd(q * h, *moved.values())
     f = q * h // g
-    if h != 1 or f != 1:
-        balances, capacities = [d // h * f for d in balances], [c // h * f for c in capacities]
-    stepped = [moved[i] // g if e else d for i, (d, e) in enumerate(zip(balances, net))]
+    stepped = [moved[i] // g if e else d // h * f for i, (d, e) in enumerate(zip(balances, net))]
 
     # Union-find on the arcs left; each tree's root is its least node, so
     # label[i] < i except at a root.
@@ -416,7 +414,7 @@ def step_block(
     parts = []
     for nodes, kept in (part_of[i] for i, up in enumerate(label) if up == i):
         view = IntegerView(
-            grid, tuple([stepped[i] for i in nodes]), tuple([capacities[k] for k in kept])
+            grid, tuple([stepped[i] for i in nodes]), tuple([capacities[k] // h * f for k in kept])
         )
         renumbered = [(local[tail], local[head]) for tail, head in map(ends.__getitem__, kept)]
         part = Problem(
@@ -487,17 +485,19 @@ def cut_arcs(problem: Problem, cut: Cut) -> CutArcs:
     return CutArcs(inside, kept, forward, reverse)
 
 
-def cut_stats(problem: Problem, cut: Cut, arcs: CutArcs | None = None) -> CutStats:
-    """Exact deficiency and capacity of `cut`; `arcs`, if given, is
-    `cut_arcs(problem, cut)`.
+def cut_stats(problem: Problem, cut: Cut) -> CutStats:
+    """Exact deficiency and capacity of `cut`, read from its side mask in one
+    pass over the arcs.
 
     Raises InvalidPartition unless its source side S has 0 < |S| < n and
     holds only the problem's nodes.
     """
-    inside, _, forward, _ = arcs or cut_arcs(problem, cut)
+    inside = problem.side(cut.source_side)
     if not 0 < len(cut.source_side) == sum(inside) < len(inside):
         raise InvalidPartition("cut is not a proper bipartition of the nodes")
     denominator, balances, capacities = problem.integer_view
     deficiency = sum(compress(balances, inside))
-    capacity = sum(map(capacities.__getitem__, forward))
+    capacity = sum(
+        c for c, (tail, head) in zip(capacities, problem.ends) if inside[tail] > inside[head]
+    )
     return CutStats(Fraction(deficiency, denominator), Fraction(capacity, denominator))

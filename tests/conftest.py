@@ -484,7 +484,7 @@ def labelled_verify(problem: Problem, solution: BalancedSolution) -> Verificatio
         where = f"level {k}"
         arcs = cut_arcs(current, level.cut)
         try:
-            stats = cut_stats(current, level.cut, arcs)
+            stats = cut_stats(current, level.cut)
         except InvalidPartition:
             return reject("level_replay", f"{where}: cut is not a proper partition")
         if stats.capacity == 0:
@@ -625,7 +625,7 @@ def whole_stage_search(problem: Problem, previous: RatioResult | None) -> RatioR
 def whole_stage_reduce(problem: Problem, cut: Cut, ratio: Fraction) -> tuple[Problem, Level]:
     """One level on a whole stage: load `cut` at `ratio` and strip its arcs."""
     arcs = cut_arcs(problem, cut)
-    stats = cut_stats(problem, cut, arcs)
+    stats = cut_stats(problem, cut)
     _, _, forward, reverse = arcs
     if not forward or stats.ratio != ratio:
         raise InvariantViolation("the level's cut is not critical in its stage")

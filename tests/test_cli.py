@@ -864,6 +864,30 @@ class TestEncoding:
         expected = "WEAKLY_FEASIBLE_ONLY\nwitness: \u00e9\ndeficiency: 4\ncapacity: 1\n"
         assert done.stdout == expected.encode("utf-8")
 
+    @pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
+    def test_lone_surrogate_witness_is_written_as_its_escape(self, encoding, tmp_path):
+        # JSON's escape "\ud800" reads as a lone surrogate, which UTF-8 cannot
+        # hold; solve and verify write the id as JSON's escape again.
+        instance = json.dumps(
+            {
+                "nodes": [{"id": "\ud800", "d": 4}, {"id": "w", "d": -4}],
+                "arcs": [{"id": "a", "tail": "\ud800", "head": "w", "capacity": 1}],
+            }
+        ).encode("ascii")
+        done = self.lexflow("check", "-", encoding=encoding, stdin=instance)
+        assert (done.returncode, done.stderr) == (11, b"")
+        assert done.stdout == b"WEAKLY_FEASIBLE_ONLY\nwitness: \\ud800\ndeficiency: 4\ncapacity: 1\n"
+        path = tmp_path / "x.json"
+        path.write_bytes(instance)
+        solved = self.lexflow("solve", str(path), encoding=encoding)
+        assert (solved.returncode, solved.stderr) == (0, b"")
+        assert b'"\\ud800"' in solved.stdout
+        (tmp_path / "sol.json").write_bytes(solved.stdout)
+        verdict = self.lexflow(
+            "verify", str(path), "--solution", str(tmp_path / "sol.json"), encoding=encoding
+        )
+        assert (verdict.returncode, verdict.stdout) == (0, b"ACCEPT\n")
+
 
 # JSON values to plant in a document: ids, numbers and number strings of
 # the instance's own kinds (and some past the int-string digit limit), and

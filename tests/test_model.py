@@ -21,6 +21,7 @@ from lexflow import (
     Arc,
     BalanceSumNonzero,
     Cut,
+    CutStats,
     DuplicateId,
     FatalCutPresent,
     Flow,
@@ -643,6 +644,29 @@ class TestGridStep:
                 assert part.arc_ids == tuple(problem.arc_ids[k] for k in kept)
                 assert part.arcs == tuple(given[a] for a in part.arc_ids)
 
+    @pytest.mark.parametrize(
+        "m,e,r,ratio", [(2, 1, 3, F(1)), (6, 5, 7, F(2, 3)), (12, 1, 25, F(7, 5))]
+    )
+    def test_dropped_arcs_off_the_step(self, m, e, r, ratio):
+        # On grid L = m the kept numbers are multiples of m, so h = m, but the
+        # cut's forward arc xy (e/m) and reverse arc yx (r/m) are not.
+        p = validate_problem(
+            [("a", 2), ("b", -2), ("x", F(e, m)), ("y", F(-e, m))],
+            [("ab", "a", "b", 4), ("xy", "x", "y", F(e, m)), ("yx", "y", "x", F(r, m))],
+        )
+        assert p.integer_view == (m, (2 * m, -2 * m, e, -e), (4 * m, e, r))
+        cut = Cut(frozenset(["x"]))
+        denominator, balances, capacities = reference_step(p, cut, ratio)
+        parts = step_block(p, cut_arcs(p, cut), ratio)
+        assert [(part.node_ids, kept) for part, kept in parts] == [
+            (("a", "b"), [0]), (("x",), []), (("y",), [])
+        ]
+        assert [part.integer_view for part, _ in parts] == [
+            (denominator, balances[:2], capacities),
+            (denominator, balances[2:3], ()),
+            (denominator, balances[3:], ()),
+        ]
+
     def test_uncrossed_cut_leaves_the_view(self):
         rng = random.Random(1202)
         for _ in range(100):
@@ -802,7 +826,23 @@ class TestCutStats:
             assert [arcs[k] for k in forward] == list(forward_arcs(cut, p))
             assert [arcs[k] for k in reverse] == list(reverse_arcs(cut, p))
             assert sorted(kept + forward + reverse) == list(range(len(arcs)))
-            assert cut_stats(p, cut, cut_arcs(p, cut)) == cut_stats(p, cut)
+
+    def test_same_as_fraction_sums(self):
+        # Random cuts and every one-node cut; each with a foreign id added
+        # is no partition of the problem's nodes.
+        rng = random.Random(2801)
+        for _ in range(60):
+            p = deep_problem(rng) if rng.random() < 0.3 else random_problem(rng)
+            ids = list(p.node_ids)
+            sides = [rng.sample(ids, rng.randint(1, len(ids) - 1)) for _ in range(5)]
+            for side in sides + [[v] for v in ids]:
+                deficiency = sum((p.balances[v] for v in side), F(0))
+                capacity = sum(
+                    (a.capacity for a in p.arcs if a.tail in side and a.head not in side), F(0)
+                )
+                assert cut_stats(p, Cut(frozenset(side))) == CutStats(deficiency, capacity)
+                with pytest.raises(InvalidPartition):
+                    cut_stats(p, Cut(frozenset([*side, "zz"])))
 
     def test_antisymmetry_of_deficiency(self):
         rng = random.Random(7)

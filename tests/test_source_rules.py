@@ -1,0 +1,95 @@
+"""Rules on the source of `src/lexflow`, read from its syntax trees."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "lexflow"
+
+
+def modules(pattern: str = "**/*.py") -> list[Path]:
+    paths = sorted(SOURCE.glob(pattern))
+    assert paths, f"no module under {SOURCE}"
+    return paths
+
+
+def test_no_assert_statement():
+    """Invariants hold under python -O, which strips assert statements."""
+    found = [
+        f"{path}:{node.lineno}"
+        for path in modules()
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_no_unused_import():
+    """Imports that only the benchmark's tracer reads are marked noqa F401."""
+    found = []
+    for path in modules("*.py"):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        tree = ast.parse(source)
+        lines = source.splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    found.append(f"{path}:{alias.lineno}: {alias.name}")
+    assert found == []
+
+
+def test_no_print_or_stdout_outside_cli():
+    """Only `cli.py` writes to stdout, so documents stay byte-stable."""
+    found = []
+    for path in modules():
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            printing = (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "print"
+            )
+            stdout = (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("stdout", "__stdout__")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "sys"
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "sys"
+                and any(alias.name in ("stdout", "__stdout__") for alias in node.names)
+            )
+            if printing or stdout:
+                found.append(f"{path}:{node.lineno}")
+    assert found == []
+
+
+def test_no_function_calls_itself_by_name():
+    """No recursion limit caps the size of input that can be solved."""
+    found = []
+    for path in modules():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                if (isinstance(func, ast.Name) and func.id == node.name) or (
+                    isinstance(func, ast.Attribute)
+                    and func.attr == node.name
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id in ("self", "cls")
+                ):
+                    found.append(f"{path}:{call.lineno}: {node.name}")
+    assert found == []
