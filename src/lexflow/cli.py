@@ -2,7 +2,7 @@
 
 Instances are read from a JSON document (canonical) or a DIMACS-like plain
 text format; `-` reads stdin. Result documents go to stdout, diagnostics to
-stderr. Exit codes: 0 success/feasible, 2 parse or validation error,
+stderr. Exit codes: 0 success/feasible, 2 parse, validation or I/O error,
 10 not weakly solvable, 11 weakly feasible only, 12 certificate rejected,
 1 oracle mismatch, 3 internal error (a bug; reported in one stderr line),
 141 stdout closed early by its reader (silently, as `head` expects).
@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Any
 
@@ -34,7 +35,6 @@ from .model import (
     Flow,
     ModelError,
     Problem,
-    ReadOnce,
     format_rational,
     parse_rational,
     validate_problem,
@@ -65,6 +65,8 @@ def read_source(path: str) -> str:
     """The UTF-8 text of `path`, or of stdin for "-"."""
     try:
         if path == "-":
+            if sys.stdin is None:  # fd 0 is closed
+                raise CliError("cannot read -: stdin is closed")
             # Not as the locale says; an io.StringIO put in its place holds text.
             if isinstance(sys.stdin, io.TextIOWrapper):
                 return sys.stdin.buffer.read().decode()
@@ -244,10 +246,10 @@ def solution_from_document(
     anything else is a malformed document. Each distinct number string is
     read once.
     """
-    values = ReadOnce(parse_rational)
+    read_once = cache(parse_rational)
 
     def number(raw: Any) -> Fraction:
-        return values[raw] if type(raw) is str else parse_rational(raw)
+        return read_once(raw) if type(raw) is str else parse_rational(raw)
 
     try:
         flow = Flow(
@@ -458,15 +460,21 @@ def main(argv: list[str] | None = None) -> int:
     if isinstance(sys.stdout, io.TextIOWrapper):
         sys.stdout.reconfigure(encoding="utf-8", errors="backslashreplace")
     try:
+        if sys.stdout is None:  # fd 1 is closed
+            raise CliError("cannot write stdout: it is closed")
         problem = parse_instance(read_source(args.instance), args.instance)
         code = args.handler(args, problem)
-        sys.stdout.flush()  # a closed pipe shows up here, not at exit
+        sys.stdout.flush()  # a closed pipe or a full disk shows up here, not at exit
         return code
-    except BrokenPipeError:  # the reader left early; keep the exit flush quiet
+    except OSError as exc:  # stdout's: reads and the certificate raise CliError
+        # Keep the interpreter's exit flush of what is left quiet.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return EXIT_BROKEN_PIPE
+        if isinstance(exc, BrokenPipeError):  # the reader left early
+            return EXIT_BROKEN_PIPE
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

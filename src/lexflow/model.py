@@ -15,9 +15,9 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import compress
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 RationalLike = Fraction | int | str
 
@@ -262,20 +262,6 @@ class CutStats:
         return self.deficiency / self.capacity
 
 
-class ReadOnce(dict):
-    """`read` of each distinct string, made at its first lookup and kept
-    while this dict lives, which is for one document; a read that raises
-    keeps nothing. Look up exact `str`s only and pass anything else to `read`
-    itself: `True == 1` and both hash alike, and lists cannot be hashed."""
-
-    def __init__(self, read: Callable[[str], Any]) -> None:
-        self.read = read
-
-    def __missing__(self, text: str) -> Any:
-        value = self[text] = self.read(text)
-        return value
-
-
 def _lowest_terms(raw: RationalLike) -> tuple[int, int]:
     terms = _plain_terms(raw)
     if terms is None:
@@ -308,13 +294,15 @@ def validate_problem(
 
     position: dict[str, int] = {}
     terms: list[tuple[int, int]] = []
-    terms_of = ReadOnce(_lowest_terms)
+    # Read each distinct str once per call; only exact strs, as True == 1 and
+    # both hash alike, and a list cannot be hashed.
+    terms_of = cache(_lowest_terms)
     for node_id, raw in node_items:
         node_id = str(node_id)
         if node_id in position:
             raise DuplicateId(f"duplicate node id {node_id!r}")
         position[node_id] = len(terms)
-        terms.append(terms_of[raw] if type(raw) is str else _lowest_terms(raw))
+        terms.append(terms_of(raw) if type(raw) is str else _lowest_terms(raw))
     if not position:
         raise ModelError("instance has no nodes")
 
@@ -333,7 +321,7 @@ def validate_problem(
             raise ModelError(f"arc {arc_id!r} has unknown head {head!r}")
         if t == h:
             raise SelfLoop(f"arc {arc_id!r} is a self-loop on {tail!r}")
-        p, q = terms_of[raw_cap] if type(raw_cap) is str else _lowest_terms(raw_cap)
+        p, q = terms_of(raw_cap) if type(raw_cap) is str else _lowest_terms(raw_cap)
         if p <= 0:
             raise NonpositiveCapacity(
                 f"arc {arc_id!r} has capacity {format_rational(Fraction(p, q))}"

@@ -3,18 +3,23 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lexflow
 from lexflow.cli import (
     CliError,
     decimal_places,
@@ -70,12 +75,41 @@ a at a t 2
 a bt b t 2
 """
 
+# Two blocks with no arc between them, solved in two levels: u1's cut at
+# ratio 5 first, then u2's at 1/10.
+SEED_JSON = """\
+{"nodes": [{"id": "u1", "d": 5}, {"id": "w1", "d": -5},
+           {"id": "u2", "d": 1}, {"id": "w2", "d": -1}],
+ "arcs": [{"id": "a1", "tail": "u1", "head": "w1", "capacity": 1},
+          {"id": "a2", "tail": "u2", "head": "w2", "capacity": 10}]}
+"""
+
 
 @pytest.fixture
 def d4_json(tmp_path):
     path = tmp_path / "d4.json"
     path.write_text(D4_JSON)
     return str(path)
+
+
+@pytest.fixture
+def seed_json(tmp_path):
+    path = tmp_path / "seed.json"
+    path.write_text(SEED_JSON)
+    return str(path)
+
+
+# The environment of a `python -m lexflow.cli` subprocess: the lexflow under test.
+CLI_ENV = {**os.environ, "PYTHONPATH": str(Path(lexflow.__file__).resolve().parents[1])}
+
+
+def sh_lexflow(redirect: str, *args: str) -> subprocess.CompletedProcess:
+    """`python -m lexflow.cli ARGS REDIRECT` run by `sh -c`, so that the
+    redirection (`<&-`, `>&-`, `> /dev/full`) holds before lexflow starts."""
+    return subprocess.run(
+        ["sh", "-c", f'"$0" -m lexflow.cli "$@" {redirect}', sys.executable, *args],
+        capture_output=True, env=CLI_ENV, timeout=60,
+    )
 
 
 class TestParsing:
@@ -152,13 +186,16 @@ class TestParsing:
 
 class TestCheck:
     def test_weakly_feasible_only(self, d4_json, capsys):
-        code = main(["check", d4_json])
-        out = capsys.readouterr().out
-        assert code == 11
-        assert out.splitlines()[0] == "WEAKLY_FEASIBLE_ONLY"
-        assert "witness: s b" in out
-        assert "deficiency: 4" in out
-        assert "capacity: 3" in out
+        assert main(["check", d4_json]) == 11
+        assert capsys.readouterr() == (
+            "WEAKLY_FEASIBLE_ONLY\nwitness: s b\ndeficiency: 4\ncapacity: 3\n", ""
+        )
+
+    def test_two_blocks_witness_is_the_first_levels_cut(self, seed_json, capsys):
+        assert main(["check", seed_json]) == 11
+        assert capsys.readouterr() == (
+            "WEAKLY_FEASIBLE_ONLY\nwitness: u1\ndeficiency: 5\ncapacity: 1\n", ""
+        )
 
     def test_feasible(self, tmp_path, capsys):
         path = tmp_path / "ok.json"
@@ -245,6 +282,36 @@ class TestSolve:
             ["s"],
             ["a"],
         ]
+
+    def test_two_blocks_document_and_its_certificate(self, seed_json, tmp_path, capsys):
+        cert = tmp_path / "solution.json"
+        assert main(["solve", seed_json, "--certificate", str(cert)]) == 0
+        expected = {
+            "status": "weakly_feasible_only",
+            "r0": "5",
+            "flow": {"a1": "5", "a2": "1"},
+            "sorted_ratios": ["5", "1/10"],
+            "certificate": {
+                "levels": [
+                    {
+                        "ratio": "5",
+                        "cut": ["u1"],
+                        "fixed_forward": [{"arc": "a1", "value": "5"}],
+                        "zeroed_reverse": [],
+                    },
+                    {
+                        "ratio": "1/10",
+                        "cut": ["u2"],
+                        "fixed_forward": [{"arc": "a2", "value": "1"}],
+                        "zeroed_reverse": [],
+                    },
+                ],
+                "zero_tail": [],
+            },
+        }
+        assert capsys.readouterr() == (json.dumps(expected, indent=2) + "\n", "")
+        assert main(["verify", seed_json, "--solution", str(cert)]) == 0
+        assert capsys.readouterr() == ("ACCEPT\n", "")
 
     def test_flow_keys_in_input_arc_order(self, d4_json, capsys):
         main(["solve", d4_json])
@@ -333,10 +400,13 @@ class TestVerify:
         main(["solve", d4_json, "--certificate", str(cert)])
         capsys.readouterr()
         doc = json.loads(cert.read_text())
-        doc["flow"]["sa"] = "1"
+        assert doc["flow"]["sb"] == "8/3"
+        doc["flow"]["sb"] = "3"
         cert.write_text(json.dumps(doc))
         assert main(["verify", d4_json, "--solution", str(cert)]) == 12
-        assert "REJECT conservation" in capsys.readouterr().out
+        assert capsys.readouterr() == (
+            "REJECT conservation: conservation fails at node 's'\n", ""
+        )
 
     @pytest.mark.parametrize(
         "arc_id,value,detail",
@@ -555,6 +625,11 @@ class TestRatioAndOracle:
         assert main(["ratio", d4_json]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc == {"r0": "4/3", "critical_cut": ["s", "b"]}
+
+    def test_ratio_of_two_blocks(self, seed_json, capsys):
+        assert main(["ratio", seed_json]) == 0
+        expected = json.dumps({"r0": "5", "critical_cut": ["u1"]}, indent=2)
+        assert capsys.readouterr() == (expected + "\n", "")
 
     def test_ratio_zero(self, tmp_path, capsys):
         path = tmp_path / "zero.txt"
@@ -777,26 +852,48 @@ class TestRobustness:
         assert captured.err == "internal error: RuntimeError: solver bug second line\n"
 
     def test_reader_gone_ends_quietly(self, d4_json):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import lexflow
-
-        src = str(Path(lexflow.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
         read_end, write_end = os.pipe()
         os.close(read_end)  # the reader is gone before anything is written
         try:
             done = subprocess.run(
                 [sys.executable, "-m", "lexflow.cli", "solve", d4_json],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+                stdout=write_end, stderr=subprocess.PIPE, env=CLI_ENV, timeout=60,
             )
         finally:
             os.close(write_end)
         assert done.returncode == 141
         assert done.stderr == b""
+
+    @pytest.mark.parametrize("command", ["check", "verify"])
+    def test_closed_stdin_is_a_read_error(self, command, d4_json):
+        if command == "check":
+            done = sh_lexflow("<&-", "check", "-")
+        else:
+            done = sh_lexflow("<&-", "verify", d4_json, "--solution", "-")
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, b"", b"error: cannot read -: stdin is closed\n"
+        )
+
+    def test_closed_stdout_is_a_write_error(self, d4_json):
+        done = sh_lexflow(">&-", "solve", d4_json)
+        assert (done.returncode, done.stderr) == (
+            2, b"error: cannot write stdout: it is closed\n"
+        )
+
+    # A small document fails at main's flush, one past the stream's buffer
+    # inside print; both leave nothing for the interpreter's exit flush to say.
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("nodes", [2, 400])
+    def test_full_stdout_is_a_write_error(self, nodes, tmp_path):
+        path = tmp_path / "chain.txt"
+        lines = [f"n v{i} {1 if i == 0 else -1 if i == nodes - 1 else 0}" for i in range(nodes)]
+        lines += [f"a e{i} v{i} v{i + 1} 1" for i in range(nodes - 1)]
+        path.write_text("\n".join(lines) + "\n")
+        done = sh_lexflow("> /dev/full", "solve", str(path))
+        full = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert (done.returncode, done.stderr) == (
+            2, f"error: cannot write stdout: {full}\n".encode()
+        )
 
     def test_unwritable_certificate_is_a_usage_error(self, d4_json, tmp_path, capsys):
         target = tmp_path / "missing" / "out.json"
@@ -825,17 +922,10 @@ class TestEncoding:
     PYTHONIOENCODING) says they hold."""
 
     def lexflow(self, *args: str, encoding: str, stdin: bytes = b""):
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import lexflow
-
-        src = str(Path(lexflow.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": encoding}
         return subprocess.run(
             [sys.executable, "-m", "lexflow.cli", *args],
-            input=stdin, capture_output=True, env=env, timeout=60,
+            input=stdin, capture_output=True,
+            env={**CLI_ENV, "PYTHONIOENCODING": encoding}, timeout=60,
         )
 
     @pytest.mark.parametrize("encoding", ["latin-1", "ascii"])

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lexflow.balancer as balancer
+import lexflow.cli as cli
 import lexflow.gale_hoffman as gale_hoffman
 import lexflow.model as model
 from lexflow import (
@@ -453,13 +454,26 @@ class TestReadOnce:
         validate_problem(nodes, arcs)
         assert read == ["3/2", 1, 1, "-5", "2/4", 1]  # nothing kept between calls
 
-    def test_failed_read_is_not_kept(self):
-        values = model.ReadOnce(parse_rational)
+    def test_failed_read_is_not_kept(self, monkeypatch):
+        # The instance reader and the solution reader alike: a string that
+        # fails to read fails again in the next call, read anew, and a
+        # repeat before it is read once per call.
+        read = []
+        lowest_terms = model._lowest_terms
+        monkeypatch.setattr(model, "_lowest_terms", lambda raw: read.append(raw) or lowest_terms(raw))
+        monkeypatch.setattr(cli, "parse_rational", lambda raw: read.append(raw) or parse_rational(raw))
+        problem = validate_problem([("u", "2/4"), ("w", "-1/2")], [("a", "u", "w", "2/4")])
+        assert problem.arcs == (Arc("a", "u", "w", F(1, 2)),)
+        document = {"flow": {"a": "2/4"}, "certificate": {"levels": [], "zero_tail": []}}
         for _ in range(2):
-            with pytest.raises(ModelError, match="cannot parse rational from 'x'"):
-                values["x"]
-        assert values == {}
-        assert values["2/4"] is values["2/4"] == F(1, 2)
+            read.clear()
+            with pytest.raises(ModelError, match="^cannot parse rational from 'x'$"):
+                validate_problem([("u", "2/4"), ("w", "2/4"), ("x", "x")], [])
+            assert read == ["2/4", "x"]
+            read.clear()
+            with pytest.raises(cli.CliError, match="cannot parse rational from 'x'$"):
+                cli.solution_from_document(problem, {**document, "sorted_ratios": ["2/4", "2/4", "x"]})
+            assert read == ["2/4", "x"]
 
     @pytest.mark.parametrize("first", [1, "1"])
     @pytest.mark.parametrize("bad", [True, False, [], {}])
