@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
 from .balancer import (
     BalancedSolution,
@@ -298,6 +298,17 @@ def _emit(document: dict[str, Any]) -> None:
     print(json.dumps(document, indent=2))
 
 
+def _diagnose(line: str) -> None:
+    """Write one line to stderr, or drop it when stderr is closed or cannot
+    take it: a diagnostic never changes the exit code or reaches stdout."""
+    if sys.stderr is None:  # fd 2 is closed; print would fall back to stdout
+        return
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        pass
+
+
 def _print_witness(report: FeasibilityReport | FatalCutReport, problem: Problem) -> None:
     cut = report.witness_cut
     stats = report.witness_stats
@@ -324,9 +335,9 @@ def cmd_check(args: argparse.Namespace, problem: Problem) -> int:
 
 
 def _report_fatal(exc: FatalCutPresent, problem: Problem) -> int:
-    print("not weakly solvable: fatal cut present", file=sys.stderr)
+    _diagnose("not weakly solvable: fatal cut present")
     side = " ".join(problem.ordered_nodes(exc.witness.source_side))
-    print(f"witness: {side}", file=sys.stderr)
+    _diagnose(f"witness: {side}")
     return EXIT_NOT_WEAKLY_SOLVABLE
 
 
@@ -374,16 +385,15 @@ def cmd_verify(args: argparse.Namespace, problem: Problem) -> int:
 
 def cmd_oracle(args: argparse.Namespace, problem: Problem) -> int:
     if len(problem.arc_ids) > LEXMIN_SOFT_ARC_LIMIT:
-        print(
+        _diagnose(
             f"warning: {len(problem.arc_ids)} arcs exceed the oracle's soft "
-            f"limit of {LEXMIN_SOFT_ARC_LIMIT}; this may be slow",
-            file=sys.stderr,
+            f"limit of {LEXMIN_SOFT_ARC_LIMIT}; this may be slow"
         )
     try:
         reference = oracle_lexmin(problem)
         solution = balanced_flow(problem)
     except (OracleInfeasible, FatalCutPresent):
-        print("not weakly solvable", file=sys.stderr)
+        _diagnose("not weakly solvable")
         return EXIT_NOT_WEAKLY_SOLVABLE
     matches = reference.values == solution.flow.values
     _emit(
@@ -412,8 +422,16 @@ def decimal_places(text: str) -> int:
     return places
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        """argparse's usage error, written by `_diagnose`: argparse itself
+        prints the usage to stdout when fd 2 is closed."""
+        _diagnose(f"{self.format_usage()}{self.prog}: error: {message}")
+        sys.exit(EXIT_USAGE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lexflow",
         description="Exact balanced (lexmin) flows for transshipment networks.",
     )
@@ -473,14 +491,14 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         if isinstance(exc, BrokenPipeError):  # the reader left early
             return EXIT_BROKEN_PIPE
-        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        _diagnose(f"error: cannot write stdout: {exc}")
         return EXIT_USAGE
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnose(f"error: {exc}")
         return EXIT_USAGE
     except Exception as exc:  # last resort: a bug ends in a code, not a traceback
         detail = " ".join(str(exc).split())
-        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        _diagnose(f"internal error: {type(exc).__name__}: {detail}")
         return EXIT_INTERNAL
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import sys
@@ -120,6 +121,24 @@ def random_solvable_problem(
             balances[tail] += carried
             balances[head] -= carried
     return validate_problem([(v, balances[v]) for v in ids], arcs)
+
+
+def sparse_problem(rng: random.Random, n: int, m: int) -> Problem:
+    """The criterion-8 acceptance generator at n nodes and m arcs: weakly
+    solvable, its balances induced by a random nonnegative flow on the arcs,
+    its denominators dividing 100."""
+    ids = [f"n{i}" for i in range(n)]
+    denominators = [1, 2, 4, 5, 10, 20, 25, 50, 100]
+    arcs = []
+    balances = dict.fromkeys(ids, Fraction(0))
+    for j in range(m):
+        tail, head = rng.sample(ids, 2)
+        arcs.append((f"e{j}", tail, head, Fraction(rng.randint(1, 100), rng.choice(denominators))))
+        if rng.random() < 0.7:
+            carried = Fraction(rng.randint(0, 100), rng.choice(denominators))
+            balances[tail] += carried
+            balances[head] -= carried
+    return validate_problem(list(balances.items()), arcs)
 
 
 def disjoint_union(parts: list[Problem]) -> Problem:
@@ -437,6 +456,60 @@ def weak_components(problem: Problem) -> list[frozenset[int]]:
     graph.add_nodes_from(range(len(problem.node_ids)))
     graph.add_edges_from(problem.ends)
     return [frozenset(part) for part in nx.weakly_connected_components(graph)]
+
+
+def lexmin_flaw(problem: Problem, flow: Flow) -> str | None:
+    """Why `flow` is not `problem`'s lexmin flow, or None when it is, read
+    from the flow alone: no certificate, no max-flow and no cut.
+
+    Let r_e = x_e / λ_e. A weakly feasible flow x is the lexmin flow exactly
+    when, for every ratio R > 0 that x attains, no arc u -> v of ratio R has
+    u and v in one strongly connected component of
+    G_R = {u -> v : r_e < R} ∪ {v -> u : x_e > 0}. Such a component holds a
+    cycle through the arc's reverse that lowers it and raises only arcs
+    below R, and a small step around that cycle lowers the sorted ratio
+    vector; conversely, any other weakly feasible flow differs from x by
+    such cycles. The components are networkx's, and ratios are compared by
+    cross-multiplying on the problem's grid, where they are reduced pairs.
+    """
+    nx = pytest.importorskip("networkx")
+    if set(flow.values) != set(problem.arc_ids):
+        return "flow keys do not match the arcs"
+    values = [flow.values[a] for a in problem.arc_ids]
+    if any(x < 0 for x in values):
+        return "negative flow"
+    residual = [problem.balances[v] for v in problem.node_ids]
+    for (tail, head), x in zip(problem.ends, values):
+        residual[tail] -= x
+        residual[head] += x
+    if any(residual):
+        return "conservation fails"
+
+    # r_e / L = x_e / C_e, C_e being λ_e on the grid of L, in lowest terms.
+    ratios = []
+    for x, c in zip(values, problem.integer_view.capacities):
+        p, q = x.numerator, x.denominator * c
+        g = math.gcd(p, q)
+        ratios.append((p // g, q // g))
+    by_ratio: dict[tuple[int, int], list[int]] = {}
+    for k, r in enumerate(ratios):
+        by_ratio.setdefault(r, []).append(k)
+    ascending = sorted(by_ratio, key=functools.cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
+
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(len(problem.node_ids)))
+    graph.add_edges_from((head, tail) for (tail, head), x in zip(problem.ends, values) if x)
+    for r in ascending:
+        if r[0]:  # G_R holds every arc below R, forward, by now
+            component = {}
+            for label, members in enumerate(nx.strongly_connected_components(graph)):
+                component.update(dict.fromkeys(members, label))
+            for k in by_ratio[r]:
+                tail, head = problem.ends[k]
+                if component[tail] == component[head]:
+                    return f"arc {problem.arc_ids[k]!r} can be lowered by raising lower ratios"
+        graph.add_edges_from(problem.ends[k] for k in by_ratio[r])
+    return None
 
 
 def labelled_verify(problem: Problem, solution: BalancedSolution) -> VerificationResult:

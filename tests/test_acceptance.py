@@ -35,6 +35,7 @@ from conftest import (
     random_problem,
     random_solvable_problem,
     sink_side_is_feasible,
+    sparse_problem,
     two_cycle_problem,
 )
 
@@ -233,22 +234,7 @@ def test_criterion_7_diamond_goldens():
 
 
 def _scale_instance(seed: int):
-    rng = random.Random(seed)
-    n, m = 50, 200
-    ids = [f"n{i}" for i in range(n)]
-    denominators = [1, 2, 4, 5, 10, 20, 25, 50, 100]
-    arcs = []
-    balances = {v: F(0) for v in ids}
-    for j in range(m):
-        tail, head = rng.sample(ids, 2)
-        arcs.append(
-            (f"e{j}", tail, head, F(rng.randint(1, 100), rng.choice(denominators)))
-        )
-        if rng.random() < 0.7:
-            carried = F(rng.randint(0, 100), rng.choice(denominators))
-            balances[tail] += carried
-            balances[head] -= carried
-    return validate_problem([(v, balances[v]) for v in ids], arcs)
+    return sparse_problem(random.Random(seed), 50, 200)
 
 
 def test_criterion_8_scale():

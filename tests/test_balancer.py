@@ -19,10 +19,13 @@ from lexflow import (
     EmptyCutArcSet,
     FatalCutPresent,
     Flow,
+    InvariantViolation,
     Level,
+    MonotonicityViolation,
     NotCritical,
     Problem,
     RatioResult,
+    VerificationResult,
     balanced_flow,
     cut_stats,
     minmax_ratio,
@@ -44,6 +47,7 @@ from conftest import (
     forward_arcs,
     grid_problem,
     labelled_verify,
+    lexmin_flaw,
     random_problem,
     random_rational,
     random_solvable_problem,
@@ -52,6 +56,7 @@ from conftest import (
     single_arc_problem,
     sink_side_is_feasible,
     sorted_utilizations,
+    sparse_problem,
     two_cycle_problem,
     weak_components,
     whole_stage_balanced_flow,
@@ -107,6 +112,11 @@ class TestReduceProblem:
         # {a, b, t} has no outgoing arcs in the diamond
         with pytest.raises(EmptyCutArcSet):
             reduce_whole(d4, Cut(frozenset(["a", "b", "t"])), F(1))
+
+    def test_ratio_that_is_not_positive_rejected(self, d4):
+        with pytest.raises(ValueError) as raised:
+            reduce_whole(d4, Cut(frozenset(["s", "b"])), F(0))
+        assert str(raised.value) == "level ratio must be positive"
 
 
 class TestBalancedFlow:
@@ -189,6 +199,25 @@ class TestBalancedFlow:
             top = max(sol.sorted_ratios) if sol.sorted_ratios else F(0)
             assert top == census.max_ratio
             assert len(sol.certificate.levels) <= len(p.arcs)
+
+    def test_search_without_a_critical_cut_is_an_invariant_violation(self, d4, monkeypatch):
+        monkeypatch.setattr(balancer, "minmax_ratio", lambda p, stage: RatioResult(F(1), None, ()))
+        with pytest.raises(InvariantViolation) as raised:
+            balanced_flow(d4)
+        assert str(raised.value) == "unbalanced stage without a critical cut"
+
+    def test_search_whose_ratio_rises_is_a_monotonicity_violation(self, d4, monkeypatch):
+        # The diamond's second level is at 8/9; the search claims 2 instead.
+        search, results = balancer.minmax_ratio, []
+
+        def rising(p, stage):
+            results.append(search(p, stage=stage))
+            return replace(results[-1], r0=F(2)) if len(results) == 2 else results[-1]
+
+        monkeypatch.setattr(balancer, "minmax_ratio", rising)
+        with pytest.raises(MonotonicityViolation) as raised:
+            balanced_flow(d4)
+        assert str(raised.value) == "level ratio rose from 4/3 to 2"
 
     def test_level_ratios_never_increase(self):
         rng = random.Random(402)
@@ -410,7 +439,9 @@ class TestVerifyCertificate:
         assert verdict.failed_check == "monotonicity"
 
     def test_positive_reverse_arc_fails_level_replay(self):
-        # Keep conservation by adding the same slack on both cycle arcs.
+        # Keep conservation by adding the same slack on both cycle arcs. The
+        # forward arc then differs from its fixed value, which is what fails:
+        # flow on a reverse arc always comes with such a difference.
         p = two_cycle_problem()
         sol = balanced_flow(p)
         assert sol.flow.values == {"uw": F(3), "wu": F(0)}
@@ -434,6 +465,161 @@ class TestVerifyCertificate:
         verdict = verify_certificate(d4, replace(sol, certificate=chopped))
         assert not verdict.accepted
         assert verdict.failed_check == "arc_partition"
+
+
+def with_flow(sol: BalancedSolution, **values: F) -> BalancedSolution:
+    return replace(sol, flow=Flow({**sol.flow.values, **values}))
+
+
+def with_level(sol: BalancedSolution, k: int, **fields) -> BalancedSolution:
+    levels = list(sol.certificate.levels)
+    levels[k] = replace(levels[k], **fields)
+    return replace(sol, certificate=replace(sol.certificate, levels=tuple(levels)))
+
+
+def with_certificate(sol: BalancedSolution, **fields) -> BalancedSolution:
+    return replace(sol, certificate=replace(sol.certificate, **fields))
+
+
+def noncritical_first_level(sol: BalancedSolution) -> BalancedSolution:
+    """The diamond loaded on {s} at ratio 1 < 4/3, which replays
+    faithfully; the probe at the ratio rejects it before the partition
+    check reaches the zero tail, which carries flow."""
+    level = Level(F(1), Cut(frozenset(["s"])), (("sa", F(1)), ("sb", F(3))), ())
+    flow = Flow({"sa": F(1), "sb": F(3), "at": F(1), "bt": F(3)})
+    return BalancedSolution(
+        flow, Certificate((level,), ("at", "bt")), sorted_utilizations(flow, diamond_problem())
+    )
+
+
+# One row per rejection in `verify_certificate`: its check and exact detail,
+# an instance, and a change to the solver's solution that must fail there
+# first. The diamond solves in levels {s, b} at 4/3 (sa, bt), {s} at 8/9
+# (sb) and {a} at 2/3 (at); the two-cycle u -> w, w -> u with u = 3 in one
+# level {u} at 3 that fixes uw and zeroes wu. The source rule in
+# `test_source_rules.py` requires a row for every `reject(...)` call.
+REJECTIONS = [
+    ("conservation", "flow keys do not match the arcs",
+     diamond_problem, lambda sol: with_flow(sol, extra=F(0))),
+    ("conservation", "arc 'sa' carries negative flow",
+     diamond_problem, lambda sol: with_flow(sol, sa=F(-1))),
+    ("conservation", "conservation fails at node 's'",
+     diamond_problem, lambda sol: with_flow(sol, sa=F(1))),
+    ("monotonicity", "level ratios must be positive",
+     diamond_problem, lambda sol: with_level(sol, 2, ratio=F(0))),
+    ("monotonicity", "level ratios increase",
+     diamond_problem,
+     lambda sol: with_certificate(sol, levels=sol.certificate.levels[::-1])),
+    ("level_replay", "level 0: cut is not a proper partition",
+     diamond_problem, lambda sol: with_level(sol, 0, cut=Cut(frozenset()))),
+    ("level_replay", "level 0: cut has no forward arcs",
+     diamond_problem, lambda sol: with_level(sol, 0, cut=Cut(frozenset(["a", "b", "t"])))),
+    ("level_replay", "level 0: cut ratio differs from 2",
+     diamond_problem, lambda sol: with_level(sol, 0, ratio=F(2))),
+    ("level_replay", "level 0: fixed arcs differ from the cut arcs",
+     diamond_problem, lambda sol: with_level(sol, 0, fixed_forward=(("sa", F(4, 3)),))),
+    ("level_replay", "level 0: fixed value wrong on 'sa'",
+     diamond_problem,
+     lambda sol: with_level(sol, 0, fixed_forward=(("sa", F(1)), ("bt", F(8, 3))))),
+    # Flow pushed around the cycle keeps conservation.
+    ("level_replay", "level 0: flow differs on 'uw'",
+     two_cycle_problem, lambda sol: with_flow(sol, uw=F(4), wu=F(1))),
+    ("level_replay", "level 0: zeroed arcs differ from the reverse arcs",
+     two_cycle_problem, lambda sol: with_level(sol, 0, zeroed_reverse=())),
+    ("stage_optimality", "level 0: ratio is not sufficient",
+     diamond_problem, noncritical_first_level),
+    ("arc_partition", "an arc is assigned twice",
+     two_cycle_problem, lambda sol: with_certificate(sol, zero_tail=("uw",))),
+    ("arc_partition", "arcs are not covered exactly",
+     diamond_problem, lambda sol: with_certificate(sol, levels=sol.certificate.levels[:2])),
+    ("arc_partition", "zero-tail arc 'at' carries flow",
+     diamond_problem,
+     lambda sol: with_certificate(sol, levels=sol.certificate.levels[:2], zero_tail=("at",))),
+    ("summary", "sorted ratios differ from the flow's",
+     diamond_problem, lambda sol: replace(sol, sorted_ratios=sol.sorted_ratios[::-1])),
+]
+
+
+@pytest.mark.parametrize(
+    "check,detail,instance,change", REJECTIONS, ids=[row[1] for row in REJECTIONS]
+)
+def test_each_rejection_fires(check, detail, instance, change):
+    p = instance()
+    candidate = change(balanced_flow(p))
+    verdict = verify_certificate(p, candidate)
+    assert verdict == VerificationResult(False, check, detail)
+    assert labelled_verify(p, candidate) == verdict
+
+
+def cycle_perturbed(rng: random.Random, p: Problem, flow: Flow) -> Flow | None:
+    """`flow` moved by ε > 0 around a cycle of its residual network through a
+    random arc: the cycle's arcs raised where it runs along them and lowered
+    where it runs against them, so the flow stays weakly feasible. None when
+    no arc tried lies on such a cycle."""
+    nx = pytest.importorskip("networkx")
+    values = [flow.values[a] for a in p.arc_ids]
+    for _ in range(20):
+        if not values:
+            return None
+        k = rng.randrange(len(values))
+        sign = -1 if values[k] and rng.random() < 0.5 else 1
+        start, end = p.ends[k] if sign > 0 else p.ends[k][::-1]
+        residual = nx.DiGraph()
+        for j, ((tail, head), x) in enumerate(zip(p.ends, values)):
+            if j != k:
+                residual.add_edge(tail, head, step=(j, 1))
+                if x:
+                    residual.add_edge(head, tail, step=(j, -1))
+        if end not in residual or start not in residual or not nx.has_path(residual, end, start):
+            continue
+        path = nx.shortest_path(residual, end, start)
+        steps = [(k, sign), *(residual.edges[u, v]["step"] for u, v in zip(path, path[1:]))]
+        eps = min((values[j] for j, s in steps if s < 0), default=F(2)) / 2
+        moved = dict(flow.values)
+        for j, s in steps:
+            moved[p.arc_ids[j]] += s * eps
+        return Flow(moved)
+    return None
+
+
+class TestLexminWithoutCertificate:
+    """`conftest.lexmin_flaw` checks flows against the lexmin criterion with
+    no certificate, no max-flow and no cut, at sizes the LP oracle, which
+    takes about 15 arcs, cannot reach. The lexmin flow is unique, so every
+    flow a cycle step moves away from it must be refused."""
+
+    KINDS = {
+        "random": random_solvable_problem,
+        "grid": lambda rng: grid_problem(rng, rng.randint(2, 5)),
+        "deep": deep_problem,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_solver_flows_pass_and_cycle_steps_fail(self, kind):
+        rng = random.Random(f"lexmin-{kind}")
+        solved = moved = 0
+        for _ in range(60):
+            p = self.KINDS[kind](rng)
+            try:
+                flow = balanced_flow(p).flow
+            except FatalCutPresent:
+                continue
+            assert lexmin_flaw(p, flow) is None
+            solved += 1
+            other = cycle_perturbed(rng, p, flow)
+            if other is not None:
+                assert lexmin_flaw(p, other) is not None
+                moved += 1
+        assert solved >= 20 and moved >= 15
+
+    @pytest.mark.parametrize("size", ["grid 10x10", "sparse n=250 m=1000"])
+    def test_beyond_the_oracle(self, size):
+        rng = random.Random(size)
+        p = grid_problem(rng, 10) if size.startswith("grid") else sparse_problem(rng, 250, 1000)
+        flow = balanced_flow(p).flow
+        assert lexmin_flaw(p, flow) is None
+        for _ in range(5):
+            assert lexmin_flaw(p, cycle_perturbed(rng, p, flow)) is not None
 
 
 def crossed_blocks(p: Problem, levels) -> Iterator[tuple[Problem, list[frozenset[str]]]]:
@@ -684,7 +870,7 @@ class TestVerdictsUnchanged:
         ours, reference = verify_certificate(p, candidate), whole_stage_verify(p, candidate)
         assert ours.accepted == reference.accepted
         # A flaw in a component that no later level crosses shows only after
-        # the replay, as balances that do not vanish.
+        # the replay, as arcs left uncovered or a zero-tail arc with flow.
         assert ours.failed_check == reference.failed_check or (
             reference.failed_check, ours.failed_check
         ) == ("stage_optimality", "arc_partition")

@@ -895,6 +895,42 @@ class TestRobustness:
             2, f"error: cannot write stdout: {full}\n".encode()
         )
 
+    # Diagnostics go to stderr or nowhere: neither a full stderr nor a closed
+    # one changes the exit code or a byte of stdout.
+    @pytest.mark.parametrize(
+        "redirect",
+        [
+            pytest.param(
+                "2>/dev/full",
+                marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+            ),
+            "2>&-",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "case,code",
+        [("invalid", 2), ("usage", 2), ("witness", 11), ("fatal", 10), ("solved", 0)],
+    )
+    def test_unwritable_stderr_changes_no_exit_code_or_stdout(
+        self, redirect, case, code, d4_json, tmp_path
+    ):
+        invalid = tmp_path / "invalid.txt"
+        invalid.write_text("n u 1\nn w 0\na uw u w 1\n")  # balances sum to 1
+        fatal = tmp_path / "fatal.txt"
+        fatal.write_text("n u -1\nn w 1\na uw u w 2\n")
+        args = {
+            "invalid": ["check", str(invalid)],
+            "usage": ["bogus"],
+            "witness": ["check", d4_json],
+            "fatal": ["solve", str(fatal)],
+            "solved": ["solve", d4_json],
+        }[case]
+        reference = sh_lexflow("", *args)
+        assert reference.returncode == code
+        assert (reference.stderr == b"") == (code in (0, 11))
+        done = sh_lexflow(redirect, *args)
+        assert (done.returncode, done.stdout, done.stderr) == (code, reference.stdout, b"")
+
     def test_unwritable_certificate_is_a_usage_error(self, d4_json, tmp_path, capsys):
         target = tmp_path / "missing" / "out.json"
         assert main(["solve", d4_json, "--certificate", str(target)]) == 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "lexflow"
@@ -93,3 +94,58 @@ def test_no_function_calls_itself_by_name():
                 ):
                     found.append(f"{path}:{call.lineno}: {node.name}")
     assert found == []
+
+
+# Rejections of `verify_certificate` that no certificate can reach, with the
+# reason each stays, keyed by check and detail as the source spells them.
+UNREACHABLE = {
+    ("stage_optimality", "{where}: ratio is not minimal"): (
+        "a replayed level's cut is violated at every factor below its ratio; the "
+        "benchmark counts this probe, and ROADMAP item 2 deletes it"
+    ),
+}
+
+
+def rejections() -> list[tuple[str, str, re.Pattern]]:
+    """(check, detail as spelled, pattern of the detail) for every
+    `reject(...)` call in `verify_certificate`; a `{...}` field of the
+    detail matches any text."""
+    tree = ast.parse((SOURCE / "balancer.py").read_text())
+    verify = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "verify_certificate"
+    )
+    found = []
+    for call in ast.walk(verify):
+        if not (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "reject"):
+            continue
+        check, detail = call.args
+        parts = detail.values if isinstance(detail, ast.JoinedStr) else [detail]
+        spelled = pattern = ""
+        for part in parts:
+            if isinstance(part, ast.Constant):
+                spelled += part.value
+                pattern += re.escape(part.value)
+            else:
+                spelled += "{" + ast.unparse(part.value) + "}"
+                pattern += ".+"
+        found.append((check.value, spelled, re.compile(pattern)))
+    return found
+
+
+def test_every_rejection_is_reached_in_process():
+    """Each rejection of `verify_certificate` has a row in
+    `test_balancer.REJECTIONS`, a certificate that fails there with that
+    exact check and detail, or is listed in UNREACHABLE with its reason."""
+    from test_balancer import REJECTIONS
+
+    found = rejections()
+    assert len(found) > len(UNREACHABLE)
+    missing = [
+        (check, spelled)
+        for check, spelled, pattern in found
+        if (check, spelled) not in UNREACHABLE
+        and not any(row[0] == check and pattern.fullmatch(row[1]) for row in REJECTIONS)
+    ]
+    assert missing == []
+    assert set(UNREACHABLE) <= {(check, spelled) for check, spelled, _ in found}
