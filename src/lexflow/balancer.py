@@ -35,7 +35,6 @@ from .model import (
     format_rational,
     node_balance_residual,
     step_block,
-    union,
 )
 from .ratio_search import (
     IterationCapExceeded,
@@ -249,42 +248,41 @@ def verify_certificate(
     - The balances left at the end vanish: the flow on the arcs left, the
       tail, meets them and carries 0.
 
-    Nor can the probe just below r_k fail after the replay: the level's cut
-    has deficiency r_k·C with C > 0, so no smaller factor covers it. It
-    stays while the benchmark counts two verifier probes per level; ROADMAP
-    item 2 deletes it.
-
-    Both probes of level k run on T_k, a union of blocks of stage k, not on the
-    whole stage. A block is a set of nodes that no stage arc enters or leaves;
-    the verifier keeps its stage as its blocks, each a `Problem` on its own
-    grid. Stage 0 is one block; after level k, each block of T_k is stepped and
-    split as the solver splits it, into the weakly connected components of its
-    arcs left (`model.step_block`), but with no part dropped; every other block
-    is kept. What follows holds for any split that no stage arc crosses. T_k is
-    the union, on the lcm of their grids, of the blocks that hold an arc of the
-    level's cut. λ in the minimality probe r_k - 1/(2bλ), b being r_k's
-    denominator, is `total_integer_capacity` of T_k: on any grid of T_k, its
-    cut ratios have denominators of at most λ (see `IntegerView`), so the probe
-    lies above all of them below r_k, and its verdict does not depend on the
-    grid. This accepts exactly the certificates the whole-stage probes accept:
+    The probes of level k run not on the whole stage but on the blocks of
+    stage k that the level's cut crosses, each on its own grid. A block is a
+    set of nodes that no stage arc enters or leaves; the verifier keeps its
+    stage as its blocks, each a `Problem`. Stage 0 is one block; after level
+    k, each crossed block, one holding an arc of the cut, is stepped and
+    split as the solver splits it (`model.step_block`), but with no part
+    dropped; every other block is kept. The ratio is not sufficient unless
+    every crossed block is feasible at r_k, and not minimal when every
+    crossed block B is feasible at r_k - 1/(2bλ_B), b being r_k's
+    denominator and λ_B B's `total_integer_capacity`: B's cut ratios have
+    denominators of at most λ_B (see `IntegerView`), so that probe lies
+    above all of them below r_k. An accepted level costs c + 1 probes if it
+    crosses c blocks and the first holds a forward arc of the cut, as every
+    block a solver's cut crosses does. The verdicts are the whole stage's:
 
     - Conservation and the replayed levels show that the flow on the stage
       arcs meets the stage balances, so the balances of every node set that
       no stage arc enters or leaves, each block among them, sum to zero. A
       block is feasible at a factor z by itself, and the stage is feasible
-      at z exactly when all of its blocks are.
-    - A stage-k block outside T_k keeps its arcs and balances, so it is a
-      block of stage k+1. There it is covered at r_{k+1} <= r_k, a smaller
-      capacity factor, so feasibility there implies it at r_k. By induction
-      it is covered by the end, where the balances left vanish (see above)
-      and it is feasible at every factor. Such a flaw may thus surface as
-      `arc_partition` at the end rather than as `stage_optimality` at level
-      k; it is rejected either way.
-    - A block outside T_k holds no arc of the level's cut, so no stage arc
-      enters or leaves its part on the source side. That part's balances
-      sum to zero, so it adds zero deficiency and no capacity to the cut.
-      The cut thus has the same deficiency and capacity on T_k as on the
-      whole stage, and is violated on T_k just below r_k.
+      at z exactly when each of its blocks is.
+    - A block that is not crossed keeps its arcs and balances into stage
+      k+1, where it is covered at r_{k+1} <= r_k, so also at r_k. By
+      induction it is covered by the end, where the balances left vanish
+      (see above). Such a flaw may thus surface as `arc_partition` at the
+      end rather than as `stage_optimality` at level k; it is rejected
+      either way.
+    - Such a block's part on the source side has no stage arc entering or
+      leaving it and balances summing to zero, so the cut's parts in the
+      crossed blocks hold all of its deficiency r_k·C and capacity C > 0.
+      Once every crossed block is feasible at r_k, each part has deficiency
+      at most, so exactly, r_k times its capacity, and one with capacity is
+      violated below r_k. So the minimality probes cannot all pass. They
+      stay while the benchmark counts two verifier probes at each level of
+      its catalog, whose cuts each cross one block; ROADMAP item 2 deletes
+      them.
     """
     flow = solution.flow
     certificate = solution.certificate
@@ -364,15 +362,15 @@ def verify_certificate(
             return reject("level_replay", f"{where}: zeroed arcs differ from the reverse arcs")
 
         if suboptimal is None:
-            touched = union([blocks[b] for b, _ in crossed])
-            if not is_feasible(touched, level.ratio).feasible:
+            touched = [blocks[b] for b, _ in crossed]
+            if not all(is_feasible(block, level.ratio).feasible for block in touched):
                 suboptimal = reject("stage_optimality", f"{where}: ratio is not sufficient")
-            else:
-                lam = total_integer_capacity(touched)
-                below = level.ratio - Fraction(1, 2 * q * lam)
-                # Never true after the replay (see above); ROADMAP item 2.
-                if is_feasible(touched, below).feasible:
-                    suboptimal = reject("stage_optimality", f"{where}: ratio is not minimal")
+            # Never true once the replay and the probes at r_k pass; ROADMAP item 2.
+            elif all(
+                is_feasible(block, level.ratio - Fraction(1, 2 * q * lam)).feasible
+                for block, lam in zip(touched, map(total_integer_capacity, touched))
+            ):
+                suboptimal = reject("stage_optimality", f"{where}: ratio is not minimal")
         # The replay showed the level's arcs are the cut's, loaded at its ratio.
         # Each crossed block splits into the components of its arcs left.
         for b, arcs in crossed:

@@ -34,17 +34,15 @@ class TwoPole:
     (w, t) with capacity -d_w, and every original arc keeps z times its
     capacity. The network lists the pole arcs first, one per producer or
     consumer in node order, so arc k of the problem is network arc
-    (#producers + #consumers) + k. All capacities are multiplied by one
-    integerizing `scale` so the flow engine can stay integer-only. For
-    z = p/q in lowest terms the scale is q*L, L being the denominator of the
-    problem's integer view; it need not be the least common denominator of
-    the capacities. For any cut of the problem, the two-pole cut of its
-    source side plus s has capacity scale * (D + z*capacity - deficiency),
-    D being the total supply.
+    (#producers + #consumers) + k. For z = p/q in lowest terms, all
+    capacities are multiplied by q*L, L being the denominator of the
+    problem's integer view, so the flow engine can stay integer-only; q*L
+    need not be the least common denominator of the capacities. For any cut
+    of the problem, the two-pole cut of its source side plus s has capacity
+    q*L * (D + z*capacity - deficiency), D being the total supply.
     """
 
     network: FlowNetwork
-    scale: int
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,7 @@ def build_two_pole(problem: Problem, z: Fraction) -> TwoPole:
         raise ValueError("capacity factor z must be positive")
     n = len(problem.node_ids)
     s, t = n, n + 1
-    denominator, balances, capacities = problem.integer_view
+    _, balances, capacities = problem.integer_view
     p, q = z.numerator, z.denominator
 
     arcs: list[tuple[int, int, int]] = []
@@ -88,8 +86,7 @@ def build_two_pole(problem: Problem, z: Fraction) -> TwoPole:
             arcs.append((i, t, -q * d))
     arcs += [(tail, head, p * c) for (tail, head), c in zip(problem.ends, capacities)]
 
-    network = FlowNetwork(n + 2, tuple(arcs), s, t)
-    return TwoPole(network, q * denominator)
+    return TwoPole(FlowNetwork(n + 2, tuple(arcs), s, t))
 
 
 def is_feasible(problem: Problem, z: Fraction) -> FeasibilityReport:

@@ -17,7 +17,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import compress
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 RationalLike = Fraction | int | str
 
@@ -150,8 +150,7 @@ class IntegerView(NamedTuple):
     `denominator` is a common multiple L of every balance and capacity
     denominator: the least one for a problem built by `validate_problem`, the
     least one of the whole stepped block for each part `step_block` returns,
-    and the lcm of the parts' for a `union`, so each of the solver's and the
-    verifier's blocks has a grid of its own.
+    so each of the solver's and the verifier's blocks has a grid of its own.
     `balances[i]` is L times the balance of node i in node order and
     `capacities[a]` is L times the capacity of arc a in arc order; a problem
     keeps its numbers nowhere else. Every cut sum on the grid is exact
@@ -411,25 +410,6 @@ def step_block(
         )
         parts.append((part, kept))
     return parts
-
-
-def union(problems: Sequence[Problem]) -> Problem:
-    """The disjoint union of problems with no id in common, in the given
-    order, on the lcm of their grids; a single problem as it is."""
-    if len(problems) == 1:
-        return problems[0]
-    lcm = math.lcm(*(part.integer_view.denominator for part in problems))
-    node_ids, arc_ids, balances, capacities, ends = [], [], [], [], []
-    for part in problems:
-        denominator, d, c = part.integer_view
-        f, offset = lcm // denominator, len(node_ids)
-        balances += [x * f for x in d]
-        capacities += [x * f for x in c]
-        ends += [(tail + offset, head + offset) for tail, head in part.ends]
-        node_ids += part.node_ids
-        arc_ids += part.arc_ids
-    view = IntegerView(lcm, tuple(balances), tuple(capacities))
-    return Problem(tuple(node_ids), tuple(arc_ids), view, tuple(ends))
 
 
 def node_balance_residual(problem: Problem, flow: Flow) -> dict[str, Fraction]:

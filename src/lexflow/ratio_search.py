@@ -272,10 +272,12 @@ def minmax_ratio_dichotomy(problem: Problem, *, stage: Stage | None = None) -> R
     denominators are at most λ and distinct ratios lie 1/λ² apart or more.
     Bisection keeps r0 in (lo, hi] until hi - lo < 1/(2λ²); every other
     fraction with denominator at most λ is then farther from hi than r0, so
-    r0 = hi.limit_denominator(λ). A critical cut is read off an infeasible
-    probe half the separation below r0, where every minimum cut is critical.
-    Cross-checking mode for `minmax_ratio`, with the same `stage`; a fatal
-    cut is found first, by `has_fatal_cut`.
+    r0 = hi.limit_denominator(λ). The critical cut is the witness at the
+    final lo, the last infeasible probe, which exists as r0 >= 1/λ >
+    1/(2λ²): g's breakpoints (see `minmax_ratio`) have denominators at most
+    λ too, so lo lies inside g's last linear piece, where the witness is the
+    inclusion-minimal critical cut. Cross-checking mode for `minmax_ratio`,
+    with the same `stage`; a fatal cut is found first, by `has_fatal_cut`.
     """
     if stage is not None:
         return _search_blocks(stage, minmax_ratio_dichotomy)
@@ -306,7 +308,4 @@ def minmax_ratio_dichotomy(problem: Problem, *, stage: Stage | None = None) -> R
     r0 = hi.limit_denominator(lam)
     if not lo < r0 <= hi:
         raise InvariantViolation("rational reconstruction left the bracket")
-    probe = is_feasible(problem, r0 - gap)
-    if probe.feasible or probe.witness_cut is None:
-        raise InvariantViolation("no critical cut just below the ratio")
-    return RatioResult(r0, probe.witness_cut, tuple(steps))
+    return RatioResult(r0, steps[-1].cut, tuple(steps))

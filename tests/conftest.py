@@ -419,7 +419,7 @@ def sink_side_is_feasible(problem: Problem, z: Fraction) -> FeasibilityReport:
         return FeasibilityReport(True)
     two_pole = build_two_pole(problem, z)
     value, _, maximal = reference_max_flow(two_pole.network)
-    if value == problem.total_supply * two_pole.scale:
+    if value == problem.total_supply * z.denominator * problem.integer_view.denominator:
         return FeasibilityReport(True)
     n = len(problem.node_ids)
     cut = Cut(frozenset(problem.node_ids[i] for i in maximal if i < n))

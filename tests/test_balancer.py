@@ -20,6 +20,7 @@ from lexflow import (
     FatalCutPresent,
     Flow,
     InvariantViolation,
+    IterationCapExceeded,
     Level,
     MonotonicityViolation,
     NotCritical,
@@ -30,6 +31,7 @@ from lexflow import (
     cut_stats,
     minmax_ratio,
     node_balance_residual,
+    oracle_lexmin,
     reduce_problem,
     validate_problem,
     verify_certificate,
@@ -38,7 +40,7 @@ import conftest
 import lexflow.balancer as balancer
 import lexflow.ratio_search as ratio_search
 from lexflow.cli import solution_document
-from lexflow.ratio_search import Block
+from lexflow.ratio_search import Block, Stage
 from conftest import (
     deep_problem,
     diamond_problem,
@@ -120,6 +122,21 @@ class TestReduceProblem:
 
 
 class TestBalancedFlow:
+    def test_level_cap(self, d4, monkeypatch):
+        # A stage that keeps its blocks repeats its level at one ratio, n
+        # times, until the cap of n - 1 levels trips.
+        reduce, levels = balancer.reduce_problem, []
+
+        def stuck(result):
+            _, level = reduce(result)
+            levels.append(level)
+            return Stage(result.blocks, ()), level
+
+        monkeypatch.setattr(balancer, "reduce_problem", stuck)
+        with pytest.raises(IterationCapExceeded, match="more than n - 1 levels"):
+            balanced_flow(d4)
+        assert levels == [levels[0]] * len(d4.node_ids)
+
     def test_diamond_golden(self, d4):
         sol = balanced_flow(d4)
         assert sol.flow.values == {
@@ -612,10 +629,22 @@ class TestLexminWithoutCertificate:
                 moved += 1
         assert solved >= 20 and moved >= 15
 
-    @pytest.mark.parametrize("size", ["grid 10x10", "sparse n=250 m=1000"])
+    def test_oracle_flows_pass(self):
+        rng = random.Random("lexmin-oracle")
+        for _ in range(20):
+            p = random_solvable_problem(rng, max_arcs=12)
+            assert lexmin_flaw(p, oracle_lexmin(p)) is None
+
+    @pytest.mark.parametrize(
+        "size", ["grid 10x10", "sparse n=250 m=1000", "sparse n=500 m=2000"]
+    )
     def test_beyond_the_oracle(self, size):
         rng = random.Random(size)
-        p = grid_problem(rng, 10) if size.startswith("grid") else sparse_problem(rng, 250, 1000)
+        if size.startswith("grid"):
+            p = grid_problem(rng, 10)
+        else:
+            n, m = (int(term.split("=")[1]) for term in size.split()[1:])
+            p = sparse_problem(rng, n, m)
         flow = balanced_flow(p).flow
         assert lexmin_flaw(p, flow) is None
         for _ in range(5):
@@ -639,13 +668,13 @@ def crossed_blocks(p: Problem, levels) -> Iterator[tuple[Problem, list[frozenset
 class TestProbeScope:
     def test_probes_run_on_the_blocks_the_cut_touches(self, monkeypatch):
         probe = balancer.is_feasible
-        probed: list[Problem] = []
+        probed: list[tuple[Problem, F]] = []
 
         def recording(problem, z):
-            probed.append(problem)
+            probed.append((problem, z))
             return probe(problem, z)
 
-        # Small integer data makes a level's cut touch several blocks.
+        # Small integer data makes a level's cut cross several blocks.
         rng = random.Random(409)
         instances = [
             disjoint_union(
@@ -658,22 +687,25 @@ class TestProbeScope:
         ]
         instances.append(grid_problem(random.Random(410), 6))
         monkeypatch.setattr(balancer, "is_feasible", recording)
-        smaller = several = 0
+        several = 0
         for p in instances:
             sol = balanced_flow(p)
             probed.clear()
             assert verify_certificate(p, sol).accepted
-            levels = sol.certificate.levels
-            assert len(probed) == 2 * len(levels)
-            for k, (stage, touched) in enumerate(crossed_blocks(p, levels)):
-                nodes = frozenset().union(*touched)
-                arcs = {a.arc_id for a in stage.arcs if a.tail in nodes}
-                for sub in probed[2 * k : 2 * k + 2]:
-                    assert frozenset(sub.node_ids) == nodes
-                    assert set(sub.arc_ids) == arcs
-                smaller += len(nodes) < len(stage.node_ids)
-                several += len(touched) > 1
-        assert smaller and several
+            levels, start = sol.certificate.levels, 0
+            for level, (stage, touched) in zip(levels, crossed_blocks(p, levels)):
+                # Each crossed block at r_k, then the first one just below.
+                arcs = {b: {a.arc_id for a in stage.arcs if a.tail in b} for b in touched}
+                c = len(touched)
+                at, below = probed[start : start + c], probed[start + c]
+                start += c + 1
+                assert [z for _, z in at] == [level.ratio] * c and below[1] < level.ratio
+                assert {frozenset(sub.node_ids) for sub, _ in at} == set(touched)
+                for sub, _ in [*at, below]:
+                    assert set(sub.arc_ids) == arcs[frozenset(sub.node_ids)]
+                several += c > 1
+            assert start == len(probed)
+        assert several
 
     def test_steps_only_the_crossed_blocks(self, monkeypatch):
         # A level steps each block its cut crosses once, and nothing else;

@@ -51,7 +51,7 @@ class TestBuildTwoPole:
     def test_single_arc(self):
         p = single_arc_problem()
         tp = build_two_pole(p, F(1))
-        assert tp.scale == 1
+        assert p.integer_view.denominator == 1  # scale q·L is 1
         # super source 2 -> u, u -> w, w -> super sink 3
         assert set(tp.network.arcs) == {(2, 0, 5), (0, 1, 2), (1, 3, 5)}
         # one producer and one consumer: problem arc k is network arc 2 + k
@@ -63,7 +63,7 @@ class TestBuildTwoPole:
 
     def test_diamond_scaling(self, d4):
         tp = build_two_pole(d4, F(4, 3))
-        assert tp.scale == 3
+        assert d4.integer_view.denominator == 1  # scale q·L is 3
         inner = [c for _, _, c in tp.network.arcs[2:]]  # after the two poles
         assert inner == [4, 12, 8, 8]  # (4/3, 4, 8/3, 8/3) times 3
 
@@ -72,7 +72,7 @@ class TestBuildTwoPole:
             build_two_pole(d4, F(0))
 
     def test_capacity_identity_randomized(self):
-        # scale * (D + z*capacity - deficiency) for every cut and factor.
+        # q·L * (D + z*capacity - deficiency) for every cut and factor z = p/q.
         rng = random.Random(99)
         for _ in range(20):
             p = random_problem(rng, max_nodes=6, max_arcs=8)
@@ -83,7 +83,7 @@ class TestBuildTwoPole:
                 k = rng.randint(1, len(ids) - 1)
                 side = set(rng.sample(ids, k))
                 stats = cut_stats(p, Cut(frozenset(side)))
-                expected = tp.scale * (
+                expected = z.denominator * p.integer_view.denominator * (
                     p.total_supply + z * stats.capacity - stats.deficiency
                 )
                 assert two_pole_cut_capacity(p, tp, side) == expected
@@ -347,8 +347,9 @@ class TestAgainstFractionKernel:
         for _, p, z in self.cases(105):
             tp = build_two_pole(p, z)
             network, scale = _reference_build_two_pole(p, z)
-            assert tp.scale % scale == 0
-            factor = tp.scale // scale
+            grid = z.denominator * p.integer_view.denominator
+            assert grid % scale == 0
+            factor = grid // scale
             assert tp.network.arcs == tuple(
                 (tail, head, factor * c) for tail, head, c in network.arcs
             )

@@ -47,7 +47,6 @@ from lexflow.model import (
     IntegerView,
     cut_arcs,
     step_block,
-    union,
 )
 from conftest import (
     deep_problem,
@@ -553,32 +552,9 @@ class TestFixArcs:
         parts = parts_of(p, {"u", "w"}, F(7, 2))
         # Both parts, the one whose balances are all zero included.
         assert [kept for _, kept in parts] == [[0], [1]]
-        assert union([part for part, _ in parts]) == p
-
-
-class TestUnion:
-    def test_parts_side_by_side_on_the_lcm_of_their_grids(self):
-        rng = random.Random(1903)
-        for _ in range(40):
-            parts = []
-            for k in range(rng.randint(2, 4)):
-                part = deep_problem(rng) if rng.random() < 0.5 else random_problem(rng)
-                parts.append(
-                    validate_problem(
-                        [(f"p{k}_{v}", part.balances[v]) for v in part.node_ids],
-                        [
-                            (f"p{k}_{a.arc_id}", f"p{k}_{a.tail}", f"p{k}_{a.head}", a.capacity)
-                            for a in part.arcs
-                        ],
-                    )
-                )
-            joined = union(parts)
-            assert joined.node_ids == sum((part.node_ids for part in parts), ())
-            assert joined.arcs == sum((part.arcs for part in parts), ())
-            assert joined.balances == {v: d for part in parts for v, d in part.balances.items()}
-            grids = [part.integer_view.denominator for part in parts]
-            assert joined.integer_view.denominator == math.lcm(*grids)
-        assert union(parts[:1]) is parts[0]
+        assert [part.node_ids for part, _ in parts] == [("u", "w"), ("x", "y")]
+        assert {v: d for part, _ in parts for v, d in part.balances.items()} == p.balances
+        assert sum((part.arcs for part, _ in parts), ()) == p.arcs
 
 
 class TestComponents:

@@ -19,7 +19,9 @@ import lexflow.gale_hoffman as gale_hoffman
 import lexflow.ratio_search as ratio_search
 from lexflow import (
     Cut,
+    CutStats,
     FatalCutPresent,
+    FeasibilityReport,
     Problem,
     RatioResult,
     SearchStep,
@@ -123,6 +125,25 @@ class TestMinmaxRatio:
                 continue
             if result.critical_cut is not None:
                 assert cut_stats(p, result.critical_cut).ratio == result.r0
+
+    def test_iteration_cap_falls_back_to_bisection(self, d4, monkeypatch):
+        # The first n·m probes return witnesses of strictly rising ratio, so
+        # Newton never stops; the bisection it falls back on probes for real.
+        expected = minmax_ratio(d4)
+        probe, calls = ratio_search.is_feasible, []
+        cap = len(d4.node_ids) * len(d4.arc_ids)
+
+        def rising(problem, z):
+            calls.append(z)
+            if len(calls) > cap:
+                return probe(problem, z)
+            return FeasibilityReport(False, Cut(frozenset({"s"})), CutStats(z + 1, F(1)))
+
+        monkeypatch.setattr(ratio_search, "is_feasible", rising)
+        with pytest.warns(RuntimeWarning, match="iteration cap"):
+            result = minmax_ratio(d4)
+        assert (result.r0, result.critical_cut) == (expected.r0, expected.critical_cut)
+        assert len(calls) > cap
 
 
 class TestFatalCutInTheSearch:
@@ -562,7 +583,7 @@ class TestDichotomy:
                     minmax_ratio_dichotomy(p)
                 continue
             bisect = minmax_ratio_dichotomy(p)
-            assert newton.r0 == bisect.r0
+            assert (newton.r0, newton.critical_cut) == (bisect.r0, bisect.critical_cut)
             if bisect.critical_cut is not None:
                 assert cut_stats(p, bisect.critical_cut).ratio == bisect.r0
             zs = [step.z for step in bisect.steps]
